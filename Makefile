@@ -1,7 +1,7 @@
 # Convenience wrappers around the check gate; scripts/check.sh is the
 # source of truth for what CI runs.
 
-.PHONY: build test race lint lint-json lint-fix lint-fix-diff lint-baseline lint-timings chaos resume-chaos serve-chaos spill-chaos obs-chaos fuzz bench bench-smoke check
+.PHONY: build test race lint lint-json lint-fix lint-fix-diff lint-baseline lint-timings chaos resume-chaos serve-chaos spill-chaos obs-chaos fuzz bench bench-smoke bench-test check
 
 build:
 	go build ./...
@@ -93,6 +93,13 @@ bench:
 
 bench-smoke:
 	scripts/bench.sh --smoke
+
+# bench-test vets and tests the repository benchmark (bench/), a Go module
+# of its own that ./... does not reach: its toy-scale workload gates and
+# the catalogue-vs-BENCHMARK.json test.
+bench-test:
+	go -C bench vet ./...
+	go -C bench test ./...
 
 check:
 	scripts/check.sh

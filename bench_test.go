@@ -270,8 +270,8 @@ func BenchmarkFig7_EntropyOrdered(b *testing.B) {
 
 // -------------------------------------------------------------- Ablations
 
-// BenchmarkAblation_IndexCache measures the sorted-index cache: repeated OD
-// checks over short lists hit the cache heavily during level-2 processing.
+// BenchmarkAblation_IndexCache measures the rank-vector cache: from level 3
+// on, a candidate's lists extend its parent's, whose vectors are cached.
 func BenchmarkAblation_IndexCache(b *testing.B) {
 	load()
 	for _, cache := range []struct {
@@ -400,33 +400,6 @@ func BenchmarkExtension_UCC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ucc.Discover(benchData.ncvoter, ucc.Options{Timeout: 10 * time.Second})
 	}
-}
-
-// BenchmarkAblation_RadixIndex compares the two sorted-index builders on a
-// large LINEITEM sample: LSD counting sort over rank codes versus the
-// comparison sort (rank encoding is what makes the radix path possible).
-func BenchmarkAblation_RadixIndex(b *testing.B) {
-	load()
-	r := benchData.lineitem
-	lists := []attr.List{
-		attr.NewList(0),       // orderkey
-		attr.NewList(10, 4),   // shipdate, quantity
-		attr.NewList(1, 2, 3), // partkey, suppkey, linenumber
-	}
-	b.Run("radix", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, l := range lists {
-				order.BuildIndexRadixForBench(r, l)
-			}
-		}
-	})
-	b.Run("comparison", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, l := range lists {
-				order.BuildIndexComparisonForBench(r, l)
-			}
-		}
-	})
 }
 
 // BenchmarkAblation_PartitionChecker compares the two checking backends on

@@ -36,7 +36,7 @@ type Options struct {
 	DisableColumnReduction bool
 	// UseSortedPartitions switches the order-checking backend to
 	// incrementally derived sorted partitions (the §5.3.1 technique).
-	// Results are identical to the default re-sorting backend.
+	// Results are identical to the default rank-vector backend.
 	UseSortedPartitions bool
 	// MaxMemoryBytes is a soft heap budget: when the heap crosses it at a
 	// level boundary the engine degrades instead of growing toward an OOM

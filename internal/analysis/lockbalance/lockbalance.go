@@ -13,9 +13,9 @@
 //     leaks the checker mutex deadlocks the whole level fan-out.
 //  2. held — a blocking or expensive operation executes while a mutex
 //     may be held: channel send/receive, (*sync.WaitGroup).Wait,
-//     time.Sleep, any sort.* call, or the module's index/partition
-//     derivation helpers (buildIndex, Extend, SortedIndex). These
-//     serialize all workers behind one cache probe.
+//     time.Sleep, any sort.* call, or the module's rank-vector,
+//     index and partition derivation helpers (derive, Extend,
+//     SortedIndex). These serialize all workers behind one cache probe.
 //
 // It also flags re-locking a mutex that is already held on every
 // incoming path (self-deadlock). Suppress a deliberate site with
@@ -295,11 +295,11 @@ func (fc *funcCheck) expensiveCall(call *ast.CallExpr) (string, bool) {
 			}
 		}
 	}
-	// Module-local derivation helpers: a sorted-index or partition
-	// derivation is O(rows) to O(rows·log rows) and must never run
-	// inside a cache critical section.
+	// Module-local derivation helpers: a rank-vector, sorted-index or
+	// partition derivation is O(rows) or more and must never run inside
+	// a cache critical section.
 	switch fn.Name() {
-	case "buildIndex", "Extend", "SortedIndex":
+	case "derive", "Extend", "SortedIndex":
 		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 			return "index/partition derivation " + fn.Name(), true
 		}

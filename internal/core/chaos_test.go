@@ -146,19 +146,20 @@ func TestPartitionBackendPanic(t *testing.T) {
 	settleGoroutines(t, baseline)
 }
 
-// TestCachePutPanicHitsBoundaryRecover: a panic raised outside the level
-// workers (here: the index-cache insert during the reduction phase, on the
-// caller's goroutine) is converted by the DiscoverContext boundary recover
-// into a candidate-less PanicError plus the partial result.
-func TestCachePutPanicHitsBoundaryRecover(t *testing.T) {
+// TestReductionCheckPanicHitsBoundaryRecover: a panic raised outside the
+// level workers (here: the checker's first call, a single-column check of
+// the reduction phase on the caller's goroutine) is converted by the
+// DiscoverContext boundary recover into a candidate-less PanicError plus
+// the partial result.
+func TestReductionCheckPanicHitsBoundaryRecover(t *testing.T) {
 	defer faultinject.Reset()
 	baseline := runtime.NumGoroutine()
 	r := seededRelation(t, 17, 80, 5)
-	faultinject.Arm("order.checker.cacheput", faultinject.Rule{
+	faultinject.Arm("order.checker.check", faultinject.Rule{
 		Action: faultinject.ActionPanic, Nth: 1,
 	})
 	res, err := DiscoverContext(context.Background(), r, Options{Workers: 2})
-	faultinject.Disarm("order.checker.cacheput")
+	faultinject.Disarm("order.checker.check")
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want a *PanicError", err)

@@ -60,7 +60,7 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) (r
 	return d.run(ctx)
 }
 
-// checker abstracts the order-checking backend: the re-sorting Checker
+// checker abstracts the order-checking backend: the rank-vector Checker
 // (default) or the incrementally derived sorted partitions of §5.3.1.
 type checker interface {
 	CheckOCD(x, y attr.List) bool
@@ -85,8 +85,9 @@ type checker interface {
 	SetSpill(sm *spill.Manager)
 	// EvictToSpill moves the backend's whole cache to disk — the first rung
 	// of the memory-budget ladder. Returns the number of entries durably
-	// spilled; 0 means the rung made no progress (nothing cached, no
-	// manager attached, or every write failed).
+	// spilled; 0 means the rung made no progress (no manager attached, or
+	// every write failed). A negative count means the rung was idle:
+	// nothing was cached that a spill could free.
 	EvictToSpill() int
 	// SpillStats reports (entries spilled to disk, entries reloaded from
 	// disk) so far.
@@ -236,7 +237,9 @@ func (d *discoverer) watch(ctx context.Context, timerC <-chan time.Time, stop <-
 // keeps a budgeted run alive out-of-core: every boundary that manages to
 // move at least one cache entry to disk earns the run its next level, and
 // TruncateMemoryBudget stays unreachable until the spill path itself is
-// exhausted (no manager, nothing cached, or every write failed).
+// exhausted (no manager, or every write failed). An idle rung (nothing
+// cached, as for a rank checker that has only seen single columns) is not
+// exhausted: the next level's derived entries give it something to spill.
 func (d *discoverer) overMemoryBudget() bool {
 	if d.opts.MaxMemoryBytes <= 0 {
 		return false

@@ -398,14 +398,16 @@ func TestMaxLevelTruncates(t *testing.T) {
 }
 
 func TestTimeoutTruncates(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	// Quasi-constant columns make the tree huge; a zero-ish timeout must
-	// stop the run promptly and flag truncation.
+	// Columns i/d for pairwise-coprime d are all order compatible and
+	// order no one another, so every candidate is valid and extends on
+	// both sides: the tree is huge, and a zero-ish timeout must stop the
+	// run promptly and flag truncation.
+	divs := []int{2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
 	data := make([][]int, 300)
 	for i := range data {
-		row := make([]int, 10)
-		for j := range row {
-			row[j] = rng.Intn(2)
+		row := make([]int, len(divs))
+		for j, d := range divs {
+			row[j] = i / d
 		}
 		data[i] = row
 	}

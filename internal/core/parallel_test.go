@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -150,4 +151,32 @@ func TestDiscoverMaxCandidatesParallel(t *testing.T) {
 		t.Fatal("truncated run should still count the initial candidates")
 	}
 	assertWellFormed(t, r, res)
+}
+
+// TestExecutionModesAgree: the worker count and the checker's cache size
+// (disabled, one entry, default) change how rank vectors are derived and
+// reused, never the answer — every mode returns the identical Result,
+// Stats.Checks included.
+func TestExecutionModesAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for trial := 0; trial < 30; trial++ {
+		r := randomRelation(rng, 2+rng.Intn(60), 2+rng.Intn(6), 1+rng.Intn(6))
+		if trial%3 == 0 {
+			r = r.HeadRows(r.NumRows() / 2) // sparse codes of a row slice
+		}
+		var want *Result
+		for _, workers := range []int{1, 2} {
+			for _, cache := range []int{-1, 1, 0} {
+				got := Discover(r, Options{Workers: workers, IndexCacheSize: cache})
+				got.Stats.Elapsed = 0
+				if want == nil {
+					want = got
+					continue
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("trial %d workers=%d cache=%d: result differs\nwant %+v\ngot  %+v", trial, workers, cache, want, got)
+				}
+			}
+		}
+	}
 }

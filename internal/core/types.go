@@ -57,8 +57,8 @@ type Options struct {
 	// candidate tree; values < 1 select runtime.GOMAXPROCS(0). This is the
 	// run-time thread parameter of Section 4.2.2.
 	Workers int
-	// IndexCacheSize bounds the sorted-index cache of the order checker;
-	// 0 selects the default (64 indexes).
+	// IndexCacheSize bounds the rank-vector cache of the order checker;
+	// 0 selects the default (64 vectors), a negative value disables it.
 	IndexCacheSize int
 	// Timeout bounds wall-clock time; when exceeded the run stops at a
 	// level boundary and returns partial results with Truncated set,

@@ -542,9 +542,7 @@ type AblationPoint struct {
 
 // Ablations measures the design choices DESIGN.md calls out, on DBTESMA_1K
 // (whose order-equivalent column group makes the reduction phase matter):
-// column reduction on/off and the sorted-index cache on/off. (The radix-
-// versus-comparison index ablation is a micro-benchmark; see
-// BenchmarkAblation_RadixIndex.)
+// column reduction on/off and the rank-vector cache on/off.
 func Ablations(ctx context.Context, s Scale) []AblationPoint {
 	r := Dataset("DBTESMA_1K", s)
 	var out []AblationPoint

@@ -2,35 +2,46 @@
 // lists (Definition 2.1) and the validity checks for order dependencies and
 // order compatibility dependencies (Section 4.3 of the paper).
 //
-// The central primitive is the sorted index: to check a candidate we sort an
-// index of row positions by the left-hand side list and then scan adjacent
-// rows verifying that the right-hand side never decreases (Algorithm 2). A
-// violating pair is classified as a *split* (equal LHS, differing RHS — a
-// functional-dependency violation) or a *swap* (strictly increasing LHS,
-// strictly decreasing RHS — an order-compatibility violation); an OD holds
-// iff the instance contains neither (Theorem 3.9).
+// A violating pair of rows is classified as a *split* (equal LHS, differing
+// RHS — a functional-dependency violation) or a *swap* (strictly increasing
+// LHS, strictly decreasing RHS — an order-compatibility violation); an OD
+// holds iff the instance contains neither (Theorem 3.9).
+//
+// Algorithm 2 of the paper finds them by sorting the rows and scanning
+// adjacent pairs; the Checker needs no sort. The rank vector of a list L
+// holds, per row, the dense rank of the row's L-tuple under ⪯, so rows
+// compare on L as their ranks do. A column's vector is its rank codes; the
+// vector of L∘a is derived from the cached vector of L and the codes of a
+// in one O(rows + domain) pass (rank.go). A check of X against Y makes one
+// pass over the rows collecting each X-rank group's minimum and maximum
+// Y-rank, and one pass over the groups in rank order:
+//
+//   - a split is a group whose minimum differs from its maximum;
+//   - a swap is a group whose minimum is below the running maximum of the
+//     earlier groups: a row q with an earlier row p, p_X ≺ q_X, p_Y ≻ q_Y.
+//     Conversely every swap (p, q) puts q's group minimum below that
+//     running maximum.
+//
+// These are exactly the adjacent-pair findings of Algorithm 2, which sorts
+// by XY so that each X-group lies in Y order. The OCD X ~ Y is the OD
+// XY → YX (Theorem 4.1), which no split violates and which (p, q) swaps
+// iff p_X ≺ q_X and p_Y ≻ q_Y (for p_X = q_X the XY order puts p_Y ≺ q_Y,
+// and YX cannot decrease): the swap-only grouped scan, without building XY.
 package order
 
 import (
-	"sort"
-	"sync"
 	"sync/atomic"
 
 	"ocd/internal/attr"
 	"ocd/internal/faultinject"
 	"ocd/internal/obs"
 	"ocd/internal/relation"
-	"ocd/internal/spill"
 )
 
-// stopCheckMask throttles cooperative-stop polling inside sort comparators
-// and row scans: the atomic flag is loaded once per (mask+1) iterations, so
-// the hot path costs a local counter increment and the occasional load.
+// stopCheckMask throttles cooperative-stop polling inside row scans: the
+// atomic flag is loaded once per (mask+1) iterations, so the hot path costs
+// a local counter increment and the occasional load.
 const stopCheckMask = 1023
-
-// stopSort is the sentinel a stop-aware comparator throws to abort a
-// sort.Slice in progress; sortIdxByColsStop recovers it.
-type stopSort struct{}
 
 // CompareRows compares tuples at row positions i and j on the attribute list
 // X under the ⪯ operator of Definition 2.1, returning -1, 0 or 1. NULLs sort
@@ -94,52 +105,42 @@ type ODResult struct {
 	SwapWitness  Violation
 }
 
-// Checker performs order checks against a fixed relation, caching sorted
-// indexes keyed by the sort list. It is safe for concurrent use; the paper's
+// Checker performs order checks against a fixed relation, caching the rank
+// vectors of attribute lists. It is safe for concurrent use; the paper's
 // multi-threaded tree traversal (Section 4.2.2) shares one Checker across
 // workers.
 type Checker struct {
 	r *relation.Relation
 
-	mu    sync.Mutex
-	cache map[string][]int32
-	fifo  []string
-	cap   int
+	// cols[a] is column a's rank vector, resolved on first use; the extra
+	// last slot holds the empty list's all-zero vector.
+	cols []atomic.Pointer[rankVec]
+
+	// cache holds the derived vectors of multi-attribute lists.
+	cache[rankVec]
 
 	checks atomic.Int64
 	sorts  atomic.Int64
 
-	// stop, when non-nil and true, aborts checks cooperatively: index
-	// builds bail mid-sort, scans bail mid-row, aborted checks report
-	// invalid, and nothing partial is ever cached. Armed by the discovery
-	// engine's context watcher.
+	// stop, when non-nil and true, aborts checks cooperatively: rank
+	// derivations and scans bail mid-row, aborted checks report invalid,
+	// and nothing partial is ever cached. Armed by the discovery engine's
+	// context watcher.
 	stop *atomic.Bool
-
-	// obsHits/obsMisses are pre-resolved cache instrumentation handles;
-	// nil (no-op) unless SetObs attached a registry.
-	obsHits   *obs.Counter
-	obsMisses *obs.Counter
-
-	// sm, when non-nil, gives the cache an out-of-core mode: evictions
-	// spill to checksummed disk segments and misses reload them (spill.go).
-	sm             *spill.Manager
-	spillEvictions atomic.Int64
-	spillReloads   atomic.Int64
-
-	obsSpillEvictions  *obs.Counter
-	obsSpillReloads    *obs.Counter
-	obsSpillRetries    *obs.Counter
-	obsSpillRecomputes *obs.Counter
-	obsSpillFailures   *obs.Counter
 }
 
-// NewChecker returns a Checker over r whose index cache holds at most
-// cacheCap sorted indexes (0 disables caching).
+// NewChecker returns a Checker over r whose cache holds at most cacheCap
+// rank vectors of multi-attribute lists (0 disables caching).
 func NewChecker(r *relation.Relation, cacheCap int) *Checker {
 	return &Checker{
-		r:     r,
-		cache: make(map[string][]int32),
-		cap:   cacheCap,
+		r:    r,
+		cols: make([]atomic.Pointer[rankVec], r.NumCols()+1),
+		cache: cache[rankVec]{
+			cap:    cacheCap,
+			point:  "order.checker.cacheput",
+			encode: func(v rankVec) []byte { return encodeIndex(v.ranks) },
+			decode: func(b []byte) (rankVec, error) { return decodeRanks(b, r.NumRows()) },
+		},
 	}
 }
 
@@ -152,37 +153,20 @@ func (c *Checker) Relation() *relation.Relation { return c.r }
 // answers). Not safe to call concurrently with checks.
 func (c *Checker) SetStopFlag(stop *atomic.Bool) { c.stop = stop }
 
-// SetObs attaches index-cache hit/miss counters from the registry (a nil
-// registry resolves to no-op handles). Not safe to call concurrently
-// with checks.
-func (c *Checker) SetObs(reg *obs.Registry) {
-	c.obsHits = reg.Counter("order.index_cache.hits")
-	c.obsMisses = reg.Counter("order.index_cache.misses")
-	c.obsSpillEvictions = reg.Counter("order.spill.evictions")
-	c.obsSpillReloads = reg.Counter("order.spill.reloads")
-	c.obsSpillRetries = reg.Counter("order.spill.retries")
-	c.obsSpillRecomputes = reg.Counter("order.spill.recomputes")
-	c.obsSpillFailures = reg.Counter("order.spill.write_failures")
-}
+// SetObs attaches the rank-vector cache's hit/miss counters and the spill
+// counters from the registry (a nil registry resolves to no-op handles).
+// Not safe to call concurrently with checks.
+func (c *Checker) SetObs(reg *obs.Registry) { c.setObs(reg, "order.index_cache") }
 
 // stopped reports whether a cooperative stop has been requested.
 func (c *Checker) stopped() bool { return c.stop != nil && c.stop.Load() }
-
-// ReleaseMemory drops every cached sorted index, the degradation step of
-// the engine's soft memory budget. The checker stays fully usable; later
-// lookups rebuild (and re-cache) their indexes.
-func (c *Checker) ReleaseMemory() {
-	c.mu.Lock()
-	c.cache = make(map[string][]int32)
-	c.fifo = nil
-	c.mu.Unlock()
-}
 
 // Checks returns the number of candidate checks performed so far, the
 // "#checks" statistic of Table 6.
 func (c *Checker) Checks() int64 { return c.checks.Load() }
 
-// Sorts returns how many sorted indexes were built (cache misses).
+// Sorts returns how many rank vectors were derived (cache misses of
+// multi-attribute lists).
 func (c *Checker) Sorts() int64 { return c.sorts.Load() }
 
 // ResetStats zeroes the check and sort counters.
@@ -191,253 +175,55 @@ func (c *Checker) ResetStats() {
 	c.sorts.Store(0)
 }
 
-// SortedIndex returns row positions sorted ascending by list x under ⪯
-// (generateIndex in Algorithm 2). The result is shared via the cache: do not
-// mutate it. A nil return means the build was aborted by the stop flag; the
-// partial index is discarded, never cached.
+// SortedIndex returns row positions sorted ascending by list x under ⪯,
+// ties in row order (generateIndex in Algorithm 2): one counting sort of
+// the rows by x's rank vector. Do not mutate the result. A nil return means
+// the build was aborted by the stop flag.
 func (c *Checker) SortedIndex(x attr.List) []int32 {
-	key := x.Key()
-	if c.cap > 0 {
-		c.mu.Lock()
-		if idx, ok := c.cache[key]; ok {
-			c.mu.Unlock()
-			c.obsHits.Inc()
-			return idx
-		}
-		c.mu.Unlock()
-	}
-	c.obsMisses.Inc()
-	// A spilled exact match beats rebuilding: one verified disk read vs an
-	// O(rows log rows) sort. Damaged or missing segments fall through to a
-	// rebuild — always correct, never wrong results.
-	if c.sm != nil {
-		if idx := c.loadSpilled(key); idx != nil {
-			c.putIndex(key, idx)
-			return idx
-		}
-	}
-	idx, ok := c.buildIndex(x)
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	rv, ok := c.ranks(x, s)
 	if !ok {
 		return nil
 	}
-	c.putIndex(key, idx)
+	idx := make([]int32, len(rv.ranks))
+	if !c.countSort(idx, nil, rv, s) {
+		return nil
+	}
 	return idx
 }
 
-// putIndex inserts a built index into the cache, spilling the FIFO victim
-// to disk when a spill manager is attached — file I/O outside the lock so
-// concurrent checks keep flowing.
-func (c *Checker) putIndex(key string, idx []int32) {
-	if c.cap <= 0 {
-		return
-	}
-	faultinject.Point("order.checker.cacheput")
-	var evictKey string
-	var evictIdx []int32
-	c.mu.Lock()
-	if _, dup := c.cache[key]; !dup {
-		if len(c.fifo) >= c.cap {
-			evictKey = c.fifo[0]
-			evictIdx = c.cache[evictKey]
-			c.fifo = c.fifo[1:]
-			delete(c.cache, evictKey)
-		}
-		c.cache[key] = idx
-		c.fifo = append(c.fifo, key)
-	}
-	c.mu.Unlock()
-	if evictIdx != nil && c.sm != nil {
-		c.spillIndex(evictKey, evictIdx)
-	}
-}
-
-// buildIndex is generateIndex of Algorithm 2: a fresh sorted index over x.
-// ok is false when the build aborted on the stop flag; the returned index
-// is then partial garbage and must be discarded.
-// lint:hot
-func (c *Checker) buildIndex(x attr.List) ([]int32, bool) {
-	c.sorts.Add(1)
-	if c.useRadix(x) {
-		return buildIndexRadix(c.r, x, c.stop)
-	}
-	r := c.r
-	idx := make([]int32, r.NumRows())
-	for i := range idx {
-		if uint32(i)&stopCheckMask == 0 && c.stopped() {
-			return nil, false // aborted init: conservatively discard
-		}
-		idx[i] = int32(i)
-	}
-	// Peel off the columns once so the comparator avoids interface hops.
-	cols := make([][]int32, len(x))
-	for i, a := range x {
-		if c.stopped() {
-			return nil, false // aborted peel: conservatively discard
-		}
-		cols[i] = r.Col(a)
-	}
-	if !sortIdxByColsStop(idx, cols, c.stop) {
-		return nil, false
-	}
-	return idx, true
-}
-
-// sortIdxByCols sorts row positions lexicographically by the given code
-// columns, breaking full ties by original row order so output is
-// deterministic and matches the stable radix builder.
-func sortIdxByCols(idx []int32, cols [][]int32) {
-	sort.Slice(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		for _, col := range cols {
-			va, vb := col[ia], col[ib]
-			if va != vb {
-				return va < vb
-			}
-		}
-		return ia < ib
-	})
-}
-
-// sortIdxByColsStop is sortIdxByCols with cooperative abort: the comparator
-// polls the stop flag every stopCheckMask+1 comparisons and unwinds the
-// in-progress sort with a sentinel panic, so a cancel lands mid-sort even
-// on multi-million-row levels. Returns false when aborted (idx is then
-// partially permuted and must be discarded).
-func sortIdxByColsStop(idx []int32, cols [][]int32, stop *atomic.Bool) (ok bool) {
-	if stop == nil {
-		sortIdxByCols(idx, cols)
-		return true
-	}
-	defer func() {
-		if v := recover(); v != nil {
-			if _, aborted := v.(stopSort); aborted {
-				ok = false
-				return
-			}
-			// lint:allow panic — re-raise foreign panics untouched; only
-			// the stopSort sentinel belongs to this abort protocol.
-			panic(v)
-		}
-	}()
-	var tick uint32
-	sort.Slice(idx, func(a, b int) bool {
-		tick++
-		if tick&stopCheckMask == 0 && stop.Load() {
-			// lint:allow panic — sort.Slice has no abort API; the sentinel
-			// unwinds to the recover above and converts to ok=false.
-			panic(stopSort{})
-		}
-		ia, ib := idx[a], idx[b]
-		for _, col := range cols {
-			va, vb := col[ia], col[ib]
-			if va != vb {
-				return va < vb
-			}
-		}
-		return ia < ib
-	})
-	return true
-}
-
-// CheckOCD reports whether the order compatibility dependency X ~ Y holds.
-// By Theorem 4.1 this needs the single OD check XY → YX: sorting by the
-// concatenation XY makes splits impossible (ties on XY are ties on YX), so
-// the scan only looks for swaps and exits early on the first one, exactly as
-// Algorithm 2 does.
-// lint:hot
+// CheckOCD reports whether the order compatibility dependency X ~ Y holds:
+// by Theorem 4.1 the OD XY → YX, whose only possible violations are swaps
+// between X-groups (see the package comment).
 func (c *Checker) CheckOCD(x, y attr.List) bool {
-	c.checks.Add(1)
-	faultinject.Point("order.checker.check")
-	lhs := x.Concat(y)
-	rhs := y.Concat(x)
-	idx := c.SortedIndex(lhs)
-	if idx == nil {
-		return false // aborted build: conservatively invalid
-	}
-	r := c.r
-	for i := 0; i+1 < len(idx); i++ {
-		if uint32(i)&stopCheckMask == 0 && c.stopped() {
-			return false // aborted scan: conservatively invalid
-		}
-		p, q := int(idx[i]), int(idx[i+1])
-		for _, a := range rhs {
-			cp, cq := r.Code(p, a), r.Code(q, a)
-			if cp > cq {
-				return false
-			}
-			if cp < cq {
-				break
-			}
-		}
-	}
-	return true
+	return c.check(x, y, scanOCD).Valid
 }
 
-// CheckOD reports whether the order dependency X → Y holds, with early exit
-// on the first violation of either kind.
-// lint:hot
+// CheckOD reports whether the order dependency X → Y holds, stopping at the
+// first violation of either kind.
 func (c *Checker) CheckOD(x, y attr.List) bool {
-	c.checks.Add(1)
-	faultinject.Point("order.checker.check")
-	idx := c.SortedIndex(x.Concat(y))
-	if idx == nil {
-		return false // aborted build: conservatively invalid
-	}
-	r := c.r
-	for i := 0; i+1 < len(idx); i++ {
-		if uint32(i)&stopCheckMask == 0 && c.stopped() {
-			return false // aborted scan: conservatively invalid
-		}
-		p, q := int(idx[i]), int(idx[i+1])
-		cx := CompareRows(r, p, q, x)
-		cy := CompareRows(r, p, q, y)
-		if cx == 0 {
-			if cy != 0 {
-				return false // split
-			}
-		} else if cy > 0 {
-			return false // swap
-		}
-	}
-	return true
+	return c.check(x, y, scanOD).Valid
 }
 
-// CheckODFull checks X → Y and scans the whole instance, classifying every
-// adjacent violation, so callers learn whether splits and/or swaps exist.
-// Sorting by X with Y as tie-break guarantees that if any split (resp. swap)
-// exists then some adjacent pair exhibits one, so the scan is complete.
+// CheckODFull checks X → Y over the whole instance, classifying violations
+// so callers learn whether splits and/or swaps exist, with a witness pair
+// for each kind found.
 func (c *Checker) CheckODFull(x, y attr.List) ODResult {
+	return c.check(x, y, scanFull)
+}
+
+// check runs one candidate check: exactly one Checks() increment, then the
+// grouped scan. An aborted check conservatively reports both violation
+// kinds so no pruning rule treats the candidate as verified.
+func (c *Checker) check(x, y attr.List, mode scanMode) ODResult {
 	c.checks.Add(1)
 	faultinject.Point("order.checker.check")
-	idx := c.SortedIndex(x.Concat(y))
-	if idx == nil {
-		// Aborted build: conservatively report both violation kinds so no
-		// pruning rule treats the candidate as verified.
+	s := scratchPool.Get().(*scratch)
+	res, ok := c.scan(x, y, mode, s)
+	scratchPool.Put(s)
+	if !ok {
 		return ODResult{HasSplit: true, HasSwap: true}
-	}
-	r := c.r
-	res := ODResult{Valid: true}
-	for i := 0; i+1 < len(idx); i++ {
-		if uint32(i)&stopCheckMask == 0 && c.stopped() {
-			return ODResult{HasSplit: true, HasSwap: true} // aborted scan
-		}
-		p, q := int(idx[i]), int(idx[i+1])
-		cx := CompareRows(r, p, q, x)
-		cy := CompareRows(r, p, q, y)
-		if cx == 0 && cy != 0 {
-			if !res.HasSplit {
-				res.HasSplit = true
-				res.SplitWitness = Violation{Kind: Split, P: p, Q: q}
-			}
-		} else if cx < 0 && cy > 0 {
-			if !res.HasSwap {
-				res.HasSwap = true
-				res.SwapWitness = Violation{Kind: Swap, P: p, Q: q}
-			}
-		}
-		if res.HasSplit && res.HasSwap {
-			break // nothing more to learn
-		}
 	}
 	res.Valid = !res.HasSplit && !res.HasSwap
 	return res

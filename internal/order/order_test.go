@@ -263,17 +263,17 @@ func TestSortedIndexDeterministic(t *testing.T) {
 func TestIndexCacheEviction(t *testing.T) {
 	r := taxTable()
 	c := NewChecker(r, 2)
-	c.SortedIndex(ids(0))
-	c.SortedIndex(ids(1))
+	c.SortedIndex(ids(0, 1))
+	c.SortedIndex(ids(1, 2))
 	if c.Sorts() != 2 {
 		t.Fatalf("Sorts = %d", c.Sorts())
 	}
-	c.SortedIndex(ids(0)) // hit
+	c.SortedIndex(ids(0, 1)) // hit
 	if c.Sorts() != 2 {
 		t.Errorf("cache hit rebuilt index: Sorts = %d", c.Sorts())
 	}
-	c.SortedIndex(ids(2)) // evicts ids(0)
-	c.SortedIndex(ids(0)) // miss again
+	c.SortedIndex(ids(2, 3)) // evicts ids(0, 1)
+	c.SortedIndex(ids(0, 1)) // miss again
 	if c.Sorts() != 4 {
 		t.Errorf("eviction wrong: Sorts = %d", c.Sorts())
 	}

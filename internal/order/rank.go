@@ -1,0 +1,293 @@
+package order
+
+import (
+	"math"
+	"slices"
+	"sync"
+
+	"ocd/internal/attr"
+)
+
+// rankVec is an attribute list's rank vector: ranks[row] is the rank of the
+// row's tuple under ⪯, in [0, dom), so two rows compare on the list exactly
+// as their ranks compare. Derived vectors are dense; a column's own codes
+// may leave unused ranks, which the scans skip as empty groups.
+type rankVec struct {
+	ranks []int32
+	dom   int
+}
+
+// scratch is the working memory of one check, pooled so that a check over
+// cached lists allocates nothing.
+type scratch struct {
+	key          []byte  // cache key of the list being resolved
+	lo, hi       []int32 // per X-group minimum and maximum Y-rank
+	loRow, hiRow []int32 // rows holding them (CheckODFull witnesses)
+	cnt          []int32 // counting-sort buckets or composite-key marks
+	buf, ord     []int32 // row orders of a counting derivation
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// grow resizes *s to n, reallocating only when its capacity is short.
+func grow(s *[]int32, n int) []int32 {
+	if cap(*s) < n {
+		*s = make([]int32, n)
+	}
+	*s = (*s)[:n]
+	return *s
+}
+
+// compositeSlack lets short relations use composite-key marking even when
+// the pair space exceeds twice the row count.
+const compositeSlack = 1024
+
+// ranks returns x's rank vector; ok is false when the stop flag aborted a
+// derivation.
+func (c *Checker) ranks(x attr.List, s *scratch) (rankVec, bool) {
+	s.key = appendKey(s.key[:0], x)
+	return c.lookup(x, s.key, s)
+}
+
+// lookup resolves the rank vector of x, whose cache key is key: a column
+// directly, a longer list from the cache, from its spilled segment, or by
+// derivation from its prefix (resolved the same way). Only completed
+// derivations are cached.
+func (c *Checker) lookup(x attr.List, key []byte, s *scratch) (rankVec, bool) {
+	if len(x) < 2 {
+		return c.column(x), true
+	}
+	if rv, ok := c.get(key); ok {
+		c.obsHits.Inc()
+		return rv, true
+	}
+	c.obsMisses.Inc()
+	k := string(key)
+	// A spilled exact match beats deriving: one verified disk read. Damaged
+	// or missing segments fall through to a derivation — always correct.
+	if rv, ok := c.load(k); ok {
+		c.put(k, rv)
+		return rv, true
+	}
+	parent, ok := c.lookup(x[:len(x)-1], key[:len(key)-keyWidth], s)
+	if !ok {
+		return rankVec{}, false
+	}
+	rv, ok := c.derive(parent, c.column(x[len(x)-1:]), s)
+	if !ok {
+		return rankVec{}, false
+	}
+	c.put(k, rv)
+	return rv, true
+}
+
+// column returns the rank vector of a list of at most one attribute,
+// resolved once per checker. A column ranks by its codes, without a copy.
+// Row slices (HeadRows, SelectRows, SampleFraction) keep their parent's
+// code space, where a sample's codes can be sparse; anything sized by the
+// domain would then cost the parent's domain on every check, so such a
+// column is remapped to dense codes once. The empty list ranks every row 0.
+func (c *Checker) column(x attr.List) rankVec {
+	slot := len(c.cols) - 1
+	if len(x) == 1 {
+		slot = int(x[0])
+	}
+	if p := c.cols[slot].Load(); p != nil {
+		return *p
+	}
+	var rv rankVec
+	if len(x) == 0 {
+		rv = rankVec{make([]int32, c.r.NumRows()), 1}
+	} else {
+		rv = rankVec{c.r.Col(x[0]), 1}
+		for _, v := range rv.ranks {
+			if int(v) >= rv.dom {
+				rv.dom = int(v) + 1
+			}
+		}
+		if rv.dom > 2*(c.r.Distinct(x[0])+1) {
+			rv = denseCodes(rv.ranks)
+		}
+	}
+	c.cols[slot].Store(&rv)
+	return rv
+}
+
+// denseCodes renumbers codes densely in their order, in O(rows·log rows)
+// time and O(rows) space whatever the codes' range.
+func denseCodes(codes []int32) rankVec {
+	vals := slices.Compact(slices.Sorted(slices.Values(codes)))
+	out := make([]int32, len(codes))
+	for i, v := range codes {
+		r, _ := slices.BinarySearch(vals, v)
+		out[i] = int32(r)
+	}
+	return rankVec{out, len(vals)}
+}
+
+// derive returns the rank vector of L∘a from L's vector p and a's vector
+// col in O(rows + domain). When the pair space p.dom·col.dom is small it
+// marks the composite keys present and numbers them in key order;
+// otherwise two stable counting passes order the rows by (p, col) and a
+// walk numbers the distinct pairs. ok is false when the stop flag aborted
+// it.
+// lint:hot
+func (c *Checker) derive(p, col rankVec, s *scratch) (rankVec, bool) {
+	c.sorts.Add(1)
+	n := len(p.ranks)
+	pr, cr := p.ranks, col.ranks[:n]
+	out := make([]int32, n)
+	if span := p.dom * col.dom; span <= 2*n+compositeSlack {
+		mark := grow(&s.cnt, span)
+		clear(mark)
+		w := int32(col.dom)
+		for i := range out {
+			if uint32(i)&stopCheckMask == 0 && c.stopped() {
+				return rankVec{}, false
+			}
+			out[i] = pr[i]*w + cr[i]
+			mark[out[i]] = 1
+		}
+		d := int32(0)
+		for k, m := range mark {
+			if uint32(k)&stopCheckMask == 0 && c.stopped() {
+				return rankVec{}, false
+			}
+			if m != 0 {
+				mark[k] = d
+				d++
+			}
+		}
+		for i, k := range out {
+			if uint32(i)&stopCheckMask == 0 && c.stopped() {
+				return rankVec{}, false
+			}
+			out[i] = mark[k]
+		}
+		return rankVec{out, int(d)}, true
+	}
+	buf, ord := grow(&s.buf, n), grow(&s.ord, n)
+	if !c.countSort(buf, nil, col, s) || !c.countSort(ord, buf, p, s) {
+		return rankVec{}, false
+	}
+	d, prevP, prevC := int32(-1), int32(-1), int32(-1)
+	for i, row := range ord {
+		if uint32(i)&stopCheckMask == 0 && c.stopped() {
+			return rankVec{}, false
+		}
+		if pr[row] != prevP || cr[row] != prevC {
+			d, prevP, prevC = d+1, pr[row], cr[row]
+		}
+		out[row] = d
+	}
+	return rankVec{out, int(d + 1)}, true
+}
+
+// countSort writes the row positions of src (every row in order when src
+// is nil) to dst, stably sorted by their rank in key: one counting sort.
+// It reports false when the stop flag aborted it.
+// lint:hot
+func (c *Checker) countSort(dst, src []int32, key rankVec, s *scratch) bool {
+	cnt := grow(&s.cnt, key.dom+1)
+	clear(cnt)
+	for i, k := range key.ranks {
+		if uint32(i)&stopCheckMask == 0 && c.stopped() {
+			return false
+		}
+		cnt[k+1]++
+	}
+	for k := 1; k < len(cnt); k++ {
+		if uint32(k)&stopCheckMask == 0 && c.stopped() {
+			return false
+		}
+		cnt[k] += cnt[k-1]
+	}
+	for i := range dst {
+		if uint32(i)&stopCheckMask == 0 && c.stopped() {
+			return false
+		}
+		row := int32(i)
+		if src != nil {
+			row = src[i]
+		}
+		k := key.ranks[row]
+		dst[cnt[k]] = row
+		cnt[k]++
+	}
+	return true
+}
+
+// scanMode selects the violations the grouped scan looks for.
+type scanMode int
+
+const (
+	scanOCD  scanMode = iota // swaps only; the first one ends the scan
+	scanOD                   // splits and swaps; the first one ends the scan
+	scanFull                 // both kinds, each with a witness pair
+)
+
+// scan checks X against Y (see the package comment): one pass over the
+// rows collects each X-group's minimum and maximum Y-rank and the rows
+// holding them, then one pass walks the groups in rank order. ok is false
+// when the stop flag aborted it.
+// lint:hot
+func (c *Checker) scan(x, y attr.List, mode scanMode, s *scratch) (res ODResult, ok bool) {
+	xv, ok := c.ranks(x, s)
+	if !ok {
+		return res, false
+	}
+	yv, ok := c.ranks(y, s)
+	if !ok {
+		return res, false
+	}
+	lo, hi := grow(&s.lo, xv.dom), grow(&s.hi, xv.dom)
+	for g := range lo {
+		if uint32(g)&stopCheckMask == 0 && c.stopped() {
+			return res, false
+		}
+		lo[g], hi[g] = math.MaxInt32, -1
+	}
+	xr, yr := xv.ranks, yv.ranks[:len(xv.ranks)]
+	loRow, hiRow := grow(&s.loRow, xv.dom), grow(&s.hiRow, xv.dom)
+	for i, g := range xr {
+		if uint32(i)&stopCheckMask == 0 && c.stopped() {
+			return res, false
+		}
+		if v := yr[i]; v < lo[g] {
+			lo[g], loRow[g] = v, int32(i)
+		}
+		if v := yr[i]; v > hi[g] {
+			hi[g], hiRow[g] = v, int32(i)
+		}
+	}
+	run, runRow := int32(-1), int32(0)
+	for g, h := range hi {
+		if uint32(g)&stopCheckMask == 0 && c.stopped() {
+			return res, false
+		}
+		if h < 0 {
+			continue // no row has this rank
+		}
+		if lo[g] < run && !res.HasSwap {
+			res.HasSwap = true
+			if mode != scanFull {
+				return res, true
+			}
+			res.SwapWitness = Violation{Kind: Swap, P: int(runRow), Q: int(loRow[g])}
+		}
+		if lo[g] != h && mode != scanOCD && !res.HasSplit {
+			res.HasSplit = true
+			if mode != scanFull {
+				return res, true
+			}
+			res.SplitWitness = Violation{Kind: Split, P: int(loRow[g]), Q: int(hiRow[g])}
+		}
+		if res.HasSplit && res.HasSwap {
+			break
+		}
+		if h > run {
+			run, runRow = h, hiRow[g]
+		}
+	}
+	return res, true
+}

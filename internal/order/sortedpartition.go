@@ -1,14 +1,12 @@
 package order
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"ocd/internal/attr"
 	"ocd/internal/faultinject"
 	"ocd/internal/obs"
 	"ocd/internal/relation"
-	"ocd/internal/spill"
 )
 
 // Section 5.3.1 of the paper notes that previous work (ORDER) achieves
@@ -144,13 +142,10 @@ func (sp *SortedPartition) extendStop(r *relation.Relation, a attr.ID, stop *ato
 // is a drop-in alternative to Checker for the discovery algorithms; the
 // ablation benchmark BenchmarkAblation_PartitionChecker compares the two.
 type PartitionChecker struct {
-	r  *relation.Relation
-	mu sync.Mutex
-	// cache maps list keys to partitions; parents stay cached so children
+	r *relation.Relation
+	// cache holds one partition per list; parents stay cached so children
 	// derive in O(rows).
-	cache map[string]*SortedPartition
-	cap   int
-	fifo  []string
+	cache[*SortedPartition]
 
 	base   *SortedPartition
 	checks atomic.Int64
@@ -161,33 +156,23 @@ type PartitionChecker struct {
 	// watcher.
 	stop *atomic.Bool
 
-	// obsHits/obsMisses/obsClasses are pre-resolved instrumentation
-	// handles; nil (no-op) unless SetObs attached a registry.
-	obsHits    *obs.Counter
-	obsMisses  *obs.Counter
+	// obsClasses is a pre-resolved instrumentation handle; nil (no-op)
+	// unless SetObs attached a registry.
 	obsClasses *obs.Histogram
-
-	// sm, when non-nil, gives the cache an out-of-core mode: evictions
-	// spill to checksummed disk segments and misses reload them (spill.go).
-	sm             *spill.Manager
-	spillEvictions atomic.Int64
-	spillReloads   atomic.Int64
-
-	obsSpillEvictions  *obs.Counter
-	obsSpillReloads    *obs.Counter
-	obsSpillRetries    *obs.Counter
-	obsSpillRecomputes *obs.Counter
-	obsSpillFailures   *obs.Counter
 }
 
 // NewPartitionChecker returns a checker whose cache holds at most cacheCap
 // partitions (0 disables caching beyond the base).
 func NewPartitionChecker(r *relation.Relation, cacheCap int) *PartitionChecker {
 	return &PartitionChecker{
-		r:     r,
-		cache: make(map[string]*SortedPartition),
-		cap:   cacheCap,
-		base:  Base(r.NumRows()),
+		r: r,
+		cache: cache[*SortedPartition]{
+			cap:    cacheCap,
+			point:  "order.partition.cacheput",
+			encode: encodePartition,
+			decode: func(b []byte) (*SortedPartition, error) { return decodePartition(b, r.NumRows()) },
+		},
+		base: Base(r.NumRows()),
 	}
 }
 
@@ -197,32 +182,17 @@ func NewPartitionChecker(r *relation.Relation, cacheCap int) *PartitionChecker {
 // answers). Not safe to call concurrently with checks.
 func (c *PartitionChecker) SetStopFlag(stop *atomic.Bool) { c.stop = stop }
 
-// SetObs attaches partition-cache hit/miss counters and the
-// classes-per-partition histogram from the registry (a nil registry
-// resolves to no-op handles). Not safe to call concurrently with checks.
+// SetObs attaches partition-cache hit/miss counters, the spill counters
+// and the classes-per-partition histogram from the registry (a nil
+// registry resolves to no-op handles). Not safe to call concurrently with
+// checks.
 func (c *PartitionChecker) SetObs(reg *obs.Registry) {
-	c.obsHits = reg.Counter("order.partition_cache.hits")
-	c.obsMisses = reg.Counter("order.partition_cache.misses")
+	c.setObs(reg, "order.partition_cache")
 	c.obsClasses = reg.Histogram("order.partition.classes", obs.ExpBounds(1, 4, 16))
-	c.obsSpillEvictions = reg.Counter("order.spill.evictions")
-	c.obsSpillReloads = reg.Counter("order.spill.reloads")
-	c.obsSpillRetries = reg.Counter("order.spill.retries")
-	c.obsSpillRecomputes = reg.Counter("order.spill.recomputes")
-	c.obsSpillFailures = reg.Counter("order.spill.write_failures")
 }
 
 // stopped reports whether a cooperative stop has been requested.
 func (c *PartitionChecker) stopped() bool { return c.stop != nil && c.stop.Load() }
-
-// ReleaseMemory drops every cached partition except the base, the
-// degradation step of the engine's soft memory budget. The checker stays
-// fully usable; later derivations restart from the base partition.
-func (c *PartitionChecker) ReleaseMemory() {
-	c.mu.Lock()
-	c.cache = make(map[string]*SortedPartition)
-	c.fifo = nil
-	c.mu.Unlock()
-}
 
 // Partition returns the sorted partition of the list, deriving it from the
 // longest cached prefix. A nil return means the derivation was aborted by
@@ -231,38 +201,27 @@ func (c *PartitionChecker) Partition(x attr.List) *SortedPartition {
 	if len(x) == 0 {
 		return c.base
 	}
-	key := x.Key()
-	c.mu.Lock()
-	if sp, ok := c.cache[key]; ok {
-		c.mu.Unlock()
+	key := appendKey(nil, x)
+	if sp, ok := c.get(key); ok {
 		c.obsHits.Inc()
 		return sp
 	}
-	c.mu.Unlock()
 	c.obsMisses.Inc()
 	// A spilled exact match beats re-deriving: one verified disk read vs a
 	// chain of counting passes. Damaged or missing segments fall through to
 	// derivation — always correct, never wrong results.
-	if c.sm != nil {
-		if sp := c.loadSpilled(key); sp != nil {
-			c.put(key, sp)
-			c.obsClasses.Observe(int64(sp.NumClasses()))
-			return sp
-		}
+	if sp, ok := c.load(string(key)); ok {
+		c.put(string(key), sp)
+		c.obsClasses.Observe(int64(sp.NumClasses()))
+		return sp
 	}
 	// longest cached proper prefix
-	var sp *SortedPartition
-	depth := 0
-	c.mu.Lock()
+	sp, depth := c.base, 0
 	for k := len(x) - 1; k >= 1; k-- {
-		if cached, ok := c.cache[x[:k].Key()]; ok {
+		if cached, ok := c.get(key[:keyWidth*k]); ok {
 			sp, depth = cached, k
 			break
 		}
-	}
-	c.mu.Unlock()
-	if sp == nil {
-		sp = c.base
 	}
 	for ; depth < len(x); depth++ {
 		next, ok := sp.extendStop(c.r, x[depth], c.stop)
@@ -270,36 +229,10 @@ func (c *PartitionChecker) Partition(x attr.List) *SortedPartition {
 			return nil // aborted: cached prefixes stay valid, nothing partial enters
 		}
 		sp = next
-		c.put(x[:depth+1].Key(), sp)
+		c.put(string(key[:keyWidth*(depth+1)]), sp)
 	}
 	c.obsClasses.Observe(int64(sp.NumClasses()))
 	return sp
-}
-
-func (c *PartitionChecker) put(key string, sp *SortedPartition) {
-	if c.cap <= 0 {
-		return
-	}
-	faultinject.Point("order.partition.cacheput")
-	var evictKey string
-	var evictSP *SortedPartition
-	c.mu.Lock()
-	if _, ok := c.cache[key]; !ok {
-		if len(c.fifo) >= c.cap {
-			evictKey = c.fifo[0]
-			evictSP = c.cache[evictKey]
-			delete(c.cache, evictKey)
-			c.fifo = c.fifo[1:]
-		}
-		c.cache[key] = sp
-		c.fifo = append(c.fifo, key)
-	}
-	c.mu.Unlock()
-	// The FIFO victim spills instead of vanishing — file I/O outside the
-	// lock so concurrent checks keep flowing.
-	if evictSP != nil && c.sm != nil {
-		c.spillPartition(evictKey, evictSP)
-	}
 }
 
 // CheckOD reports whether X → Y holds, scanning X's sorted partition: rows

@@ -4,14 +4,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-
-	"ocd/internal/spill"
+	"slices"
 )
 
-// This file gives both checker backends an out-of-core mode: when a spill
-// manager is attached (SetSpill), cache eviction writes the evicted entry
-// to a checksummed disk segment instead of discarding it, and a cache miss
-// tries to reload the segment before recomputing from rank codes.
+// This file holds the codecs of both checkers' out-of-core mode: when a
+// spill manager is attached (SetSpill), cache eviction writes the evicted
+// entry to a checksummed disk segment instead of discarding it, and a cache
+// miss tries to reload the segment before recomputing from rank codes
+// (cache.go).
 //
 // Spilled entries are pure cache — everything here can be rebuilt from the
 // relation — so spill I/O failures degrade instead of propagating, in a
@@ -95,8 +95,9 @@ func decodePartition(payload []byte, numRows int) (*SortedPartition, error) {
 	return sp, nil
 }
 
-// encodeIndex serializes a sorted index: a little-endian uint64 length
-// followed by the positions as little-endian int32s.
+// encodeIndex serializes a per-row vector (a rank vector, or any row index
+// whose values are row-bounded): a little-endian uint64 length followed by
+// the values as little-endian int32s.
 func encodeIndex(idx []int32) []byte {
 	buf := make([]byte, 8+4*len(idx))
 	binary.LittleEndian.PutUint64(buf[0:], uint64(len(idx)))
@@ -108,8 +109,9 @@ func encodeIndex(idx []int32) []byte {
 	return buf
 }
 
-// decodeIndex deserializes and validates a sorted index for a relation of
-// numRows rows.
+// decodeIndex deserializes a per-row vector for a relation of numRows rows
+// and validates every value against [0, numRows): positions are rows, and a
+// dense rank never reaches the row count.
 func decodeIndex(payload []byte, numRows int) ([]int32, error) {
 	if len(payload) < 8 {
 		return nil, fmt.Errorf("%w: %d bytes", errSpillShape, len(payload))
@@ -131,169 +133,12 @@ func decodeIndex(payload []byte, numRows int) ([]int32, error) {
 	return idx, nil
 }
 
-// spillPut writes one payload with the write rung of the ladder: retry
-// once on failure, then give up (the entry is recomputed on demand).
-// Reports whether the payload is durably spilled.
-func spillPut(sm *spill.Manager, key string, payload []byte, retries, failures func()) bool {
-	if err := sm.Put(key, payload); err != nil {
-		retries()
-		if err := sm.Put(key, payload); err != nil {
-			failures()
-			return false
-		}
+// decodeRanks decodes a spilled rank vector of a numRows-row relation.
+// Derived ranks are dense, so the domain is one past the largest rank.
+func decodeRanks(payload []byte, numRows int) (rankVec, error) {
+	ranks, err := decodeIndex(payload, numRows)
+	if err != nil || len(ranks) == 0 {
+		return rankVec{ranks: ranks}, err
 	}
-	return true
-}
-
-// spillGet reads one payload with the read rung of the ladder: retry once
-// on any failure, then drop the segment so the caller recomputes from rank
-// codes. nil means no usable segment.
-func spillGet(sm *spill.Manager, key string, retries, recomputes func()) []byte {
-	payload, err := sm.Get(key)
-	if err != nil {
-		if errors.Is(err, spill.ErrNoSegment) {
-			return nil
-		}
-		retries()
-		payload, err = sm.Get(key)
-		if err != nil {
-			// Torn, corrupt, or persistently failing: the segment is useless.
-			// Forget it and let the caller recompute — never use damaged data.
-			sm.Drop(key)
-			recomputes()
-			return nil
-		}
-	}
-	return payload
-}
-
-// SetSpill attaches a spill manager: cache evictions spill to disk and
-// misses reload from it. Not safe to call concurrently with checks.
-func (c *PartitionChecker) SetSpill(sm *spill.Manager) { c.sm = sm }
-
-// SpillStats returns how many partitions were spilled to disk and how many
-// were reloaded from it.
-func (c *PartitionChecker) SpillStats() (evictions, reloads int64) {
-	return c.spillEvictions.Load(), c.spillReloads.Load()
-}
-
-// spillPartition writes one evicted partition to the spill manager,
-// following the write ladder. Must be called without c.mu held.
-func (c *PartitionChecker) spillPartition(key string, sp *SortedPartition) bool {
-	if !spillPut(c.sm, key, encodePartition(sp), c.obsSpillRetries.Inc, c.obsSpillFailures.Inc) {
-		return false
-	}
-	c.spillEvictions.Add(1)
-	c.obsSpillEvictions.Inc()
-	return true
-}
-
-// loadSpilled reloads the partition for key from the spill manager,
-// following the read ladder. nil means recompute. Must be called without
-// c.mu held.
-func (c *PartitionChecker) loadSpilled(key string) *SortedPartition {
-	payload := spillGet(c.sm, key, c.obsSpillRetries.Inc, c.obsSpillRecomputes.Inc)
-	if payload == nil {
-		return nil
-	}
-	sp, err := decodePartition(payload, c.r.NumRows())
-	if err != nil {
-		c.sm.Drop(key)
-		c.obsSpillRecomputes.Inc()
-		return nil
-	}
-	c.spillReloads.Add(1)
-	c.obsSpillReloads.Inc()
-	return sp
-}
-
-// EvictToSpill moves every cached partition to disk and clears the memory
-// cache — the engine's first response to a tripped memory budget. Returns
-// the number of partitions durably spilled; 0 (nothing cached, or no spill
-// manager, or every write failed) tells the engine this rung made no
-// progress.
-func (c *PartitionChecker) EvictToSpill() int {
-	if c.sm == nil {
-		return 0
-	}
-	c.mu.Lock()
-	keys := c.fifo
-	parts := make([]*SortedPartition, len(keys))
-	for i, k := range keys {
-		parts[i] = c.cache[k]
-	}
-	c.cache = make(map[string]*SortedPartition)
-	c.fifo = nil
-	c.mu.Unlock()
-	n := 0
-	for i, k := range keys {
-		if parts[i] != nil && c.spillPartition(k, parts[i]) {
-			n++
-		}
-	}
-	return n
-}
-
-// SetSpill attaches a spill manager: cache evictions spill to disk and
-// misses reload from it. Not safe to call concurrently with checks.
-func (c *Checker) SetSpill(sm *spill.Manager) { c.sm = sm }
-
-// SpillStats returns how many sorted indexes were spilled to disk and how
-// many were reloaded from it.
-func (c *Checker) SpillStats() (evictions, reloads int64) {
-	return c.spillEvictions.Load(), c.spillReloads.Load()
-}
-
-// spillIndex writes one evicted index to the spill manager, following the
-// write ladder. Must be called without c.mu held.
-func (c *Checker) spillIndex(key string, idx []int32) bool {
-	if !spillPut(c.sm, key, encodeIndex(idx), c.obsSpillRetries.Inc, c.obsSpillFailures.Inc) {
-		return false
-	}
-	c.spillEvictions.Add(1)
-	c.obsSpillEvictions.Inc()
-	return true
-}
-
-// loadSpilled reloads the index for key from the spill manager, following
-// the read ladder. nil means recompute. Must be called without c.mu held.
-func (c *Checker) loadSpilled(key string) []int32 {
-	payload := spillGet(c.sm, key, c.obsSpillRetries.Inc, c.obsSpillRecomputes.Inc)
-	if payload == nil {
-		return nil
-	}
-	idx, err := decodeIndex(payload, c.r.NumRows())
-	if err != nil {
-		c.sm.Drop(key)
-		c.obsSpillRecomputes.Inc()
-		return nil
-	}
-	c.spillReloads.Add(1)
-	c.obsSpillReloads.Inc()
-	return idx
-}
-
-// EvictToSpill moves every cached sorted index to disk and clears the
-// memory cache. Returns the number of indexes durably spilled; see
-// PartitionChecker.EvictToSpill for the contract.
-func (c *Checker) EvictToSpill() int {
-	if c.sm == nil {
-		return 0
-	}
-	c.mu.Lock()
-	keys := c.fifo
-	idxs := make([][]int32, len(keys))
-	for i, k := range keys {
-		idxs[i] = c.cache[k]
-	}
-	c.cache = make(map[string][]int32)
-	c.fifo = nil
-	c.mu.Unlock()
-	n := 0
-	for i, k := range keys {
-		if idxs[i] != nil && c.spillIndex(k, idxs[i]) {
-			n++
-		}
-	}
-	return n
+	return rankVec{ranks, int(slices.Max(ranks)) + 1}, nil
 }

@@ -138,7 +138,7 @@ func TestPartitionCheckerSpillsAndReloads(t *testing.T) {
 	}
 }
 
-// TestCheckerSpillsAndReloads: same contract for the sorted-index backend.
+// TestCheckerSpillsAndReloads: same contract for the rank-vector backend.
 func TestCheckerSpillsAndReloads(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	r := randomRelation(rng, 60, 5, 3)
@@ -209,7 +209,7 @@ func TestEvictToSpill(t *testing.T) {
 	}
 }
 
-// TestCheckerEvictToSpill mirrors TestEvictToSpill for the index backend.
+// TestCheckerEvictToSpill mirrors TestEvictToSpill for the rank-vector backend.
 func TestCheckerEvictToSpill(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	r := randomRelation(rng, 40, 4, 3)

@@ -57,42 +57,27 @@ func TestCheckerStopAborts(t *testing.T) {
 	}
 }
 
-// TestSortAbortsMidComparison: the comparison-sort path polls the flag from
-// inside the sort.Slice comparator, so a pre-raised stop aborts a large sort
-// without finishing it.
-func TestSortAbortsMidComparison(t *testing.T) {
-	rows := 20000
-	idx := make([]int32, rows)
-	col := make([]int32, rows)
-	rng := rand.New(rand.NewSource(37))
-	for i := range idx {
-		idx[i] = int32(i)
-		col[i] = int32(rng.Intn(rows))
-	}
-	var stop atomic.Bool
-	stop.Store(true)
-	if sortIdxByColsStop(idx, [][]int32{col}, &stop) {
-		t.Fatal("sort must abort when the stop flag is raised")
-	}
-	// Nil flag sorts normally.
-	if !sortIdxByColsStop(idx, [][]int32{col}, nil) {
-		t.Fatal("nil stop flag must never abort")
-	}
-	for i := 1; i < rows; i++ {
-		if col[idx[i-1]] > col[idx[i]] {
-			t.Fatal("completed sort is not ordered")
-		}
-	}
-}
-
-// TestRadixAborts: the counting-sort builder honors the flag between and
-// inside its passes.
+// TestRadixAborts: derivations honor the flag inside both their strategies
+// and cache nothing partial, and SortedIndex aborts with them.
 func TestRadixAborts(t *testing.T) {
 	r := stopRelation(t, 5000)
 	var stop atomic.Bool
 	stop.Store(true)
-	if idx, ok := buildIndexRadix(r, attr.NewList(0, 1), &stop); ok || idx != nil {
-		t.Fatal("radix build must abort on a raised stop flag")
+	c := NewChecker(r, 16)
+	c.SetStopFlag(&stop)
+	s := new(scratch)
+	p, col := c.column(attr.NewList(0)), c.column(attr.NewList(2))
+	if _, ok := c.derive(p, col, s); ok {
+		t.Fatal("a counting-pass derivation must abort on a raised stop flag")
+	}
+	if _, ok := c.derive(c.column(attr.NewList(2)), col, s); ok {
+		t.Fatal("a composite-key derivation must abort on a raised stop flag")
+	}
+	if c.SortedIndex(attr.NewList(0)) != nil || c.SortedIndex(attr.NewList(0, 1)) != nil {
+		t.Fatal("SortedIndex must abort on a raised stop flag")
+	}
+	if c.Sorts() == 0 || len(c.m) != 0 {
+		t.Fatalf("aborted derivations must run and never be cached: %d sorts, %d cached", c.Sorts(), len(c.m))
 	}
 }
 
@@ -126,7 +111,9 @@ func TestPartitionCheckerStopAborts(t *testing.T) {
 // any answer, only force rebuilds (visible via the sort counter).
 func TestReleaseMemoryKeepsCheckersUsable(t *testing.T) {
 	r := stopRelation(t, 2000)
-	x, y := attr.NewList(0), attr.NewList(1)
+	// Columns rank by their codes; only multi-attribute lists are derived
+	// and cached.
+	x, y := attr.NewList(0, 2), attr.NewList(1)
 
 	c := NewChecker(r, 16)
 	if !c.CheckOD(x, y) {

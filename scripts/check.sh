@@ -57,7 +57,12 @@
 #                                output to parse into the trajectory
 #                                format (cmd/benchjson); full trajectory
 #                                runs stay manual (make bench)
-#  11. fuzz smokes               FuzzCSVParse, FuzzRankEncode and
+#  11. bench module tests        go -C bench vet/test: bench/ is a Go
+#                                module of its own, so ./... above never
+#                                reaches it; this runs its toy-scale
+#                                workload gates and its catalogue-vs-
+#                                BENCHMARK.json test (~2 s)
+#  12. fuzz smokes               FuzzCSVParse, FuzzRankEncode and
 #                                FuzzCheckpointDecode for FUZZTIME each
 #                                (default 10s)
 #
@@ -108,6 +113,10 @@ scripts/obs_chaos.sh
 
 step "bench smoke (scripts/bench.sh --smoke)"
 scripts/bench.sh --smoke
+
+step "bench module: go -C bench vet ./... && go -C bench test ./..."
+go -C bench vet ./...
+go -C bench test ./...
 
 if [ "$FUZZTIME" != "0" ]; then
     for target in FuzzCSVParse FuzzRankEncode; do

@@ -82,6 +82,7 @@ obs-chaos:
 fuzz:
 	go test -run='^$$' -fuzz='^FuzzCSVParse$$' -fuzztime=$${FUZZTIME:-10s} ./internal/relation/
 	go test -run='^$$' -fuzz='^FuzzRankEncode$$' -fuzztime=$${FUZZTIME:-10s} ./internal/relation/
+	go test -run='^$$' -fuzz='^FuzzReadCSVMatchesReference$$' -fuzztime=$${FUZZTIME:-10s} ./internal/relation/
 	go test -run='^$$' -fuzz='^FuzzCheckpointDecode$$' -fuzztime=$${FUZZTIME:-10s} ./internal/checkpoint/
 
 # bench runs the tracked benchmark set, writes BENCH_<date>.json and

@@ -8,7 +8,7 @@
 //	            [-no-header] [-force-string] [-max-level 0]
 //	            [-top-entropy 0] [-expand 20] [-partial-ok]
 //	            [-checkpoint run.ckpt] [-resume run.ckpt]
-//	            [-sorted-partitions] [-chunked]
+//	            [-sorted-partitions]
 //	            [-max-memory-bytes 0] [-spill-dir DIR]
 //	            [-progress] [-metrics-out m.json] [-trace-out t.json]
 //	            [-trace-tree-out tree.json] [-debug-addr :6060]
@@ -16,9 +16,7 @@
 // -max-memory-bytes sets a soft heap budget; with -spill-dir the engine
 // rides out the budget by evicting checker state to recomputable spill
 // segments in that directory (out-of-core discovery) and only truncates
-// when even eviction cannot free memory. -chunked bounds ingestion memory
-// by dictionary-encoding the CSV in bounded row chunks; the loaded table is
-// identical to the whole-file loader's.
+// when even eviction cannot free memory.
 //
 // -progress renders a live status line (level, frontier, checks/s, cache hit
 // rate, ETA) on stderr. -metrics-out dumps the run's metrics registry as
@@ -79,7 +77,6 @@ func main() {
 		depsOut     = flag.String("deps-out", "", "write discovered dependencies in odverify's format to this file")
 		partialOK   = flag.Bool("partial-ok", false, "exit 0 instead of 3 when results are partial (truncated or interrupted)")
 		sortedParts = flag.Bool("sorted-partitions", false, "use the incremental sorted-partition backend (paper §5.3.1)")
-		chunked     = flag.Bool("chunked", false, "ingest the CSV in bounded row chunks (identical table, bounded load memory)")
 		maxMemory   = flag.Int64("max-memory-bytes", 0, "soft heap budget for discovery (0 = none)")
 		spillDir    = flag.String("spill-dir", "", "spill checker state to this directory under memory pressure instead of truncating")
 		ckptPath    = flag.String("checkpoint", "", "write a resumable snapshot to this file at every completed level")
@@ -154,11 +151,7 @@ func main() {
 	if tracer != nil {
 		opts = append(opts, ocd.WithTrace(tracer.Root()))
 	}
-	load := ocd.LoadCSVFile
-	if *chunked {
-		load = ocd.LoadCSVFileChunked
-	}
-	tbl, err := load(*input, opts...)
+	tbl, err := ocd.LoadCSVFile(*input, opts...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ocddiscover:", err)
 		os.Exit(1)

@@ -688,11 +688,10 @@ func (m *Manager) runAttempt(ctx context.Context, j *Job, name string) (out atte
 		out.err = err
 		return out
 	}
-	// Chunked ingestion bounds the load-phase row buffer, so a server under a
-	// memory budget never holds the whole CSV as raw strings; the resulting
-	// table is cell-for-cell identical to the whole-file loader's.
+	// Ingestion streams, so a server under a memory budget never holds the
+	// whole CSV as raw strings.
 	lo := append(loadOptions(ctx, opts), ocd.WithTrace(tr.Root()))
-	tbl, err := ocd.LoadCSVChunked(f, name, lo...)
+	tbl, err := ocd.LoadCSV(f, name, lo...)
 	f.Close() // lint:allow errdrop — read-only file, the load error dominates
 	if err != nil {
 		out.err = err

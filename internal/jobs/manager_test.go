@@ -53,6 +53,18 @@ func newTestManager(t *testing.T, cfg Config) *Manager {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Cleanups run last in, first out, so this one runs before t.TempDir's
+	// removal: an attempt still finishing after the test body returned must
+	// persist its manifest into a directory that still exists, and log while
+	// the test is still running.
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := m.Drain(ctx); err != nil {
+			t.Error(err)
+		}
+		m.Wait()
+	})
 	return m
 }
 

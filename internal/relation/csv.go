@@ -16,71 +16,83 @@ type CSVOptions struct {
 	// NoHeader indicates the first record is data, not column names; in
 	// that case columns are named A, B, C, … .
 	NoHeader bool
-	// ChunkRows is the row-buffer size of ReadCSVChunked; values < 1 select
-	// DefaultChunkRows. Ignored by ReadCSV, which buffers the whole file.
-	ChunkRows int
 	// Relation options (type inference, NULL tokens).
 	Options
 }
 
-// ReadCSV parses CSV data into a relation. When opts.Stop is set it is
-// polled every few hundred records, so a cancelled caller (a deleted
-// discovery job, a closed connection) aborts ingestion promptly instead of
-// parsing input it will never use; the error then wraps ErrStopped.
+// ReadCSV parses CSV data into a relation in one streaming pass: each record
+// is dictionary-encoded as it is read, so memory holds a few batches of raw
+// records, one int32 per cell and each column's distinct values, never the
+// whole file as strings. When opts.Stop is set it is polled every few
+// hundred records, so a cancelled caller (a deleted discovery job, a closed
+// connection) aborts ingestion promptly instead of parsing input it will
+// never use; the error then wraps ErrStopped.
 func ReadCSV(src io.Reader, name string, opts CSVOptions) (*Relation, error) {
 	span := opts.Trace.StartChild("parse")
+	header, enc, err := parseCSV(src, name, opts)
+	if err != nil {
+		enc.close()
+		span.End()
+		return nil, err
+	}
+	span.SetAttr("records", int64(enc.rows))
+	span.End()
+
+	rank := opts.Trace.StartChild("rank-encode")
+	defer rank.End()
+	rank.SetAttr("rows", int64(enc.rows))
+	rank.SetAttr("cols", int64(len(header)))
+	return enc.finish(name, header, opts.Options)
+}
+
+// parseCSV reads the header and feeds every data record to an encoder. On
+// error the encoder, if any, is returned still open.
+func parseCSV(src io.Reader, name string, opts CSVOptions) ([]string, *encoder, error) {
 	cr := csv.NewReader(src)
 	if opts.Comma != 0 {
 		cr.Comma = opts.Comma
 	}
 	cr.FieldsPerRecord = -1 // validated below with a clearer error
-	records, err := readRecords(cr, opts.Stop)
-	span.SetAttr("records", int64(len(records)))
-	span.End()
-	if err != nil {
-		return nil, fmt.Errorf("read csv %s: %w", name, err)
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("read csv %s: empty input", name)
-	}
+	cr.ReuseRecord = true
 	var header []string
-	var rows [][]string
-	if opts.NoHeader {
-		header = make([]string, len(records[0]))
-		for i := range header {
-			header[i] = defaultColName(i)
-		}
-		rows = records
-	} else {
-		header = records[0]
-		rows = records[1:]
-	}
-	for i, row := range rows {
-		if len(row) != len(header) {
-			return nil, fmt.Errorf("read csv %s: row %d has %d fields, want %d", name, i+1, len(row), len(header))
-		}
-	}
-	return FromStrings(name, header, rows, opts.Options)
-}
-
-// readRecords reads all CSV records like csv.Reader.ReadAll, polling stop
-// every stopEvery records. ReadAll's one-shot error contract is kept: the
-// records parsed before a failure are returned alongside the error.
-func readRecords(cr *csv.Reader, stop func() bool) ([][]string, error) {
-	var records [][]string
-	for {
-		if stop != nil && len(records)%stopEvery == 0 && stop() {
-			return records, fmt.Errorf("after %d records: %w", len(records), ErrStopped)
+	var enc *encoder
+	for records := 0; ; records++ {
+		if opts.Stop != nil && records%stopEvery == 0 && opts.Stop() {
+			return nil, enc, fmt.Errorf("read csv %s: after %d records: %w", name, records, ErrStopped)
 		}
 		rec, err := cr.Read()
 		if err == io.EOF {
-			return records, nil
+			break
 		}
 		if err != nil {
-			return records, err
+			if enc == nil {
+				return nil, nil, fmt.Errorf("read csv %s: %w", name, err)
+			}
+			return nil, enc, fmt.Errorf("read csv %s: row %d: %w", name, enc.rows+1, err)
 		}
-		records = append(records, rec)
+		if enc == nil {
+			if opts.NoHeader {
+				header = make([]string, len(rec))
+				for i := range header {
+					header[i] = defaultColName(i)
+				}
+			} else {
+				header = append([]string(nil), rec...) // rec is reused by the reader
+			}
+			enc = newEncoder(len(header), opts.nullSet(), true, 0)
+			if !opts.NoHeader {
+				continue
+			}
+		}
+		if len(rec) != len(header) {
+			return nil, enc, fmt.Errorf("read csv %s: row %d has %d fields, want %d", name, enc.rows+1, len(rec), len(header))
+		}
+		enc.add(rec)
 	}
+	if enc == nil {
+		return nil, nil, fmt.Errorf("read csv %s: empty input", name)
+	}
+	return header, enc, nil
 }
 
 // ReadCSVFile parses the CSV file at path; the relation is named after the

@@ -38,20 +38,28 @@ func TestCSVRaggedRowErrorIsOneBased(t *testing.T) {
 }
 
 // Numeric coercion errors carry the 1-based row of the offending value.
-// Type inference normally downgrades a column before encoding can fail, so
+// Type inference normally downgrades a column before ranking can fail, so
 // this exercises the defensive path directly.
 func TestCoercionErrorReportsRow(t *testing.T) {
-	_, _, _, _, err := encodeColumn([]string{"1", "2", "x"}, KindInt, nil, nil)
+	rank := func(kind Kind, vals ...string) error {
+		b := colBuilder{dict: make(map[string]int32)}
+		for _, s := range vals {
+			b.add(s, nil, false)
+		}
+		_, _, err := b.rank(kind)
+		return err
+	}
+	err := rank(KindInt, "1", "2", "x")
 	if err == nil || !strings.Contains(err.Error(), `row 3: value "x" does not parse as INTEGER`) {
 		t.Fatalf("int: err = %v, want row 3", err)
 	}
-	_, _, _, _, err = encodeColumn([]string{"1.5", "y", "2.5"}, KindFloat, nil, nil)
+	err = rank(KindFloat, "1.5", "y", "2.5")
 	if err == nil || !strings.Contains(err.Error(), `row 2: value "y" does not parse as REAL`) {
 		t.Fatalf("float: err = %v, want row 2", err)
 	}
-	// Duplicates are deduped during encoding; the reported row must still be
+	// Duplicates share one dictionary entry; the reported row must still be
 	// the first occurrence of the failing value.
-	_, _, _, _, err = encodeColumn([]string{"1", "x", "x"}, KindInt, nil, nil)
+	err = rank(KindInt, "1", "x", "x")
 	if err == nil || !strings.Contains(err.Error(), "row 2:") {
 		t.Fatalf("dedup: err = %v, want first occurrence row 2", err)
 	}

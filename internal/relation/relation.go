@@ -73,8 +73,9 @@ type Options struct {
 	// value marker of the UCI datasets HEPATITIS and HORSE).
 	NullTokens []string
 	// Trace, when non-nil, is the parent span under which loading records
-	// its "parse" (CSV read) and "rank-encode" (type inference + encoding)
-	// phase spans. Nil disables tracing.
+	// its "parse" (CSV read and dictionary encoding) and "rank-encode"
+	// (type inference, ranking and the code rewrite) phase spans. Nil
+	// disables tracing.
 	Trace *obs.Span
 	// Stop, when non-nil, is polled periodically during CSV parsing and
 	// rank encoding; when it reports true, ingestion aborts promptly with
@@ -187,7 +188,8 @@ func (r *Relation) ColIndex(name string) (attr.ID, bool) {
 
 // FromStrings builds a relation from row-major raw string data, inferring a
 // type for each column (unless opts.ForceString) and rank-encoding it.
-// Every row must have exactly len(colNames) fields.
+// Every row must have exactly len(colNames) fields. The rows go through the
+// same streaming encoder as ReadCSV's records.
 func FromStrings(name string, colNames []string, rows [][]string, opts Options) (*Relation, error) {
 	span := opts.Trace.StartChild("rank-encode")
 	defer span.End()
@@ -200,40 +202,15 @@ func FromStrings(name string, colNames []string, rows [][]string, opts Options) 
 			return nil, fmt.Errorf("relation %s: row %d has %d fields, want %d", name, i+1, len(row), nc)
 		}
 	}
-	r := &Relation{
-		Name:     name,
-		ColNames: append([]string(nil), colNames...),
-		Kinds:    make([]Kind, nc),
-		Codes:    make([][]int32, nc),
-		display:  make([][]string, nc),
-		distinct: make([]int, nc),
-		hasNull:  make([]bool, nc),
-		rows:     len(rows),
+	enc := newEncoder(nc, opts.nullSet(), false, len(rows))
+	for i, row := range rows {
+		if opts.Stop != nil && i%stopEvery == 0 && opts.Stop() {
+			enc.close()
+			return nil, fmt.Errorf("relation %s: rank-encode row %d: %w", name, i+1, ErrStopped)
+		}
+		enc.add(row)
 	}
-	nulls := opts.nullSet()
-	for c := 0; c < nc; c++ {
-		if opts.Stop != nil && opts.Stop() {
-			return nil, fmt.Errorf("relation %s: rank-encode column %d: %w", name, c+1, ErrStopped)
-		}
-		raw := make([]string, len(rows))
-		for i, row := range rows {
-			raw[i] = row[c]
-		}
-		kind := KindString
-		if !opts.ForceString {
-			kind = inferKind(raw, nulls)
-		}
-		codes, disp, distinct, hasNull, err := encodeColumn(raw, kind, nulls, opts.Stop)
-		if err != nil {
-			return nil, fmt.Errorf("relation %s: column %d (%s): %w", name, c+1, colNames[c], err)
-		}
-		r.Kinds[c] = kind
-		r.Codes[c] = codes
-		r.display[c] = disp
-		r.distinct[c] = distinct
-		r.hasNull[c] = hasNull
-	}
-	return r, nil
+	return enc.finish(name, colNames, opts)
 }
 
 // FromIntsErr builds a relation directly from integer data (row-major),
@@ -361,9 +338,7 @@ type rankEntry struct {
 // numeric values with multiple spellings ("1" vs "01", "1.0" vs "1.00")
 // into one code so that equal values compare equal. codes[k] is the final
 // code of entries[k]; display maps code → representative spelling, with
-// code 0 reserved for NULL. This is the single ranking routine shared by
-// the whole-file and chunked ingestion paths — sharing it is what keeps the
-// two paths' relations (and therefore checkpoint fingerprints) identical.
+// code 0 reserved for NULL.
 func rankValues(entries []rankEntry, kind Kind) (codes []int32, display []string, distinct int) {
 	ord := make([]int, len(entries))
 	for i := range ord {
@@ -412,55 +387,6 @@ func rankValues(entries []rankEntry, kind Kind) (codes []int32, display []string
 		codes[idx] = next
 	}
 	return codes, display, int(next)
-}
-
-// encodeColumn rank-encodes one column. Codes are dense: NULL=0 and the
-// distinct non-NULL values get 1..k in their natural order. stop, when
-// non-nil, is polled every stopEvery rows of the value scan so a cancelled
-// ingestion aborts mid-column instead of finishing a multi-million-row
-// encode it will throw away.
-func encodeColumn(raw []string, kind Kind, nulls map[string]bool, stop func() bool) (codes []int32, display []string, distinct int, hasNull bool, err error) {
-	seen := make(map[string]int32) // value → index into entries
-	var entries []rankEntry
-	for row, s := range raw {
-		if stop != nil && row%stopEvery == 0 && stop() {
-			return nil, nil, 0, false, ErrStopped
-		}
-		if nulls[s] {
-			hasNull = true
-			continue
-		}
-		if _, ok := seen[s]; ok {
-			continue
-		}
-		e := rankEntry{s: s}
-		// row+1: errors report 1-based data rows, and the first occurrence
-		// of a distinct value is the row that fails to coerce.
-		switch kind {
-		case KindInt:
-			e.i, err = strconv.ParseInt(s, 10, 64)
-			if err != nil {
-				return nil, nil, 0, false, fmt.Errorf("row %d: value %q does not parse as INTEGER", row+1, s)
-			}
-		case KindFloat:
-			e.f, err = strconv.ParseFloat(s, 64)
-			if err != nil {
-				return nil, nil, 0, false, fmt.Errorf("row %d: value %q does not parse as REAL", row+1, s)
-			}
-		}
-		seen[s] = int32(len(entries))
-		entries = append(entries, e)
-	}
-	final, display, distinct := rankValues(entries, kind)
-	codes = make([]int32, len(raw))
-	for i, s := range raw {
-		if nulls[s] {
-			codes[i] = NullCode
-			continue
-		}
-		codes[i] = final[seen[s]]
-	}
-	return codes, display, distinct, hasNull, nil
 }
 
 // Project returns a new relation containing only the given columns, in the

@@ -62,7 +62,8 @@
 #                                reaches it; this runs its toy-scale
 #                                workload gates and its catalogue-vs-
 #                                BENCHMARK.json test (~2 s)
-#  12. fuzz smokes               FuzzCSVParse, FuzzRankEncode and
+#  12. fuzz smokes               FuzzCSVParse, FuzzRankEncode,
+#                                FuzzReadCSVMatchesReference and
 #                                FuzzCheckpointDecode for FUZZTIME each
 #                                (default 10s)
 #
@@ -119,7 +120,7 @@ go -C bench vet ./...
 go -C bench test ./...
 
 if [ "$FUZZTIME" != "0" ]; then
-    for target in FuzzCSVParse FuzzRankEncode; do
+    for target in FuzzCSVParse FuzzRankEncode FuzzReadCSVMatchesReference; do
         step "fuzz $target ($FUZZTIME)"
         go test -run='^$' -fuzz="^${target}\$" -fuzztime="$FUZZTIME" ./internal/relation/
     done

@@ -89,7 +89,7 @@ discover baseline.json
 [ "$(jfield baseline.json .truncated)" = "false" ] || fail "baseline truncated"
 
 step "1-byte budget + spill dir completes out-of-core, both backends"
-discover spill_index.json -max-memory-bytes "$BUDGET" -spill-dir "$tmp/spill-index" -chunked
+discover spill_index.json -max-memory-bytes "$BUDGET" -spill-dir "$tmp/spill-index"
 [ "$(jfield spill_index.json .truncated)" = "false" ] || fail "budgeted index run truncated: $(jfield spill_index.json .truncate_reason)"
 [ "$(jfield spill_index.json '.spill_evictions // 0')" -gt 0 ] || fail "budgeted index run never spilled"
 assert_identical spill_index.json

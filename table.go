@@ -92,13 +92,6 @@ func buildConfig(opts []LoadOption) loadConfig {
 	return c
 }
 
-// Chunked bounds the row buffer of LoadCSVChunked / LoadCSVFileChunked;
-// values < 1 select the default (relation.DefaultChunkRows). It has no
-// effect on the whole-file loaders.
-func Chunked(rows int) LoadOption {
-	return func(c *loadConfig) { c.csv.ChunkRows = rows }
-}
-
 // LoadCSVFile reads a CSV file into a Table. The first record is the header
 // unless NoHeader is given.
 func LoadCSVFile(path string, opts ...LoadOption) (*Table, error) {
@@ -110,37 +103,13 @@ func LoadCSVFile(path string, opts ...LoadOption) (*Table, error) {
 	return &Table{rel: rel}, nil
 }
 
-// LoadCSV reads CSV data from r into a Table named name.
+// LoadCSV reads CSV data from r into a Table named name. Ingestion streams:
+// records are dictionary-encoded as they are read, so peak memory holds a
+// few batches of raw records, one int32 per cell and each column's distinct
+// values, not the whole file as strings.
 func LoadCSV(r io.Reader, name string, opts ...LoadOption) (*Table, error) {
 	c := buildConfig(opts)
 	rel, err := relation.ReadCSV(r, name, c.csv)
-	if err != nil {
-		return nil, c.wrapLoadErr(err)
-	}
-	return &Table{rel: rel}, nil
-}
-
-// LoadCSVChunked reads CSV data from r into a Table with bounded row
-// buffering: records are dictionary-encoded as they arrive in chunks of
-// Chunked(n) rows, so peak memory holds one chunk of raw strings plus the
-// distinct values of each column instead of the whole file. The resulting
-// Table is cell-for-cell identical to LoadCSV's — same codes, same display
-// values, same checkpoint fingerprint — so checkpoints and results from
-// the two loaders are interchangeable.
-func LoadCSVChunked(r io.Reader, name string, opts ...LoadOption) (*Table, error) {
-	c := buildConfig(opts)
-	rel, err := relation.ReadCSVChunked(r, name, c.csv)
-	if err != nil {
-		return nil, c.wrapLoadErr(err)
-	}
-	return &Table{rel: rel}, nil
-}
-
-// LoadCSVFileChunked is LoadCSVChunked over the file at path, named like
-// LoadCSVFile.
-func LoadCSVFileChunked(path string, opts ...LoadOption) (*Table, error) {
-	c := buildConfig(opts)
-	rel, err := relation.ReadCSVFileChunked(path, c.csv)
 	if err != nil {
 		return nil, c.wrapLoadErr(err)
 	}

@@ -401,53 +401,3 @@ func BenchmarkExtension_UCC(b *testing.B) {
 		ucc.Discover(benchData.ncvoter, ucc.Options{Timeout: 10 * time.Second})
 	}
 }
-
-// BenchmarkAblation_PartitionChecker compares the two checking backends on
-// a LINEITEM-sized relation: fresh sorts per candidate versus incrementally
-// derived sorted partitions (the §5.3.1 technique).
-func BenchmarkAblation_PartitionChecker(b *testing.B) {
-	load()
-	r := benchData.lineitem
-	// a chain of related candidates, the access pattern of the BFS tree
-	cands := []struct{ x, y attr.List }{
-		{attr.NewList(0), attr.NewList(3)},
-		{attr.NewList(0, 3), attr.NewList(4)},
-		{attr.NewList(0, 3, 4), attr.NewList(5)},
-		{attr.NewList(0), attr.NewList(10)},
-		{attr.NewList(0, 10), attr.NewList(11)},
-	}
-	b.Run("resort", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			chk := order.NewChecker(r, 64)
-			for _, c := range cands {
-				chk.CheckOCD(c.x, c.y)
-			}
-		}
-	})
-	b.Run("sorted-partitions", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pc := order.NewPartitionChecker(r, 64)
-			for _, c := range cands {
-				pc.CheckOCD(c.x, c.y)
-			}
-		}
-	})
-}
-
-// BenchmarkAblation_Backend runs full discovery under both checking
-// backends on LINEITEM.
-func BenchmarkAblation_Backend(b *testing.B) {
-	load()
-	b.Run("resort", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.Discover(benchData.lineitem, guard())
-		}
-	})
-	b.Run("sorted-partitions", func(b *testing.B) {
-		opts := guard()
-		opts.UseSortedPartitions = true
-		for i := 0; i < b.N; i++ {
-			core.Discover(benchData.lineitem, opts)
-		}
-	})
-}

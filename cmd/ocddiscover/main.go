@@ -8,7 +8,6 @@
 //	            [-no-header] [-force-string] [-max-level 0]
 //	            [-top-entropy 0] [-expand 20] [-partial-ok]
 //	            [-checkpoint run.ckpt] [-resume run.ckpt]
-//	            [-sorted-partitions]
 //	            [-max-memory-bytes 0] [-spill-dir DIR]
 //	            [-progress] [-metrics-out m.json] [-trace-out t.json]
 //	            [-trace-tree-out tree.json] [-debug-addr :6060]
@@ -76,7 +75,6 @@ func main() {
 		asJSON      = flag.Bool("json", false, "emit the result as JSON")
 		depsOut     = flag.String("deps-out", "", "write discovered dependencies in odverify's format to this file")
 		partialOK   = flag.Bool("partial-ok", false, "exit 0 instead of 3 when results are partial (truncated or interrupted)")
-		sortedParts = flag.Bool("sorted-partitions", false, "use the incremental sorted-partition backend (paper §5.3.1)")
 		maxMemory   = flag.Int64("max-memory-bytes", 0, "soft heap budget for discovery (0 = none)")
 		spillDir    = flag.String("spill-dir", "", "spill checker state to this directory under memory pressure instead of truncating")
 		ckptPath    = flag.String("checkpoint", "", "write a resumable snapshot to this file at every completed level")
@@ -161,18 +159,17 @@ func main() {
 	}
 
 	dopts := ocd.Options{
-		Workers:             *workers,
-		Timeout:             *timeout,
-		MaxLevel:            *maxLevel,
-		MaxCandidates:       *maxCand,
-		UseSortedPartitions: *sortedParts,
-		MaxMemoryBytes:      *maxMemory,
-		SpillDir:            *spillDir,
-		CheckpointPath:      *ckptPath,
-		CheckpointEvery:     *ckptEvery,
-		ResumeFrom:          *resumeFrom,
-		Metrics:             metrics,
-		ReportEvery:         *reportEvery,
+		Workers:         *workers,
+		Timeout:         *timeout,
+		MaxLevel:        *maxLevel,
+		MaxCandidates:   *maxCand,
+		MaxMemoryBytes:  *maxMemory,
+		SpillDir:        *spillDir,
+		CheckpointPath:  *ckptPath,
+		CheckpointEvery: *ckptEvery,
+		ResumeFrom:      *resumeFrom,
+		Metrics:         metrics,
+		ReportEvery:     *reportEvery,
 	}
 	if tracer != nil {
 		dopts.Trace = tracer.Root()

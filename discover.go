@@ -34,14 +34,10 @@ type Options struct {
 	// DisableColumnReduction skips the constant/equivalent column
 	// reduction phase; for ablation only.
 	DisableColumnReduction bool
-	// UseSortedPartitions switches the order-checking backend to
-	// incrementally derived sorted partitions (the §5.3.1 technique).
-	// Results are identical to the default rank-vector backend.
-	UseSortedPartitions bool
 	// MaxMemoryBytes is a soft heap budget: when the heap crosses it at a
 	// level boundary the engine degrades instead of growing toward an OOM
-	// kill — with a SpillDir it moves its index/partition caches to disk,
-	// otherwise it drops them — and truncates the run (reason
+	// kill — with a SpillDir it moves its rank-vector cache to disk,
+	// otherwise it drops it — and truncates the run (reason
 	// "memory-budget") only when nothing could be spilled and the heap
 	// stays over budget. Zero means no budget.
 	MaxMemoryBytes int64
@@ -187,7 +183,7 @@ type Stats struct {
 	// traversal completed.
 	TruncateReason TruncateReason
 	// MemoryReleases counts how often the soft memory budget forced the
-	// checker caches to be spilled or dropped without truncating the run.
+	// checker cache to be spilled or dropped without truncating the run.
 	MemoryReleases int
 	// SpillEvictions counts cache entries written to spill segments under
 	// Options.SpillDir; SpillReloads counts entries read back from disk
@@ -284,7 +280,6 @@ func (t *Table) DiscoverContext(ctx context.Context, opts Options) (*Result, err
 		MaxLevel:               opts.MaxLevel,
 		Columns:                cols,
 		DisableColumnReduction: opts.DisableColumnReduction,
-		UseSortedPartitions:    opts.UseSortedPartitions,
 		MaxMemoryBytes:         opts.MaxMemoryBytes,
 		SpillDir:               opts.SpillDir,
 		CheckpointPath:         opts.CheckpointPath,

@@ -4,18 +4,17 @@
 // inside the critical section.
 //
 // The discovery core funnels every candidate check of the parallel BFS
-// through one shared index cache (order.Checker, order.PartitionChecker),
-// so its mutexes sit on the hottest path of the system. Two bug classes
-// are reported:
+// through one shared rank-vector cache (order.Checker), so its mutexes
+// sit on the hottest path of the system. Two bug classes are reported:
 //
 //  1. leak — a path from mu.Lock() reaches a return without an
 //     Unlock() and without an armed `defer mu.Unlock()`. A worker that
 //     leaks the checker mutex deadlocks the whole level fan-out.
 //  2. held — a blocking or expensive operation executes while a mutex
 //     may be held: channel send/receive, (*sync.WaitGroup).Wait,
-//     time.Sleep, any sort.* call, or the module's rank-vector,
-//     index and partition derivation helpers (derive, Extend,
-//     SortedIndex). These serialize all workers behind one cache probe.
+//     time.Sleep, any sort.* call, or the module's rank-vector and
+//     sorted-index derivation helpers (derive, SortedIndex). These
+//     serialize all workers behind one cache probe.
 //
 // It also flags re-locking a mutex that is already held on every
 // incoming path (self-deadlock). Suppress a deliberate site with
@@ -295,13 +294,13 @@ func (fc *funcCheck) expensiveCall(call *ast.CallExpr) (string, bool) {
 			}
 		}
 	}
-	// Module-local derivation helpers: a rank-vector, sorted-index or
-	// partition derivation is O(rows) or more and must never run inside
-	// a cache critical section.
+	// Module-local derivation helpers: a rank-vector or sorted-index
+	// derivation is O(rows) or more and must never run inside a cache
+	// critical section.
 	switch fn.Name() {
-	case "derive", "Extend", "SortedIndex":
+	case "derive", "SortedIndex":
 		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			return "index/partition derivation " + fn.Name(), true
+			return "rank derivation " + fn.Name(), true
 		}
 	}
 	return "", false

@@ -123,29 +123,6 @@ func TestCheckerPanicIsolated(t *testing.T) {
 	settleGoroutines(t, baseline)
 }
 
-// TestPartitionBackendPanic: same isolation contract on the sorted-partition
-// checking backend.
-func TestPartitionBackendPanic(t *testing.T) {
-	defer faultinject.Reset()
-	baseline := runtime.NumGoroutine()
-	r := correlatedRelation(t, 120)
-	faultinject.Arm("order.partition.check", faultinject.Rule{
-		Action: faultinject.ActionPanic, Nth: 40,
-	})
-	res, err := DiscoverContext(context.Background(), r, Options{
-		Workers: 4, UseSortedPartitions: true,
-	})
-	faultinject.Disarm("order.partition.check")
-	if err == nil {
-		t.Fatal("partition checker panic must surface as an error")
-	}
-	if !res.Stats.Truncated || res.Stats.Reason != TruncateWorkerPanic {
-		t.Fatalf("stats = %+v, want reason worker-panic", res.Stats)
-	}
-	assertWellFormed(t, r, res)
-	settleGoroutines(t, baseline)
-}
-
 // TestReductionCheckPanicHitsBoundaryRecover: a panic raised outside the
 // level workers (here: the checker's first call, a single-column check of
 // the reduction phase on the caller's goroutine) is converted by the

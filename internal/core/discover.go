@@ -13,7 +13,6 @@ import (
 	"ocd/internal/attr"
 	"ocd/internal/checkpoint"
 	"ocd/internal/faultinject"
-	"ocd/internal/obs"
 	"ocd/internal/order"
 	"ocd/internal/relation"
 	"ocd/internal/spill"
@@ -60,43 +59,9 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) (r
 	return d.run(ctx)
 }
 
-// checker abstracts the order-checking backend: the rank-vector Checker
-// (default) or the incrementally derived sorted partitions of §5.3.1.
-type checker interface {
-	CheckOCD(x, y attr.List) bool
-	CheckOD(x, y attr.List) bool
-	OrderEquivalent(x, y attr.List) bool
-	Checks() int64
-	Relation() *relation.Relation
-	// SetStopFlag arms cooperative cancellation inside the backend's sort
-	// and scan loops; aborted checks conservatively report invalid and are
-	// never cached.
-	SetStopFlag(stop *atomic.Bool)
-	// SetObs attaches the backend's cache instrumentation (hit/miss
-	// counters, partition-size histogram) to a metrics registry; a nil
-	// registry resolves to no-op handles.
-	SetObs(reg *obs.Registry)
-	// ReleaseMemory drops the backend's index/partition cache, the
-	// graceful-degradation step of the soft memory budget.
-	ReleaseMemory()
-	// SetSpill attaches an out-of-core spill manager: cache evictions write
-	// checksummed disk segments and misses reload them. Spilled entries are
-	// pure cache; I/O failures degrade to recompute, never to wrong results.
-	SetSpill(sm *spill.Manager)
-	// EvictToSpill moves the backend's whole cache to disk — the first rung
-	// of the memory-budget ladder. Returns the number of entries durably
-	// spilled; 0 means the rung made no progress (no manager attached, or
-	// every write failed). A negative count means the rung was idle:
-	// nothing was cached that a spill could free.
-	EvictToSpill() int
-	// SpillStats reports (entries spilled to disk, entries reloaded from
-	// disk) so far.
-	SpillStats() (int64, int64)
-}
-
 type discoverer struct {
 	r        *relation.Relation
-	chk      checker
+	chk      *order.Checker
 	opts     Options
 	workers  int
 	deadline time.Time // zero when no timeout
@@ -137,8 +102,8 @@ type discoverer struct {
 	// a panicking worker, or a budget check; zero while running. Workers
 	// poll it between candidates — one atomic load, nothing else.
 	stopReason atomic.Int32
-	// hardStop aborts work mid-check: it is shared with the checking
-	// backend, whose sort/scan loops poll it. Only context cancellation
+	// hardStop aborts work mid-check: it is shared with the checker, whose
+	// rank-derivation and scan loops poll it. Only context cancellation
 	// and worker panics set it; a soft Timeout lets the current checks
 	// finish so reduction output stays complete (the documented contract:
 	// timeout stops the traversal, cancellation aborts everything).
@@ -158,15 +123,9 @@ func newDiscoverer(r *relation.Relation, opts Options) *discoverer {
 	if universe == nil {
 		universe = r.Attrs()
 	}
-	var chk checker
-	if opts.UseSortedPartitions {
-		chk = order.NewPartitionChecker(r, cacheSize)
-	} else {
-		chk = order.NewChecker(r, cacheSize)
-	}
 	d := &discoverer{
 		r:        r,
-		chk:      chk,
+		chk:      order.NewChecker(r, cacheSize),
 		opts:     opts,
 		workers:  w,
 		universe: universe,
@@ -198,7 +157,8 @@ func (d *discoverer) reason() TruncateReason {
 }
 
 // requestStop records the first stop reason; hard stops additionally arm
-// the checker-level abort flag so multi-second sorts bail mid-way.
+// the checker-level abort flag so long rank derivations and scans bail
+// mid-way.
 func (d *discoverer) requestStop(reason TruncateReason, hard bool) {
 	d.stopReason.CompareAndSwap(0, int32(reason))
 	if hard {
@@ -230,7 +190,7 @@ func (d *discoverer) watch(ctx context.Context, timerC <-chan time.Time, stop <-
 }
 
 // overMemoryBudget implements the soft memory budget at a level boundary as
-// a degradation ladder: over budget → spill the checker caches to disk
+// a degradation ladder: over budget → spill the checker's cache to disk
 // (rung 1, only with a SpillDir) → release whatever remains in memory and
 // force a GC (rung 2) → truncate (rung 3) only when the heap is still over
 // budget AND spilling made no progress. A working spill directory therefore
@@ -512,7 +472,7 @@ func (d *discoverer) processLevel(level []attr.Pair, reduced []attr.ID, res *Res
 }
 
 // runWorker isolates one worker's traversal: a panic anywhere under it
-// (candidate processing, a checker backend, the cache) converts into a
+// (candidate processing, the checker, its cache) converts into a
 // *PanicError naming the candidate, requests a hard stop so sibling workers
 // bail quickly, and leaves the worker's completed output intact.
 func (d *discoverer) runWorker(level []attr.Pair, from, stride int, reduced []attr.ID, out *workerOut) {

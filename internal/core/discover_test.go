@@ -545,25 +545,3 @@ func TestDeterministicOutputOrder(t *testing.T) {
 		t.Error("repeated runs produced different output order")
 	}
 }
-
-// TestSortedPartitionBackendMatches: the two checking backends must produce
-// byte-identical results (§5.3.1's sorted-partition strategy is an
-// implementation detail, not a semantics change).
-func TestSortedPartitionBackendMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(233))
-	for trial := 0; trial < 25; trial++ {
-		r := randomRelation(rng, 3+rng.Intn(30), 2+rng.Intn(5), 1+rng.Intn(4))
-		a := Discover(r, Options{Workers: 2})
-		b := Discover(r, Options{Workers: 2, UseSortedPartitions: true})
-		if !sameOCDs(a.OCDs, b.OCDs) || !sameODs(a.ODs, b.ODs) {
-			t.Fatalf("trial %d: backends disagree\nresort: %v / %v\npartitions: %v / %v",
-				trial, a.OCDs, a.ODs, b.OCDs, b.ODs)
-		}
-		if a.Stats.Candidates != b.Stats.Candidates {
-			t.Fatalf("trial %d: candidate counts differ", trial)
-		}
-		if len(a.EquivClasses) != len(b.EquivClasses) || len(a.Constants) != len(b.Constants) {
-			t.Fatalf("trial %d: reduction output differs", trial)
-		}
-	}
-}

@@ -45,10 +45,8 @@ const (
 // Cache metric names owned by internal/order but consumed here for the
 // progress ticker's hit-rate column.
 const (
-	MetricIndexCacheHits       = "order.index_cache.hits"
-	MetricIndexCacheMisses     = "order.index_cache.misses"
-	MetricPartitionCacheHits   = "order.partition_cache.hits"
-	MetricPartitionCacheMisses = "order.partition_cache.misses"
+	MetricIndexCacheHits   = "order.index_cache.hits"
+	MetricIndexCacheMisses = "order.index_cache.misses"
 )
 
 // defaultReportEvery is the check cadence of mid-level progress reports
@@ -80,8 +78,6 @@ type runObs struct {
 	workerBusy *obs.Histogram
 	idxHits    *obs.Counter
 	idxMisses  *obs.Counter
-	partHits   *obs.Counter
-	partMisses *obs.Counter
 
 	// Span spine: runSpan under the caller's parent, one level span at a
 	// time under it. Both nil when tracing is off.
@@ -122,9 +118,9 @@ func newRunObs(o *Options) *runObs {
 	if every <= 0 {
 		every = defaultReportEvery
 	}
-	latBounds := obs.ExpBounds(1000, 4, 14)      // 1µs .. ~268s
-	busyBounds := obs.ExpBounds(100_000, 4, 14)  // 100µs .. ~7.5h
-	candBounds := obs.ExpBounds(1, 4, 16)        // 1 .. ~1e9 candidates/level
+	latBounds := obs.ExpBounds(1000, 4, 14)     // 1µs .. ~268s
+	busyBounds := obs.ExpBounds(100_000, 4, 14) // 100µs .. ~7.5h
+	candBounds := obs.ExpBounds(1, 4, 16)       // 1 .. ~1e9 candidates/level
 	return &runObs{
 		reg:         reg,
 		reporter:    o.Reporter,
@@ -145,8 +141,6 @@ func newRunObs(o *Options) *runObs {
 		workerBusy:  reg.Histogram(MetricWorkerBusy, busyBounds),
 		idxHits:     reg.Counter(MetricIndexCacheHits),
 		idxMisses:   reg.Counter(MetricIndexCacheMisses),
-		partHits:    reg.Counter(MetricPartitionCacheHits),
-		partMisses:  reg.Counter(MetricPartitionCacheMisses),
 	}
 }
 
@@ -314,11 +308,11 @@ func (ro *runObs) candidateDone(d *discoverer) {
 	ro.report(d, false)
 }
 
-// cacheHitRate derives the cumulative hit rate over both checking
-// backends' caches; negative when no cache activity was recorded.
+// cacheHitRate derives the cumulative hit rate of the checker's rank-vector
+// cache; negative when no cache activity was recorded.
 func (ro *runObs) cacheHitRate() float64 {
-	hits := ro.idxHits.Value() + ro.partHits.Value()
-	total := hits + ro.idxMisses.Value() + ro.partMisses.Value()
+	hits := ro.idxHits.Value()
+	total := hits + ro.idxMisses.Value()
 	if total == 0 {
 		return -1
 	}

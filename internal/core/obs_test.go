@@ -68,23 +68,6 @@ func TestMetricsWiring(t *testing.T) {
 	}
 }
 
-func TestMetricsSortedPartitions(t *testing.T) {
-	r := correlatedRelation(t, 60)
-	reg := obs.NewRegistry()
-	res := Discover(r, Options{UseSortedPartitions: true, Metrics: reg})
-	s := reg.Snapshot()
-	if got := s.Counters[MetricChecks]; got != res.Stats.Checks {
-		t.Errorf("%s = %d, Stats.Checks = %d", MetricChecks, got, res.Stats.Checks)
-	}
-	hits, misses := s.Counters[MetricPartitionCacheHits], s.Counters[MetricPartitionCacheMisses]
-	if hits+misses == 0 {
-		t.Error("partition cache recorded no lookups")
-	}
-	if h := s.Histograms["order.partition.classes"]; h.Count <= 0 {
-		t.Error("partition classes histogram recorded no observations")
-	}
-}
-
 func TestTraceSpans(t *testing.T) {
 	r := correlatedRelation(t, 60)
 	tr := obs.NewTracer("run")

@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"ocd/internal/order"
 )
 
 // TestOptionsWorkersNormalization pins the Workers contract: values
@@ -40,11 +38,7 @@ func TestOptionsWorkersNormalization(t *testing.T) {
 func TestOptionsIndexCacheDefault(t *testing.T) {
 	r := seededRelation(t, 4, 30, 3)
 
-	d := newDiscoverer(r, Options{})
-	chk, ok := d.chk.(*order.Checker)
-	if !ok {
-		t.Fatalf("default backend should be *order.Checker, got %T", d.chk)
-	}
+	chk := newDiscoverer(r, Options{}).chk
 	x := ids(1, 2)
 	chk.SortedIndex(x)
 	chk.SortedIndex(x)
@@ -52,8 +46,7 @@ func TestOptionsIndexCacheDefault(t *testing.T) {
 		t.Errorf("IndexCacheSize 0 should default to a working cache: %d sorts for 2 lookups", got)
 	}
 
-	d = newDiscoverer(r, Options{IndexCacheSize: -1})
-	chk = d.chk.(*order.Checker)
+	chk = newDiscoverer(r, Options{IndexCacheSize: -1}).chk
 	chk.SortedIndex(x)
 	chk.SortedIndex(x)
 	if got := chk.Sorts(); got != 2 {

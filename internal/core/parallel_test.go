@@ -59,28 +59,26 @@ func equalStrings(a, b []string) bool {
 
 // TestDiscoverParallelMatchesSequential is the -race regression test
 // for the level workers: with any worker count the traversal must
-// produce exactly the sequential result, on both checking backends.
+// produce exactly the sequential result.
 // Run it under `go test -race` to exercise the shared checker cache,
 // the atomic generated counter and the per-worker output buffers.
 func TestDiscoverParallelMatchesSequential(t *testing.T) {
 	for _, seed := range []int64{1, 42} {
 		r := seededRelation(t, seed, 160, 6)
-		for _, sorted := range []bool{false, true} {
-			want := Discover(r, Options{Workers: 1, UseSortedPartitions: sorted})
-			for _, workers := range []int{2, 4, 8} {
-				got := Discover(r, Options{Workers: workers, UseSortedPartitions: sorted})
-				if !equalStrings(formatDeps(want), formatDeps(got)) {
-					t.Errorf("seed %d sorted=%v workers=%d: results differ\nseq: %v\npar: %v",
-						seed, sorted, workers, formatDeps(want), formatDeps(got))
-				}
-				if want.Stats.Checks != got.Stats.Checks {
-					t.Errorf("seed %d sorted=%v workers=%d: checks %d != sequential %d",
-						seed, sorted, workers, got.Stats.Checks, want.Stats.Checks)
-				}
-				if want.Stats.Candidates != got.Stats.Candidates {
-					t.Errorf("seed %d sorted=%v workers=%d: candidates %d != sequential %d",
-						seed, sorted, workers, got.Stats.Candidates, want.Stats.Candidates)
-				}
+		want := Discover(r, Options{Workers: 1})
+		for _, workers := range []int{2, 4, 8} {
+			got := Discover(r, Options{Workers: workers})
+			if !equalStrings(formatDeps(want), formatDeps(got)) {
+				t.Errorf("seed %d workers=%d: results differ\nseq: %v\npar: %v",
+					seed, workers, formatDeps(want), formatDeps(got))
+			}
+			if want.Stats.Checks != got.Stats.Checks {
+				t.Errorf("seed %d workers=%d: checks %d != sequential %d",
+					seed, workers, got.Stats.Checks, want.Stats.Checks)
+			}
+			if want.Stats.Candidates != got.Stats.Candidates {
+				t.Errorf("seed %d workers=%d: candidates %d != sequential %d",
+					seed, workers, got.Stats.Candidates, want.Stats.Candidates)
 			}
 		}
 	}

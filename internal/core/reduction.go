@@ -5,6 +5,7 @@ import (
 
 	"ocd/internal/attr"
 	"ocd/internal/faultinject"
+	"ocd/internal/order"
 	"ocd/internal/tarjan"
 )
 
@@ -27,7 +28,7 @@ type reduction struct {
 // (a) remove constant columns; (b) collapse order-equivalent columns into a
 // representative, using Tarjan's algorithm on the directed graph of valid
 // single-attribute ODs.
-func columnsReduction(chk checker, universe []attr.ID) *reduction {
+func columnsReduction(chk *order.Checker, universe []attr.ID) *reduction {
 	return columnsReductionStop(chk, universe, nil)
 }
 
@@ -36,7 +37,7 @@ func columnsReduction(chk checker, universe []attr.ID) *reduction {
 // partial output stays sound — constants are detected first (cheap), and an
 // SCC built from a subset of the verified edges can only be finer than the
 // true classes, never merge inequivalent columns.
-func columnsReductionStop(chk checker, universe []attr.ID, stop *atomic.Bool) *reduction {
+func columnsReductionStop(chk *order.Checker, universe []attr.ID, stop *atomic.Bool) *reduction {
 	red := &reduction{classOf: make(map[attr.ID][]attr.ID)}
 	r := chk.Relation()
 

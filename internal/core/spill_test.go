@@ -14,29 +14,26 @@ import (
 func TestSpillKeepsBudgetedRunComplete(t *testing.T) {
 	r := correlatedRelation(t, 80)
 	want := Discover(r, Options{})
-	for _, partitions := range []bool{false, true} {
-		got := Discover(r, Options{
-			MaxMemoryBytes:      1,
-			SpillDir:            filepath.Join(t.TempDir(), "spill"),
-			UseSortedPartitions: partitions,
-		})
-		if got.Stats.Truncated {
-			t.Fatalf("partitions=%v: budgeted run truncated despite spill dir: %+v", partitions, got.Stats)
-		}
-		if got.Stats.SpillError != "" {
-			t.Fatalf("partitions=%v: SpillError = %q", partitions, got.Stats.SpillError)
-		}
-		if got.Stats.MemoryReleases == 0 {
-			t.Errorf("partitions=%v: budget never tripped — the run proves nothing", partitions)
-		}
-		if got.Stats.SpillEvictions == 0 {
-			t.Errorf("partitions=%v: nothing was spilled", partitions)
-		}
-		if !equalStrings(formatDeps(want), formatDeps(got)) {
-			t.Fatalf("partitions=%v: out-of-core run changed the results", partitions)
-		}
-		assertWellFormed(t, r, got)
+	got := Discover(r, Options{
+		MaxMemoryBytes: 1,
+		SpillDir:       filepath.Join(t.TempDir(), "spill"),
+	})
+	if got.Stats.Truncated {
+		t.Fatalf("budgeted run truncated despite spill dir: %+v", got.Stats)
 	}
+	if got.Stats.SpillError != "" {
+		t.Fatalf("SpillError = %q", got.Stats.SpillError)
+	}
+	if got.Stats.MemoryReleases == 0 {
+		t.Error("budget never tripped — the run proves nothing")
+	}
+	if got.Stats.SpillEvictions == 0 {
+		t.Error("nothing was spilled")
+	}
+	if !equalStrings(formatDeps(want), formatDeps(got)) {
+		t.Fatal("out-of-core run changed the results")
+	}
+	assertWellFormed(t, r, got)
 }
 
 // TestSpillSteadyStateEvictions: a tiny checker cache with a spill dir and

@@ -78,14 +78,9 @@ type Options struct {
 	// Columns restricts discovery to a subset of attributes, supporting
 	// the "most interesting columns" mode of Section 5.4. Nil means all.
 	Columns []attr.ID
-	// UseSortedPartitions switches the checking backend to incrementally
-	// derived sorted partitions (Section 5.3.1's technique) instead of
-	// per-candidate index sorts. Results are identical; the backends trade
-	// memory for derivation reuse differently.
-	UseSortedPartitions bool
 	// MaxMemoryBytes is a soft heap budget, checked via runtime.ReadMemStats
 	// at level boundaries. When crossed the engine degrades in a fixed
-	// ladder: with a SpillDir it first moves the checker caches to disk
+	// ladder: with a SpillDir it first moves the checker cache to disk
 	// segments, then releases what remains in memory and forces a GC; the
 	// run truncates with TruncateMemoryBudget only when the heap stays over
 	// budget AND spilling made no progress at all — so with a working spill
@@ -176,7 +171,7 @@ const (
 	// TruncateCancelled: the caller's context was cancelled.
 	TruncateCancelled
 	// TruncateMemoryBudget: the heap stayed over Options.MaxMemoryBytes
-	// after the whole degradation ladder — spilling the checker caches to
+	// after the whole degradation ladder — spilling the checker cache to
 	// disk (when a SpillDir is armed), releasing what remained in memory,
 	// and a forced GC — made no progress.
 	TruncateMemoryBudget
@@ -222,7 +217,7 @@ type Stats struct {
 	// Reason records why the run truncated; TruncateNone on complete runs.
 	Reason TruncateReason
 	// MemoryReleases counts how often the soft memory budget forced the
-	// checker caches to be spilled or dropped (graceful degradation short
+	// checker cache to be spilled or dropped (graceful degradation short
 	// of truncating the run).
 	MemoryReleases int
 	// SpillEvictions counts cache entries written to spill segments under

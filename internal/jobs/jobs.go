@@ -102,8 +102,6 @@ type JobOptions struct {
 	MaxLevel      int   `json:"max_level,omitempty"`
 	// Columns restricts discovery to the named columns (nil = all).
 	Columns []string `json:"columns,omitempty"`
-	// UseSortedPartitions selects the §5.3.1 incremental backend.
-	UseSortedPartitions bool `json:"use_sorted_partitions,omitempty"`
 	// ForceString / NoHeader / Delimiter mirror the load options.
 	ForceString bool   `json:"force_string,omitempty"`
 	NoHeader    bool   `json:"no_header,omitempty"`

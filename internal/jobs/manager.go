@@ -700,15 +700,14 @@ func (m *Manager) runAttempt(ctx context.Context, j *Job, name string) (out atte
 	out.rows, out.cols = tbl.NumRows(), tbl.NumCols()
 
 	dopts := ocd.Options{
-		Workers:             opts.Workers,
-		Timeout:             opts.Timeout,
-		MaxCandidates:       opts.MaxCandidates,
-		MaxLevel:            opts.MaxLevel,
-		Columns:             opts.Columns,
-		UseSortedPartitions: opts.UseSortedPartitions,
-		MaxMemoryBytes:      m.cfg.perJobMemory(),
-		CheckpointPath:      snapshotPath(j.dir),
-		CheckpointEvery:     m.cfg.CheckpointEvery,
+		Workers:         opts.Workers,
+		Timeout:         opts.Timeout,
+		MaxCandidates:   opts.MaxCandidates,
+		MaxLevel:        opts.MaxLevel,
+		Columns:         opts.Columns,
+		MaxMemoryBytes:  m.cfg.perJobMemory(),
+		CheckpointPath:  snapshotPath(j.dir),
+		CheckpointEvery: m.cfg.CheckpointEvery,
 		// Per-job spill dir inside the job dir: Delete's RemoveAll covers it,
 		// recovery sweeps it, and under memory pressure the engine evicts
 		// checker state here instead of truncating the run.

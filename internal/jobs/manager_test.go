@@ -420,6 +420,58 @@ func TestCrashRecoveryResumesFromSnapshot(t *testing.T) {
 	}
 }
 
+// TestLegacyBackendOptionManifestResumes: a manifest written by an older
+// build still carries "use_sorted_partitions", the option of the checking
+// backend that was removed. Open must load it, resume the job from its
+// snapshot, and produce the dependencies of a fresh submission.
+func TestLegacyBackendOptionManifestResumes(t *testing.T) {
+	csv := testCSV(120)
+	root := t.TempDir()
+	dir := crashedJobDir(t, root, "jlegacy", "legacy", csv, 1, true)
+	legacy := `{
+  "id": "jlegacy",
+  "name": "legacy",
+  "state": "running",
+  "options": {
+    "workers": 2,
+    "use_sorted_partitions": true
+  },
+  "attempts": 1,
+  "created_at": "2026-10-16T12:00:00Z",
+  "updated_at": "2026-10-16T12:00:01Z"
+}
+`
+	if err := os.WriteFile(manifestPath(dir), []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m := newTestManager(t, Config{Dir: root, MaxActive: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	m.Start(ctx)
+
+	doc := waitState(t, m, "jlegacy", StateCompleted)
+	if doc.Attempts != 2 || doc.Error != "" {
+		t.Fatalf("unexpected status: %+v", doc)
+	}
+	got := resultDoc(t, m, "jlegacy")
+	if !got.Resumed {
+		t.Fatal("result not marked as resumed")
+	}
+	j := submit(t, m, "fresh", csv, JobOptions{Workers: 2})
+	waitState(t, m, j.ID(), StateCompleted)
+	want := resultDoc(t, m, j.ID())
+	if len(want.OCDs) == 0 {
+		t.Fatalf("fresh submission found no OCDs: %+v", want)
+	}
+	if !reflect.DeepEqual(got.OCDs, want.OCDs) || !reflect.DeepEqual(got.ODs, want.ODs) ||
+		!reflect.DeepEqual(got.EquivalentGroups, want.EquivalentGroups) ||
+		!reflect.DeepEqual(got.ConstantColumns, want.ConstantColumns) {
+		t.Fatalf("legacy job differs from a fresh submission:\nlegacy %v / %v\nfresh  %v / %v",
+			got.OCDs, got.ODs, want.OCDs, want.ODs)
+	}
+}
+
 // TestCheckpointMismatchFailsTyped (satellite): the dataset changed under
 // the snapshot — the job must fail with a typed checkpoint-mismatch error
 // instead of wedging or retrying forever.

@@ -168,7 +168,6 @@ func parseJobOptions(r *http.Request) (JobOptions, error) {
 	intParam("workers", &opts.Workers)
 	intParam("max-level", &opts.MaxLevel)
 	intParam("expand", &opts.ExpandLimit)
-	boolParam("sorted-partitions", &opts.UseSortedPartitions)
 	boolParam("force-string", &opts.ForceString)
 	boolParam("no-header", &opts.NoHeader)
 	if err != nil {

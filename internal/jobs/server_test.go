@@ -242,13 +242,13 @@ func TestParseJobOptions(t *testing.T) {
 	mk := func(q string) *http.Request {
 		return httptest.NewRequest("POST", "/jobs?"+q, nil)
 	}
-	opts, err := parseJobOptions(mk("workers=3&timeout=90s&max-level=4&max-candidates=1000&columns=a,%20b,&sorted-partitions=true&force-string=1&no-header=true&sep=%3B&expand=7"))
+	opts, err := parseJobOptions(mk("workers=3&timeout=90s&max-level=4&max-candidates=1000&columns=a,%20b,&force-string=1&no-header=true&sep=%3B&expand=7"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := JobOptions{
 		Workers: 3, Timeout: 90 * time.Second, MaxLevel: 4, MaxCandidates: 1000,
-		Columns: []string{"a", "b"}, UseSortedPartitions: true, ForceString: true,
+		Columns: []string{"a", "b"}, ForceString: true,
 		NoHeader: true, Delimiter: ";", ExpandLimit: 7,
 	}
 	if fmt.Sprint(opts) != fmt.Sprint(want) {

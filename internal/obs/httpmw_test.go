@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestRouteKey(t *testing.T) {
@@ -115,7 +116,9 @@ func TestHTTPMetricsMiddleware(t *testing.T) {
 
 func TestHTTPMetricsPassesThroughFlusher(t *testing.T) {
 	mux := http.NewServeMux()
-	var flushed bool
+	// The client can see the flushed bytes before the handler returns
+	// from Flush, so the handler signals on a channel, not a plain bool.
+	flushed := make(chan struct{})
 	mux.HandleFunc("GET /stream", func(w http.ResponseWriter, _ *http.Request) {
 		f, ok := w.(http.Flusher)
 		if !ok {
@@ -124,7 +127,7 @@ func TestHTTPMetricsPassesThroughFlusher(t *testing.T) {
 		}
 		w.Write([]byte("data: x\n\n")) // lint:allow errdrop — test writer
 		f.Flush()
-		flushed = true
+		close(flushed)
 	})
 	srv := httptest.NewServer(HTTPMetrics(mux, nil, nil))
 	defer srv.Close()
@@ -133,7 +136,9 @@ func TestHTTPMetricsPassesThroughFlusher(t *testing.T) {
 		t.Fatalf("GET /stream: %v", err)
 	}
 	resp.Body.Close()
-	if !flushed {
+	select {
+	case <-flushed:
+	case <-time.After(5 * time.Second):
 		t.Errorf("stream handler never reached Flush")
 	}
 }

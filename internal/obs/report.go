@@ -25,8 +25,8 @@ type Progress struct {
 	// ChecksPerSec is the check throughput since the last sample
 	// (cumulative average on the first).
 	ChecksPerSec float64
-	// CacheHitRate is the cumulative index/partition cache hit rate in
-	// [0,1]; negative when the backend exposes no cache counters.
+	// CacheHitRate is the cumulative rank-vector cache hit rate in
+	// [0,1]; negative when no cache activity was recorded.
 	CacheHitRate float64
 	// Elapsed is the wall-clock time of this run so far (excluding a
 	// resumed run's prior elapsed, which is in PriorElapsed).

@@ -10,12 +10,11 @@ import (
 func newBenchRel(rows int) *benchEnv {
 	rng := rand.New(rand.NewSource(271))
 	r := randomRelation(rng, rows, 6, 50)
-	return &benchEnv{r: NewChecker(r, 64), pc: NewPartitionChecker(r, 64)}
+	return &benchEnv{r: NewChecker(r, 64)}
 }
 
 type benchEnv struct {
-	r  *Checker
-	pc *PartitionChecker
+	r *Checker
 }
 
 func BenchmarkCheckOCDSmall(b *testing.B) {
@@ -45,16 +44,6 @@ func BenchmarkSortedIndexUncached(b *testing.B) {
 		for _, l := range lists {
 			chk.SortedIndex(l)
 		}
-	}
-}
-
-func BenchmarkPartitionExtend(b *testing.B) {
-	env := newBenchRel(10_000)
-	base := Base(env.r.Relation().NumRows())
-	sp := base.Extend(env.r.Relation(), 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sp.Extend(env.r.Relation(), 1)
 	}
 }
 

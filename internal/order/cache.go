@@ -12,21 +12,18 @@ import (
 	"ocd/internal/spill"
 )
 
-// cache is the bounded store both checkers keep their derived per-list
-// state in (rank vectors or sorted partitions): at most cap entries, the
-// oldest evicted first. With a spill manager attached it works out of
-// core: an evicted entry is written to a checksummed disk segment and a
-// miss reloads it, under the degradation ladder of spill.go. The checkers
-// embed it, so its exported methods are theirs. Safe for concurrent use.
-type cache[V any] struct {
-	mu    sync.Mutex
-	m     map[string]V
-	keys  []string // insertion order
-	cap   int
-	point string // fault point fired before every insert
-
-	encode func(V) []byte
-	decode func([]byte) (V, error)
+// cache is the bounded store of the Checker's derived rank vectors: at
+// most cap entries, the oldest evicted first. With a spill manager attached
+// it works out of core: an evicted vector is written to a checksummed disk
+// segment and a miss reloads it, under the degradation ladder of spill.go.
+// The Checker embeds it, so its exported methods are the Checker's. Safe
+// for concurrent use.
+type cache struct {
+	mu      sync.Mutex
+	m       map[string]rankVec
+	keys    []string // insertion order
+	cap     int
+	numRows int // rows of every cached vector, checked on reload
 
 	sm                 *spill.Manager
 	evictions, reloads atomic.Int64
@@ -48,11 +45,12 @@ func appendKey(dst []byte, x attr.List) []byte {
 	return dst
 }
 
-// setObs resolves the hit/miss counters name.hits and name.misses and the
-// shared order.spill.* counters (a nil registry resolves to no-ops).
-func (c *cache[V]) setObs(reg *obs.Registry, name string) {
-	c.obsHits = reg.Counter(name + ".hits")
-	c.obsMisses = reg.Counter(name + ".misses")
+// SetObs attaches the rank-vector cache's hit/miss counters and the spill
+// counters from the registry (a nil registry resolves to no-op handles).
+// Not safe to call concurrently with checks.
+func (c *cache) SetObs(reg *obs.Registry) {
+	c.obsHits = reg.Counter("order.index_cache.hits")
+	c.obsMisses = reg.Counter("order.index_cache.misses")
 	c.obsEvictions = reg.Counter("order.spill.evictions")
 	c.obsReloads = reg.Counter("order.spill.reloads")
 	c.obsRetries = reg.Counter("order.spill.retries")
@@ -61,7 +59,7 @@ func (c *cache[V]) setObs(reg *obs.Registry, name string) {
 }
 
 // get returns the entry cached under key.
-func (c *cache[V]) get(key []byte) (V, bool) {
+func (c *cache) get(key []byte) (rankVec, bool) {
 	c.mu.Lock()
 	v, ok := c.m[string(key)]
 	c.mu.Unlock()
@@ -71,13 +69,13 @@ func (c *cache[V]) get(key []byte) (V, bool) {
 // put caches v under key unless already present. The entry it evicts
 // spills when a manager is attached — file I/O outside the lock, so
 // concurrent checks keep flowing.
-func (c *cache[V]) put(key string, v V) {
+func (c *cache) put(key string, v rankVec) {
 	if c.cap <= 0 {
 		return
 	}
-	faultinject.Point(c.point)
+	faultinject.Point("order.checker.cacheput")
 	var oldKey string
-	var old V
+	var old rankVec
 	c.mu.Lock()
 	if _, dup := c.m[key]; !dup {
 		if len(c.keys) >= c.cap {
@@ -86,7 +84,7 @@ func (c *cache[V]) put(key string, v V) {
 			c.keys = c.keys[1:]
 		}
 		if c.m == nil {
-			c.m = make(map[string]V)
+			c.m = make(map[string]rankVec)
 		}
 		c.m[key] = v
 		c.keys = append(c.keys, key)
@@ -100,8 +98,8 @@ func (c *cache[V]) put(key string, v V) {
 // spill writes one evicted entry with the write rung of the ladder: retry
 // once, then give up — the entry is recomputed when next needed. Reports
 // whether the entry is durably spilled.
-func (c *cache[V]) spill(key string, v V) bool {
-	payload := c.encode(v)
+func (c *cache) spill(key string, v rankVec) bool {
+	payload := encodeIndex(v.ranks)
 	if err := c.sm.Put(key, payload); err != nil {
 		c.obsRetries.Inc()
 		if err := c.sm.Put(key, payload); err != nil {
@@ -118,27 +116,26 @@ func (c *cache[V]) spill(key string, v V) bool {
 // once on any failure, then drop the segment so the caller recomputes. A
 // segment that fails the structural decode is dropped the same way, so
 // damaged data never reaches a check.
-func (c *cache[V]) load(key string) (V, bool) {
-	var zero V
+func (c *cache) load(key string) (rankVec, bool) {
 	if c.sm == nil {
-		return zero, false
+		return rankVec{}, false
 	}
 	payload, err := c.sm.Get(key)
 	if errors.Is(err, spill.ErrNoSegment) {
-		return zero, false
+		return rankVec{}, false
 	}
 	if err != nil {
 		c.obsRetries.Inc()
 		payload, err = c.sm.Get(key)
 	}
-	v := zero
+	var v rankVec
 	if err == nil {
-		v, err = c.decode(payload)
+		v, err = decodeRanks(payload, c.numRows)
 	}
 	if err != nil {
 		c.sm.Drop(key)
 		c.obsRecomputes.Inc()
-		return zero, false
+		return rankVec{}, false
 	}
 	c.reloads.Add(1)
 	c.obsReloads.Inc()
@@ -147,18 +144,18 @@ func (c *cache[V]) load(key string) (V, bool) {
 
 // SetSpill attaches a spill manager: cache evictions spill to disk and
 // misses reload from it. Not safe to call concurrently with checks.
-func (c *cache[V]) SetSpill(sm *spill.Manager) { c.sm = sm }
+func (c *cache) SetSpill(sm *spill.Manager) { c.sm = sm }
 
 // SpillStats returns how many entries were spilled to disk and how many
 // were reloaded from it.
-func (c *cache[V]) SpillStats() (evictions, reloads int64) {
+func (c *cache) SpillStats() (evictions, reloads int64) {
 	return c.evictions.Load(), c.reloads.Load()
 }
 
 // ReleaseMemory drops every cached entry, the degradation step of the
 // engine's soft memory budget. The checker stays fully usable; later
 // lookups derive (and re-cache) their entries.
-func (c *cache[V]) ReleaseMemory() {
+func (c *cache) ReleaseMemory() {
 	c.mu.Lock()
 	c.m, c.keys = nil, nil
 	c.mu.Unlock()
@@ -168,10 +165,10 @@ func (c *cache[V]) ReleaseMemory() {
 // cache — the engine's first response to a tripped memory budget. It
 // returns the number of entries durably spilled; 0 (no spill manager, or
 // every write failed) tells the engine this rung made no progress. An
-// empty cache returns -1: the rung is idle, not exhausted. A rank checker
+// empty cache returns -1: the rung is idle, not exhausted. The checker
 // then holds only the relation's own columns, which no spill can free, and
 // the next level's longer lists give the rung something to move.
-func (c *cache[V]) EvictToSpill() int {
+func (c *cache) EvictToSpill() int {
 	if c.sm == nil {
 		return 0
 	}

@@ -34,7 +34,6 @@ import (
 
 	"ocd/internal/attr"
 	"ocd/internal/faultinject"
-	"ocd/internal/obs"
 	"ocd/internal/relation"
 )
 
@@ -117,7 +116,7 @@ type Checker struct {
 	cols []atomic.Pointer[rankVec]
 
 	// cache holds the derived vectors of multi-attribute lists.
-	cache[rankVec]
+	cache
 
 	checks atomic.Int64
 	sorts  atomic.Int64
@@ -133,14 +132,9 @@ type Checker struct {
 // rank vectors of multi-attribute lists (0 disables caching).
 func NewChecker(r *relation.Relation, cacheCap int) *Checker {
 	return &Checker{
-		r:    r,
-		cols: make([]atomic.Pointer[rankVec], r.NumCols()+1),
-		cache: cache[rankVec]{
-			cap:    cacheCap,
-			point:  "order.checker.cacheput",
-			encode: func(v rankVec) []byte { return encodeIndex(v.ranks) },
-			decode: func(b []byte) (rankVec, error) { return decodeRanks(b, r.NumRows()) },
-		},
+		r:     r,
+		cols:  make([]atomic.Pointer[rankVec], r.NumCols()+1),
+		cache: cache{cap: cacheCap, numRows: r.NumRows()},
 	}
 }
 
@@ -153,11 +147,6 @@ func (c *Checker) Relation() *relation.Relation { return c.r }
 // answers). Not safe to call concurrently with checks.
 func (c *Checker) SetStopFlag(stop *atomic.Bool) { c.stop = stop }
 
-// SetObs attaches the rank-vector cache's hit/miss counters and the spill
-// counters from the registry (a nil registry resolves to no-op handles).
-// Not safe to call concurrently with checks.
-func (c *Checker) SetObs(reg *obs.Registry) { c.setObs(reg, "order.index_cache") }
-
 // stopped reports whether a cooperative stop has been requested.
 func (c *Checker) stopped() bool { return c.stop != nil && c.stop.Load() }
 
@@ -168,12 +157,6 @@ func (c *Checker) Checks() int64 { return c.checks.Load() }
 // Sorts returns how many rank vectors were derived (cache misses of
 // multi-attribute lists).
 func (c *Checker) Sorts() int64 { return c.sorts.Load() }
-
-// ResetStats zeroes the check and sort counters.
-func (c *Checker) ResetStats() {
-	c.checks.Store(0)
-	c.sorts.Store(0)
-}
 
 // SortedIndex returns row positions sorted ascending by list x under ⪯,
 // ties in row order (generateIndex in Algorithm 2): one counting sort of

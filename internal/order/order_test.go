@@ -287,10 +287,6 @@ func TestCheckCounter(t *testing.T) {
 	if c.Checks() != 3 {
 		t.Errorf("Checks = %d, want 3", c.Checks())
 	}
-	c.ResetStats()
-	if c.Checks() != 0 || c.Sorts() != 0 {
-		t.Error("ResetStats failed")
-	}
 }
 
 func TestIsConstantList(t *testing.T) {

@@ -8,12 +8,13 @@ import (
 
 	"ocd/internal/attr"
 	"ocd/internal/faultinject"
+	"ocd/internal/obs"
 )
 
 // checkAllAgainst runs a fixed check workload on both checkers and fails
 // on any divergence — the "never wrong results" clause of the spill
 // degradation ladder.
-func checkAllAgainst(t *testing.T, spilled, mem *PartitionChecker, lists []attr.List) {
+func checkAllAgainst(t *testing.T, spilled, mem *Checker, lists []attr.List) {
 	t.Helper()
 	for i, x := range lists {
 		for j, y := range lists {
@@ -27,12 +28,23 @@ func checkAllAgainst(t *testing.T, spilled, mem *PartitionChecker, lists []attr.
 	}
 }
 
-func spillWorkload(seed int64) (lists []attr.List, rng *rand.Rand) {
-	rng = rand.New(rand.NewSource(seed))
+// spillWorkload returns a check workload, a cap-2 checker spilling to a
+// fresh manager with its counters in reg, and an unconstrained in-memory
+// checker over the same relation. Only lists of two or more attributes
+// are cached, so the workload's multi-attribute lists are what spills.
+func spillWorkload(t *testing.T, seed int64) (lists []attr.List, spilled, mem *Checker, reg *obs.Registry) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < 12; i++ {
 		lists = append(lists, randomList(rng, 4, 2))
 	}
-	return lists, rng
+	r := randomRelation(rng, 50, 4, 3)
+	mem = NewChecker(r, 1024)
+	spilled = NewChecker(r, 2)
+	spilled.SetSpill(newTestSpill(t))
+	reg = obs.NewRegistry()
+	spilled.SetObs(reg)
+	return lists, spilled, mem, reg
 }
 
 // TestSpillReadFaultsDegradeToRecompute: every spill read fails; the
@@ -41,17 +53,20 @@ func spillWorkload(seed int64) (lists []attr.List, rng *rand.Rand) {
 func TestSpillReadFaultsDegradeToRecompute(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
-	lists, rng := spillWorkload(91)
-	r := randomRelation(rng, 50, 4, 3)
-	mem := NewPartitionChecker(r, 1024)
-	spilled := NewPartitionChecker(r, 2)
-	spilled.SetSpill(newTestSpill(t))
+	lists, spilled, mem, reg := spillWorkload(t, 91)
 
 	faultinject.Arm("spill.read", faultinject.Rule{Action: faultinject.ActionErr, EveryK: 1})
 	checkAllAgainst(t, spilled, mem, lists)
 	checkAllAgainst(t, spilled, mem, lists) // second pass would reload if reads worked
-	if _, rel := spilled.SpillStats(); rel != 0 {
+	ev, rel := spilled.SpillStats()
+	if ev == 0 {
+		t.Error("no rank vectors were spilled despite a cap-2 cache")
+	}
+	if rel != 0 {
 		t.Errorf("reloads = %d with every read failing, want 0", rel)
+	}
+	if n := reg.Counter("order.spill.recomputes").Value(); n == 0 {
+		t.Error("no recomputes counted with every read failing")
 	}
 }
 
@@ -60,16 +75,16 @@ func TestSpillReadFaultsDegradeToRecompute(t *testing.T) {
 func TestSpillWriteFaultsDegradeGracefully(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
-	lists, rng := spillWorkload(92)
-	r := randomRelation(rng, 50, 4, 3)
-	mem := NewPartitionChecker(r, 1024)
-	spilled := NewPartitionChecker(r, 2)
-	spilled.SetSpill(newTestSpill(t))
+	lists, spilled, mem, reg := spillWorkload(t, 92)
 
 	faultinject.Arm("spill.write", faultinject.Rule{Action: faultinject.ActionErr, EveryK: 1})
 	checkAllAgainst(t, spilled, mem, lists)
 	if ev, _ := spilled.SpillStats(); ev != 0 {
 		t.Errorf("evictions = %d with every write failing, want 0", ev)
+	}
+	// The evictions happened; each one's write failed twice and was dropped.
+	if n := reg.Counter("order.spill.write_failures").Value(); n == 0 {
+		t.Error("no failed spill writes counted despite a cap-2 cache")
 	}
 	// With writes failing everywhere, EvictToSpill reports no progress —
 	// the signal that lets the engine move to the next ladder rung.
@@ -84,19 +99,20 @@ func TestSpillWriteFaultsDegradeGracefully(t *testing.T) {
 func TestSpillTornSegmentsRecompute(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
-	lists, rng := spillWorkload(93)
-	r := randomRelation(rng, 50, 4, 3)
-	mem := NewPartitionChecker(r, 1024)
-	spilled := NewPartitionChecker(r, 2)
-	sm := newTestSpill(t)
-	spilled.SetSpill(sm)
+	lists, spilled, mem, reg := spillWorkload(t, 93)
 
 	faultinject.Arm("spill.write.torn", faultinject.Rule{Action: faultinject.ActionErr, EveryK: 1})
 	checkAllAgainst(t, spilled, mem, lists)
 	faultinject.Reset()
+	if ev, _ := spilled.SpillStats(); ev == 0 {
+		t.Fatal("no rank vectors were spilled despite a cap-2 cache")
+	}
 	// Everything spilled so far is torn; the second pass must detect each
 	// tear, drop the segment, and recompute.
 	checkAllAgainst(t, spilled, mem, lists)
+	if n := reg.Counter("order.spill.recomputes").Value(); n == 0 {
+		t.Error("no torn segment was detected and recomputed")
+	}
 }
 
 // TestSpillBitRotRecomputes: single-bit corruption on the read path is
@@ -104,13 +120,12 @@ func TestSpillTornSegmentsRecompute(t *testing.T) {
 func TestSpillBitRotRecomputes(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
-	lists, rng := spillWorkload(94)
-	r := randomRelation(rng, 50, 4, 3)
-	mem := NewPartitionChecker(r, 1024)
-	spilled := NewPartitionChecker(r, 2)
-	spilled.SetSpill(newTestSpill(t))
+	lists, spilled, mem, _ := spillWorkload(t, 94)
 
 	checkAllAgainst(t, spilled, mem, lists)
+	if ev, _ := spilled.SpillStats(); ev == 0 {
+		t.Fatal("no rank vectors were spilled despite a cap-2 cache")
+	}
 	faultinject.Arm("spill.read.corrupt", faultinject.Rule{Action: faultinject.ActionErr, EveryK: 2})
 	checkAllAgainst(t, spilled, mem, lists)
 }
@@ -120,16 +135,19 @@ func TestSpillBitRotRecomputes(t *testing.T) {
 func TestSpillTransientReadFaultRetries(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
-	lists, rng := spillWorkload(95)
-	r := randomRelation(rng, 50, 4, 3)
-	mem := NewPartitionChecker(r, 1024)
-	spilled := NewPartitionChecker(r, 2)
-	spilled.SetSpill(newTestSpill(t))
+	lists, spilled, mem, reg := spillWorkload(t, 95)
 
 	checkAllAgainst(t, spilled, mem, lists)
 	faultinject.Arm("spill.read", faultinject.Rule{Action: faultinject.ActionErr, EveryK: 2})
 	checkAllAgainst(t, spilled, mem, lists)
-	if _, rel := spilled.SpillStats(); rel == 0 {
+	ev, rel := spilled.SpillStats()
+	if ev == 0 {
+		t.Error("no rank vectors were spilled despite a cap-2 cache")
+	}
+	if rel == 0 {
 		t.Error("no reloads despite the retry rung healing every-other-read faults")
+	}
+	if n := reg.Counter("order.spill.recomputes").Value(); n != 0 {
+		t.Errorf("recomputes = %d, want 0: each failed read's retry succeeds", n)
 	}
 }

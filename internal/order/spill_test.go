@@ -20,63 +20,6 @@ func newTestSpill(t *testing.T) *spill.Manager {
 	return sm
 }
 
-func TestPartitionCodecRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 30; trial++ {
-		rows := 1 + rng.Intn(80)
-		r := randomRelation(rng, rows, 3, 4)
-		x := randomList(rng, 3, 3)
-		want := Base(rows)
-		for _, a := range x {
-			want = want.Extend(r, a)
-		}
-		got, err := decodePartition(encodePartition(want), rows)
-		if err != nil {
-			t.Fatalf("trial %d: decode: %v", trial, err)
-		}
-		if len(got.Idx) != len(want.Idx) || len(got.Ends) != len(want.Ends) {
-			t.Fatalf("trial %d: shape mismatch", trial)
-		}
-		for i := range want.Idx {
-			if got.Idx[i] != want.Idx[i] {
-				t.Fatalf("trial %d: Idx[%d] = %d, want %d", trial, i, got.Idx[i], want.Idx[i])
-			}
-		}
-		for i := range want.Ends {
-			if got.Ends[i] != want.Ends[i] {
-				t.Fatalf("trial %d: Ends[%d] = %d, want %d", trial, i, got.Ends[i], want.Ends[i])
-			}
-		}
-	}
-}
-
-func TestPartitionCodecRejectsBadShapes(t *testing.T) {
-	sp := Base(4).Extend(taxTable(), 0)
-	good := encodePartition(sp)
-	cases := map[string][]byte{
-		"short":      good[:10],
-		"wrong rows": good, // decoded against the wrong relation size below
-		"truncated":  good[:len(good)-4],
-	}
-	if _, err := decodePartition(cases["short"], 4); err == nil {
-		t.Error("short payload accepted")
-	}
-	if _, err := decodePartition(cases["wrong rows"], 5); err == nil {
-		t.Error("payload for 4 rows accepted for a 5-row relation")
-	}
-	if _, err := decodePartition(cases["truncated"], 4); err == nil {
-		t.Error("truncated payload accepted")
-	}
-	bad := append([]byte{}, good...)
-	bad[16] = 0xFF // Idx[0] out of range
-	bad[17] = 0xFF
-	bad[18] = 0xFF
-	bad[19] = 0x7F
-	if _, err := decodePartition(bad, 4); err == nil {
-		t.Error("out-of-range row accepted")
-	}
-}
-
 func TestIndexCodecRoundTrip(t *testing.T) {
 	idx := []int32{3, 1, 0, 2}
 	got, err := decodeIndex(encodeIndex(idx), 4)
@@ -102,43 +45,9 @@ func TestIndexCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPartitionCheckerSpillsAndReloads: a tiny cache under a spill manager
-// must evict to disk, reload on demand, and answer every check exactly as
-// an unconstrained in-memory checker does.
-func TestPartitionCheckerSpillsAndReloads(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	r := randomRelation(rng, 60, 5, 3)
-	mem := NewPartitionChecker(r, 1024)
-	spilled := NewPartitionChecker(r, 2) // tiny: almost every put evicts
-	spilled.SetSpill(newTestSpill(t))
-
-	lists := make([][2]attr.List, 0, 60)
-	for i := 0; i < 60; i++ {
-		x, y := randomList(rng, 5, 2), randomList(rng, 5, 2)
-		lists = append(lists, [2]attr.List{x, y})
-	}
-	// Two passes: the second pass hits spilled segments for lists whose
-	// partitions were evicted during the first.
-	for pass := 0; pass < 2; pass++ {
-		for i, l := range lists {
-			if got, want := spilled.CheckOD(l[0], l[1]), mem.CheckOD(l[0], l[1]); got != want {
-				t.Fatalf("pass %d list %d: CheckOD = %v, want %v", pass, i, got, want)
-			}
-			if got, want := spilled.CheckOCD(l[0], l[1]), mem.CheckOCD(l[0], l[1]); got != want {
-				t.Fatalf("pass %d list %d: CheckOCD = %v, want %v", pass, i, got, want)
-			}
-		}
-	}
-	ev, rel := spilled.SpillStats()
-	if ev == 0 {
-		t.Error("no partitions were spilled despite a cap-2 cache")
-	}
-	if rel == 0 {
-		t.Error("no partitions were reloaded from spill")
-	}
-}
-
-// TestCheckerSpillsAndReloads: same contract for the rank-vector backend.
+// TestCheckerSpillsAndReloads: a tiny cache under a spill manager must
+// evict to disk, reload on demand, and answer every check exactly as an
+// unconstrained in-memory checker does.
 func TestCheckerSpillsAndReloads(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	r := randomRelation(rng, 60, 5, 3)
@@ -169,7 +78,7 @@ func TestCheckerSpillsAndReloads(t *testing.T) {
 func TestEvictToSpill(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	r := randomRelation(rng, 40, 4, 3)
-	c := NewPartitionChecker(r, 64)
+	c := NewChecker(r, 2)
 	sm := newTestSpill(t)
 	c.SetSpill(sm)
 
@@ -178,17 +87,17 @@ func TestEvictToSpill(t *testing.T) {
 		lists = append(lists, randomList(rng, 4, 2))
 	}
 	for _, x := range lists {
-		c.Partition(x)
+		c.SortedIndex(x)
 	}
 	n := c.EvictToSpill()
-	if n == 0 {
-		t.Fatal("EvictToSpill moved nothing despite a warm cache")
+	if n <= 0 {
+		t.Fatalf("EvictToSpill = %d despite a warm cache", n)
 	}
 	if sm.Len() == 0 {
 		t.Fatal("no segments on disk after EvictToSpill")
 	}
 	// Checks after a full eviction reload from disk and stay exact.
-	mem := NewPartitionChecker(r, 64)
+	mem := NewChecker(r, 1024)
 	for i, x := range lists {
 		for j, y := range lists {
 			if got, want := c.CheckOD(x, y), mem.CheckOD(x, y); got != want {
@@ -196,20 +105,24 @@ func TestEvictToSpill(t *testing.T) {
 			}
 		}
 	}
-	_, rel := c.SpillStats()
+	ev, rel := c.SpillStats()
+	if ev == 0 {
+		t.Error("no evictions counted")
+	}
 	if rel == 0 {
 		t.Error("no reloads after a full eviction")
 	}
 
 	// Without a manager the rung reports no progress.
-	bare := NewPartitionChecker(r, 64)
-	bare.Partition(lists[0])
+	bare := NewChecker(r, 2)
+	bare.SortedIndex(attr.NewList(0, 1))
 	if n := bare.EvictToSpill(); n != 0 {
 		t.Errorf("EvictToSpill without a manager = %d, want 0", n)
 	}
 }
 
-// TestCheckerEvictToSpill mirrors TestEvictToSpill for the rank-vector backend.
+// TestCheckerEvictToSpill: a fully evicted cache reloads the same sorted
+// indexes it held.
 func TestCheckerEvictToSpill(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	r := randomRelation(rng, 40, 4, 3)

@@ -81,33 +81,7 @@ func TestRadixAborts(t *testing.T) {
 	}
 }
 
-// TestPartitionCheckerStopAborts mirrors TestCheckerStopAborts on the
-// sorted-partition backend, including that no partial partition is cached.
-func TestPartitionCheckerStopAborts(t *testing.T) {
-	r := stopRelation(t, 3000)
-	c := NewPartitionChecker(r, 16)
-	var stop atomic.Bool
-	c.SetStopFlag(&stop)
-	x, y := attr.NewList(0), attr.NewList(1)
-
-	stop.Store(true)
-	if c.Partition(attr.NewList(0, 1)) != nil {
-		t.Error("aborted Partition must return nil")
-	}
-	if c.CheckOCD(x, y) || c.CheckOD(x, y) {
-		t.Error("aborted partition checks must report invalid")
-	}
-	if res := c.CheckODFull(x, y); res.Valid || !res.HasSplit || !res.HasSwap {
-		t.Errorf("aborted CheckODFull must report both violation kinds, got %+v", res)
-	}
-
-	stop.Store(false)
-	if !c.CheckOD(x, y) || !c.CheckOCD(x, y) {
-		t.Error("checks must succeed once the stop flag clears")
-	}
-}
-
-// TestReleaseMemoryKeepsCheckersUsable: dropping the caches must not change
+// TestReleaseMemoryKeepsCheckersUsable: dropping the cache must not change
 // any answer, only force rebuilds (visible via the sort counter).
 func TestReleaseMemoryKeepsCheckersUsable(t *testing.T) {
 	r := stopRelation(t, 2000)
@@ -129,14 +103,5 @@ func TestReleaseMemoryKeepsCheckersUsable(t *testing.T) {
 	}
 	if c.Sorts() == sortsBefore {
 		t.Fatal("ReleaseMemory must force an index rebuild")
-	}
-
-	p := NewPartitionChecker(r, 16)
-	if !p.CheckOD(x, y) {
-		t.Fatal("A -> B must hold on the partition backend")
-	}
-	p.ReleaseMemory()
-	if !p.CheckOD(x, y) || !p.CheckOCD(x, y) {
-		t.Fatal("partition checks must still hold after ReleaseMemory")
 	}
 }

@@ -48,12 +48,8 @@ type Options struct {
 	// MaxCandidates bounds the total number of generated candidates
 	// (0 = none).
 	MaxCandidates int64
-	// IndexCacheSize bounds the sorted-index cache (0 = default 64).
+	// IndexCacheSize bounds the rank-vector cache (0 = default 64).
 	IndexCacheSize int
-	// UseSortedPartitions selects the incrementally derived sorted-
-	// partition backend, the structure the original ORDER implementation
-	// used; results are identical.
-	UseSortedPartitions bool
 }
 
 // Result is the output of a run.
@@ -73,15 +69,7 @@ func Discover(r *relation.Relation, opts Options) *Result {
 	if cacheSize == 0 {
 		cacheSize = 64
 	}
-	var chk interface {
-		CheckODFull(x, y attr.List) order.ODResult
-		Checks() int64
-	}
-	if opts.UseSortedPartitions {
-		chk = order.NewPartitionChecker(r, cacheSize)
-	} else {
-		chk = order.NewChecker(r, cacheSize)
-	}
+	chk := order.NewChecker(r, cacheSize)
 	res := &Result{}
 	start := time.Now()
 	var deadline time.Time

@@ -239,21 +239,3 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
-
-// TestSortedPartitionBackend: both backends of ORDER agree.
-func TestSortedPartitionBackend(t *testing.T) {
-	rng := rand.New(rand.NewSource(269))
-	for trial := 0; trial < 15; trial++ {
-		r := randomRelation(rng, 3+rng.Intn(20), 2+rng.Intn(4), 1+rng.Intn(4))
-		a := Discover(r, Options{})
-		b := Discover(r, Options{UseSortedPartitions: true})
-		if len(a.ODs) != len(b.ODs) {
-			t.Fatalf("trial %d: backends found %d vs %d ODs", trial, len(a.ODs), len(b.ODs))
-		}
-		for i := range a.ODs {
-			if !a.ODs[i].X.Equal(b.ODs[i].X) || !a.ODs[i].Y.Equal(b.ODs[i].Y) {
-				t.Fatalf("trial %d: OD sets differ", trial)
-			}
-		}
-	}
-}

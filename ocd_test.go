@@ -283,25 +283,3 @@ func TestSimplifyOrderByRepeatedAttrs(t *testing.T) {
 		}
 	}
 }
-
-// TestSortedPartitionsOption: both public backends return the same result.
-func TestSortedPartitionsOption(t *testing.T) {
-	tbl := loadTax(t)
-	a, err := tbl.Discover(Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := tbl.Discover(Options{Workers: 1, UseSortedPartitions: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.OCDs) != len(b.OCDs) || len(a.ODs) != len(b.ODs) {
-		t.Fatalf("backends disagree: %d/%d vs %d/%d",
-			len(a.OCDs), len(a.ODs), len(b.OCDs), len(b.ODs))
-	}
-	for i := range a.OCDs {
-		if a.OCDs[i].String() != b.OCDs[i].String() {
-			t.Fatal("backend OCD order differs")
-		}
-	}
-}

@@ -6,8 +6,7 @@
 #
 #   1. a run squeezed to a 1-byte heap budget with a spill dir completes
 #      un-truncated, spills (evictions > 0), and its dependencies and
-#      deterministic stats are byte-identical to an unconstrained run's —
-#      on both checker backends;
+#      deterministic stats are byte-identical to an unconstrained run's;
 #   2. the truncation ladder: the same budget *without* a spill dir is the
 #      only way to reach truncate_reason "memory-budget";
 #   3. damaged spill I/O degrades without wrong results: torn segments
@@ -88,19 +87,11 @@ step "baseline: unconstrained in-memory run"
 discover baseline.json
 [ "$(jfield baseline.json .truncated)" = "false" ] || fail "baseline truncated"
 
-step "1-byte budget + spill dir completes out-of-core, both backends"
+step "1-byte budget + spill dir completes out-of-core"
 discover spill_index.json -max-memory-bytes "$BUDGET" -spill-dir "$tmp/spill-index"
 [ "$(jfield spill_index.json .truncated)" = "false" ] || fail "budgeted index run truncated: $(jfield spill_index.json .truncate_reason)"
 [ "$(jfield spill_index.json '.spill_evictions // 0')" -gt 0 ] || fail "budgeted index run never spilled"
 assert_identical spill_index.json
-
-discover spill_sorted.json -max-memory-bytes "$BUDGET" -spill-dir "$tmp/spill-sorted" -sorted-partitions
-[ "$(jfield spill_sorted.json .truncated)" = "false" ] || fail "budgeted sorted-partition run truncated"
-[ "$(jfield spill_sorted.json '.spill_evictions // 0')" -gt 0 ] || fail "budgeted sorted-partition run never spilled"
-# The sorted-partition backend must agree on the dependencies themselves.
-diff <(jq '{ocds, ods, constant_columns, equivalent_groups}' "$LOGDIR/baseline.json") \
-    <(jq '{ocds, ods, constant_columns, equivalent_groups}' "$LOGDIR/spill_sorted.json") ||
-    fail "sorted-partition spill run found different dependencies"
 
 # seg_count <dir>: spill segments in dir; a clean run may have removed the
 # directory entirely, which counts as zero.
@@ -108,10 +99,8 @@ seg_count() {
     if [ -d "$1" ]; then find "$1" -name '*.seg' | wc -l; else echo 0; fi
 }
 
-for d in "$tmp/spill-index" "$tmp/spill-sorted"; do
-    leftovers=$(seg_count "$d")
-    [ "$leftovers" -eq 0 ] || fail "$leftovers spill segments left in $d after a clean run"
-done
+leftovers=$(seg_count "$tmp/spill-index")
+[ "$leftovers" -eq 0 ] || fail "$leftovers spill segments left in $tmp/spill-index after a clean run"
 
 step "truncation ladder: the same budget without a spill dir truncates, typed"
 discover nospill.json -max-memory-bytes "$BUDGET"

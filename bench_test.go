@@ -222,8 +222,8 @@ func BenchmarkFig5_QuasiConstant(b *testing.B) {
 // ----------------------------------------------------- Figure 6 / Table 8
 
 // BenchmarkFig6_Threads sweeps the worker count on the three Figure 6
-// datasets. On a multicore machine the normalized times fall as in the
-// paper; on a single-CPU machine they stay flat (see EXPERIMENTS.md).
+// datasets plus HEPATITIS, the lattice-heavy case where per-check cost is
+// smallest and level barriers weigh most (see EXPERIMENTS.md).
 func BenchmarkFig6_Threads(b *testing.B) {
 	load()
 	for _, d := range []struct {
@@ -233,6 +233,7 @@ func BenchmarkFig6_Threads(b *testing.B) {
 		{"LETTER", benchData.letter},
 		{"LINEITEM", benchData.lineitem},
 		{"DBTESMA", benchData.dbtesma},
+		{"HEPATITIS", benchData.hep},
 	} {
 		for _, workers := range []int{1, 2, 4, 8} {
 			opts := guard()

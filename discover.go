@@ -36,15 +36,18 @@ type Options struct {
 	DisableColumnReduction bool
 	// MaxMemoryBytes is a soft heap budget: when the heap crosses it at a
 	// level boundary the engine degrades instead of growing toward an OOM
-	// kill — with a SpillDir it moves its rank-vector cache to disk,
-	// otherwise it drops it — and truncates the run (reason
+	// kill — with a SpillDir it moves its rank-vector caches to disk,
+	// otherwise it drops them — and truncates the run (reason
 	// "memory-budget") only when nothing could be spilled and the heap
 	// stays over budget. Zero means no budget.
 	MaxMemoryBytes int64
-	// SpillDir, when non-empty, arms out-of-core discovery: the engine's
-	// caches evict cold entries to checksummed segments under this
-	// directory and reload them on demand, so a MaxMemoryBytes-budgeted run
-	// completes with identical results instead of truncating. Segments are
+	// SpillDir, when non-empty, arms out-of-core discovery: when
+	// MaxMemoryBytes trips, the engine writes its cached rank vectors to
+	// checksummed segments under this directory and reloads them on
+	// demand, so a budgeted run completes with identical results instead
+	// of truncating. Without a tripped budget nothing is written: a full
+	// cache drops its oldest entry, which is cheaper to recompute than to
+	// write. Segments are
 	// pure cache — the directory is wiped on open and emptied when the run
 	// ends, spill I/O failures degrade to recomputation (never wrong
 	// results), and an unopenable directory merely records
@@ -186,8 +189,9 @@ type Stats struct {
 	// checker cache to be spilled or dropped without truncating the run.
 	MemoryReleases int
 	// SpillEvictions counts cache entries written to spill segments under
-	// Options.SpillDir; SpillReloads counts entries read back from disk
-	// instead of recomputed. Both are zero without a spill dir.
+	// Options.SpillDir by a tripped MaxMemoryBytes budget; SpillReloads
+	// counts entries read back from disk instead of recomputed. Both are
+	// zero without a spill dir or without a budget that tripped.
 	SpillEvictions int64
 	SpillReloads   int64
 	// SpillError records why the spill directory could not be opened; the

@@ -3,18 +3,21 @@
 // every control-flow path, and that nothing blocking or expensive runs
 // inside the critical section.
 //
-// The discovery core funnels every candidate check of the parallel BFS
-// through one shared rank-vector cache (order.Checker), so its mutexes
-// sit on the hottest path of the system. Two bug classes are reported:
+// Each level worker of the parallel BFS checks through its own
+// rank-vector cache (an order.Handle), which takes no lock. The locks
+// that remain guard what is shared: the order.Checker's built-in Handle,
+// which serves the column reduction and library callers, the handle
+// registry its memory-budget rungs walk, the spill manager, the job
+// server and the metrics registry. Two bug classes are reported:
 //
 //  1. leak — a path from mu.Lock() reaches a return without an
-//     Unlock() and without an armed `defer mu.Unlock()`. A worker that
-//     leaks the checker mutex deadlocks the whole level fan-out.
+//     Unlock() and without an armed `defer mu.Unlock()`. A leaked
+//     mutex deadlocks every later caller, a whole job or level fan-out.
 //  2. held — a blocking or expensive operation executes while a mutex
 //     may be held: channel send/receive, (*sync.WaitGroup).Wait,
 //     time.Sleep, any sort.* call, or the module's rank-vector and
 //     sorted-index derivation helpers (derive, SortedIndex). These
-//     serialize all workers behind one cache probe.
+//     serialize every caller behind one lock.
 //
 // It also flags re-locking a mutex that is already held on every
 // incoming path (self-deadlock). Suppress a deliberate site with

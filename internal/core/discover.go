@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"runtime"
 	"runtime/debug"
@@ -60,8 +61,13 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) (r
 }
 
 type discoverer struct {
-	r        *relation.Relation
-	chk      *order.Checker
+	r   *relation.Relation
+	chk *order.Checker
+	// handles[w] is level worker w's view of chk, with its share of the
+	// rank-vector cache.
+	handles []*order.Handle
+	// outs[w] collects worker w's output of the current level.
+	outs     []workerOut
 	opts     Options
 	workers  int
 	deadline time.Time // zero when no timeout
@@ -131,6 +137,10 @@ func newDiscoverer(r *relation.Relation, opts Options) *discoverer {
 		universe: universe,
 		res:      &Result{RelationName: r.Name},
 	}
+	for i := 0; i < w; i++ {
+		d.handles = append(d.handles, d.chk.NewHandle(cacheShare(cacheSize, w, i)))
+	}
+	d.outs = make([]workerOut, w)
 	d.chk.SetStopFlag(&d.hardStop)
 	d.chk.SetObs(opts.Metrics)
 	d.ro = newRunObs(&opts)
@@ -138,6 +148,19 @@ func newDiscoverer(r *relation.Relation, opts Options) *discoverer {
 		d.deadline = time.Now().Add(opts.Timeout)
 	}
 	return d
+}
+
+// cacheShare is worker w's share of a rank-vector cache bound of total
+// vectors split across workers; a non-positive total disables caching.
+func cacheShare(total, workers, w int) int {
+	if total <= 0 {
+		return 0
+	}
+	n := total / workers
+	if w < total%workers {
+		n++
+	}
+	return n
 }
 
 // expired is the deterministic deadline check used at level boundaries; the
@@ -225,6 +248,10 @@ type workerOut struct {
 	ocds []OCD
 	ods  []OD
 	next []attr.Pair
+	// hash[i] is pairHash(next[i]); the merge sets dup[i] when an earlier
+	// output holds the same unordered pair.
+	hash []uint64
+	dup  []bool
 	// current is the candidate being processed, recorded before each check
 	// so a recovered panic can name it.
 	current attr.Pair
@@ -418,32 +445,45 @@ func (d *discoverer) run(ctx context.Context) (*Result, error) {
 // panicking worker never breaks the level barrier: its recover runs before
 // wg.Done, the remaining workers drain normally, and their completed output
 // is still merged.
+//
+// Workers claim consecutive chunks of the level, so siblings — which share
+// their sides' prefixes — mostly meet the same worker's cache. The merged
+// next level lists each chunk's output in chunk order: the generation
+// order of a single worker, whatever the worker count.
 func (d *discoverer) processLevel(level []attr.Pair, reduced []attr.ID, res *Result) ([]attr.Pair, bool, error) {
-	outs := make([]workerOut, d.workers)
-	if d.workers == 1 {
-		sp, t0 := d.ro.workerStart(0)
-		d.runWorker(level, 0, 1, reduced, &outs[0])
-		d.ro.workerEnd(sp, t0, &outs[0])
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < d.workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				sp, t0 := d.ro.workerStart(w)
-				d.runWorker(level, w, d.workers, reduced, &outs[w])
-				d.ro.workerEnd(sp, t0, &outs[w])
-			}(w)
-		}
-		wg.Wait()
+	size := max(1, min(maxChunk, len(level)/(8*d.workers)))
+	chunks := make([]chunkOut, (len(level)+size-1)/size)
+	var cursor atomic.Int64
+	// The previous level's outputs were copied out; reuse their buffers.
+	outs := d.outs
+	for i := range outs {
+		o := &outs[i]
+		*o = workerOut{ocds: o.ocds[:0], ods: o.ods[:0], next: o.next[:0], hash: o.hash[:0], dup: o.dup[:0]}
 	}
+	d.parallel(func(w int) {
+		sp, t0 := d.ro.workerStart(w)
+		out := &outs[w]
+		d.runWorker(w, level, size, &cursor, chunks, reduced, out)
+		d.handles[w].Flush()
+		for _, p := range out.next {
+			out.hash = append(out.hash, pairHash(p))
+			out.dup = append(out.dup, false)
+		}
+		d.ro.workerEnd(sp, t0, out)
+	})
+	// De-duplicate next-level candidates, which can be generated by two
+	// different parents (dropping the last attribute of either side of a
+	// candidate gives a valid parent): each worker owns the pairs whose
+	// hash falls in its shard.
+	uniq := make([]int, d.workers)
+	d.parallel(func(w int) { uniq[w] = dedupShard(outs, chunks, w, d.workers) })
 
-	// Merge worker outputs; de-duplicate next-level candidates, which can
-	// be generated by two different parents (dropping the last attribute
-	// of either side of a candidate gives a valid parent).
 	var errs []error
-	seen := make(map[string]struct{})
-	var next []attr.Pair
+	total := 0
+	for _, n := range uniq {
+		total += n
+	}
+	next := make([]attr.Pair, 0, total)
 	complete := true
 	for i := range outs {
 		res.OCDs = append(res.OCDs, outs[i].ocds...)
@@ -454,11 +494,12 @@ func (d *discoverer) processLevel(level []attr.Pair, reduced []attr.ID, res *Res
 		if outs[i].stopped {
 			complete = false
 		}
-		for _, p := range outs[i].next {
-			k := p.UnorderedKey()
-			if _, dup := seen[k]; !dup {
-				seen[k] = struct{}{}
-				next = append(next, p)
+	}
+	for _, c := range chunks {
+		out := &outs[c.w]
+		for k := c.from; k < c.to; k++ {
+			if !out.dup[k] {
+				next = append(next, out.next[k])
 			}
 		}
 	}
@@ -471,11 +512,111 @@ func (d *discoverer) processLevel(level []attr.Pair, reduced []attr.ID, res *Res
 	return next, complete, errors.Join(errs...)
 }
 
+// maxChunk bounds the candidates a worker claims at once; smaller levels
+// use chunks of an eighth of a worker's share, so load still balances.
+const maxChunk = 64
+
+// chunkOut locates one chunk's next-level candidates: outs[w].next[from:to].
+type chunkOut struct {
+	w, from, to int
+}
+
+// parallel runs fn(0), …, fn(d.workers-1) on that many goroutines and
+// waits for them; a single worker runs on the caller's goroutine. A panic
+// in fn is re-raised on the caller's goroutine, where DiscoverContext's
+// boundary recover turns it into a partial result.
+func (d *discoverer) parallel(fn func(w int)) {
+	if d.workers == 1 {
+		fn(0)
+		return
+	}
+	var wg sync.WaitGroup
+	panics := make([]any, d.workers)
+	for w := 0; w < d.workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			defer func() { panics[w] = recover() }()
+			fn(w)
+		}(w)
+	}
+	wg.Wait()
+	for _, v := range panics {
+		if v != nil {
+			panic(v) // lint:allow panic — re-raised for the boundary recover in DiscoverContext
+		}
+	}
+}
+
+// dedupShard marks as duplicates the pairs of shard s (hash mod shards)
+// that an earlier output, in chunk order, already holds, so the merged
+// level keeps each pair's first occurrence, and returns the number of
+// distinct pairs in the shard. Pairs are compared on a binary key of their
+// sides in canonical order.
+func dedupShard(outs []workerOut, chunks []chunkOut, s, shards int) int {
+	n := 0
+	for i := range outs {
+		n += len(outs[i].next)
+	}
+	seen := make(map[string]struct{}, n/shards+1)
+	var key []byte
+	for _, c := range chunks {
+		out := &outs[c.w]
+		for k := c.from; k < c.to; k++ {
+			if out.hash[k]%uint64(shards) != uint64(s) {
+				continue
+			}
+			key = appendPairKey(key[:0], out.next[k])
+			if _, dup := seen[string(key)]; dup {
+				out.dup[k] = true
+			} else {
+				seen[string(key)] = struct{}{}
+			}
+		}
+	}
+	return len(seen)
+}
+
+// canonical returns p's sides in a fixed order, so a pair and its mirror
+// image get the same key and hash.
+func canonical(p attr.Pair) (attr.List, attr.List) {
+	if p.X.Compare(p.Y) <= 0 {
+		return p.X, p.Y
+	}
+	return p.Y, p.X
+}
+
+// appendPairKey appends the binary key of the unordered pair p: the length
+// of its first side, then every attribute, as uvarints.
+func appendPairKey(dst []byte, p attr.Pair) []byte {
+	a, b := canonical(p)
+	dst = binary.AppendUvarint(dst, uint64(len(a)))
+	for _, l := range [2]attr.List{a, b} {
+		for _, id := range l {
+			dst = binary.AppendUvarint(dst, uint64(id))
+		}
+	}
+	return dst
+}
+
+// pairHash hashes the unordered pair p (FNV-1a over its canonical sides).
+func pairHash(p attr.Pair) uint64 {
+	a, b := canonical(p)
+	h := uint64(14695981039346656037)
+	for _, l := range [2]attr.List{a, b} {
+		for _, id := range l {
+			h = (h ^ uint64(id)) * 1099511628211
+		}
+		h = (h ^ 0xff) * 1099511628211
+	}
+	return h
+}
+
 // runWorker isolates one worker's traversal: a panic anywhere under it
 // (candidate processing, the checker, its cache) converts into a
 // *PanicError naming the candidate, requests a hard stop so sibling workers
 // bail quickly, and leaves the worker's completed output intact.
-func (d *discoverer) runWorker(level []attr.Pair, from, stride int, reduced []attr.ID, out *workerOut) {
+func (d *discoverer) runWorker(w int, level []attr.Pair, size int, cursor *atomic.Int64, chunks []chunkOut, reduced []attr.ID, out *workerOut) {
 	defer func() {
 		if v := recover(); v != nil {
 			out.err = &PanicError{Candidate: out.current, Value: v, Stack: debug.Stack()}
@@ -483,31 +624,43 @@ func (d *discoverer) runWorker(level []attr.Pair, from, stride int, reduced []at
 			d.requestStop(TruncateWorkerPanic, true)
 		}
 	}()
-	d.processRange(level, from, stride, reduced, out)
+	d.processChunks(w, level, size, cursor, chunks, reduced, out)
 }
 
-// processRange handles candidates level[from], level[from+stride], … .
-func (d *discoverer) processRange(level []attr.Pair, from, stride int, reduced []attr.ID, out *workerOut) {
-	for i := from; i < len(level); i += stride {
-		if d.reason() != TruncateNone || d.overBudget() {
-			out.stopped = true
+// processChunks claims chunks of size candidates from cursor until the
+// level is exhausted, recording where each chunk's output lies in chunks.
+func (d *discoverer) processChunks(w int, level []attr.Pair, size int, cursor *atomic.Int64, chunks []chunkOut, reduced []attr.ID, out *workerOut) {
+	h := d.handles[w]
+	for {
+		from := int(cursor.Add(int64(size))) - size
+		if from >= len(level) {
 			return
 		}
-		out.current = level[i]
-		faultinject.Point("core.worker.candidate")
-		before := len(out.next)
-		d.processCandidate(level[i], reduced, out)
-		d.generated.Add(int64(len(out.next) - before))
-		d.ro.candidateDone(d)
+		c := &chunks[from/size]
+		*c = chunkOut{w: w, from: len(out.next), to: len(out.next)}
+		for _, p := range level[from:min(from+size, len(level))] {
+			if d.reason() != TruncateNone || d.overBudget() {
+				out.stopped = true
+				return
+			}
+			out.current = p
+			faultinject.Point("core.worker.candidate")
+			d.processCandidate(h, p, reduced, out)
+			if n := len(out.next) - c.to; n > 0 {
+				d.generated.Add(int64(n))
+				c.to = len(out.next)
+			}
+			d.ro.candidateDone(d)
+		}
 	}
 }
 
 // processCandidate implements the per-candidate work of Algorithm 1 line 8
 // plus generateNextLevel (Algorithm 3).
-func (d *discoverer) processCandidate(p attr.Pair, reduced []attr.ID, out *workerOut) {
+func (d *discoverer) processCandidate(h *order.Handle, p attr.Pair, reduced []attr.ID, out *workerOut) {
 	// Single check of Theorem 4.1: X ~ Y iff the OD XY → YX holds.
 	t0 := d.ro.checkStart()
-	ok := d.chk.CheckOCD(p.X, p.Y)
+	ok := h.CheckOCD(p.X, p.Y)
 	d.ro.checkDone(t0)
 	if !ok {
 		// Invalid candidate: Theorem 3.7 prunes the whole subtree. (A
@@ -532,7 +685,7 @@ func (d *discoverer) processCandidate(p attr.Pair, reduced []attr.ID, out *worke
 	// Transitivity, and an OD implies the OCD), so the subtree is
 	// redundant and the OD itself is emitted instead.
 	t0 = d.ro.checkStart()
-	odXY := d.chk.CheckOD(p.X, p.Y)
+	odXY := h.CheckOD(p.X, p.Y)
 	d.ro.checkDone(t0)
 	if odXY {
 		out.ods = append(out.ods, OD{X: p.X, Y: p.Y})
@@ -544,7 +697,7 @@ func (d *discoverer) processCandidate(p attr.Pair, reduced []attr.ID, out *worke
 
 	// Right side, symmetric.
 	t0 = d.ro.checkStart()
-	odYX := d.chk.CheckOD(p.Y, p.X)
+	odYX := h.CheckOD(p.Y, p.X)
 	d.ro.checkDone(t0)
 	if odYX {
 		out.ods = append(out.ods, OD{X: p.Y, Y: p.X})

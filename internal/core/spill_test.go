@@ -37,13 +37,14 @@ func TestSpillKeepsBudgetedRunComplete(t *testing.T) {
 }
 
 // TestSpillSteadyStateEvictions: a tiny checker cache with a spill dir and
-// no memory budget spills on ordinary eviction and reloads on demand,
-// leaving results identical.
+// a budget that trips at every level spills the workers' caches at each
+// barrier and reloads on demand, leaving results identical.
 func TestSpillSteadyStateEvictions(t *testing.T) {
 	r := correlatedRelation(t, 80)
 	want := Discover(r, Options{})
 	got := Discover(r, Options{
 		IndexCacheSize: 2,
+		MaxMemoryBytes: 1,
 		SpillDir:       filepath.Join(t.TempDir(), "spill"),
 	})
 	if got.Stats.SpillEvictions == 0 || got.Stats.SpillReloads == 0 {
@@ -52,6 +53,28 @@ func TestSpillSteadyStateEvictions(t *testing.T) {
 	}
 	if !equalStrings(formatDeps(want), formatDeps(got)) {
 		t.Fatal("spilling changed the results")
+	}
+}
+
+// TestSpillOnlyUnderMemoryPressure: without a memory budget a spill dir
+// stays empty — a full cache drops its oldest vector instead of writing
+// it — and the results are unchanged.
+func TestSpillOnlyUnderMemoryPressure(t *testing.T) {
+	r := correlatedRelation(t, 80)
+	want := Discover(r, Options{})
+	for _, workers := range []int{1, 2} {
+		got := Discover(r, Options{
+			Workers:        workers,
+			IndexCacheSize: 2,
+			SpillDir:       filepath.Join(t.TempDir(), "spill"),
+		})
+		if got.Stats.SpillEvictions != 0 || got.Stats.SpillReloads != 0 {
+			t.Errorf("workers %d: SpillStats = (%d, %d) without a budget, want (0, 0)",
+				workers, got.Stats.SpillEvictions, got.Stats.SpillReloads)
+		}
+		if !equalStrings(formatDeps(want), formatDeps(got)) {
+			t.Fatalf("workers %d: a spill dir changed the results", workers)
+		}
 	}
 }
 
@@ -83,7 +106,7 @@ func TestSpillDirUnopenable(t *testing.T) {
 func TestSpillDirEmptiedAfterRun(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "spill")
 	r := correlatedRelation(t, 80)
-	res := Discover(r, Options{IndexCacheSize: 2, SpillDir: dir})
+	res := Discover(r, Options{IndexCacheSize: 2, MaxMemoryBytes: 1, SpillDir: dir})
 	if res.Stats.SpillEvictions == 0 {
 		t.Fatal("test needs at least one spilled segment to prove cleanup")
 	}

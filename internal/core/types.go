@@ -17,7 +17,10 @@
 // single-attribute ODs.
 //
 // Each level of the tree is processed by a pool of goroutines, mirroring the
-// paper's multi-threaded traversal (Section 4.2.2).
+// paper's multi-threaded traversal (Section 4.2.2). Each worker checks
+// through its own order.Handle, a private rank-vector cache, and claims
+// consecutive chunks of the level so that siblings, which share prefixes,
+// meet the same cache.
 package core
 
 import (
@@ -57,8 +60,11 @@ type Options struct {
 	// candidate tree; values < 1 select runtime.GOMAXPROCS(0). This is the
 	// run-time thread parameter of Section 4.2.2.
 	Workers int
-	// IndexCacheSize bounds the rank-vector cache of the order checker;
-	// 0 selects the default (64 vectors), a negative value disables it.
+	// IndexCacheSize bounds the rank-vector caches of the order checker,
+	// in vectors over all workers: each level worker has a private cache
+	// holding its share (with more workers than vectors, some workers
+	// cache nothing). 0 selects the default (64 vectors), a negative value
+	// disables caching.
 	IndexCacheSize int
 	// Timeout bounds wall-clock time; when exceeded the run stops at a
 	// level boundary and returns partial results with Truncated set,
@@ -80,18 +86,20 @@ type Options struct {
 	Columns []attr.ID
 	// MaxMemoryBytes is a soft heap budget, checked via runtime.ReadMemStats
 	// at level boundaries. When crossed the engine degrades in a fixed
-	// ladder: with a SpillDir it first moves the checker cache to disk
-	// segments, then releases what remains in memory and forces a GC; the
+	// ladder: with a SpillDir it first moves the workers' rank-vector caches
+	// to disk segments, then releases what remains in memory and forces a GC; the
 	// run truncates with TruncateMemoryBudget only when the heap stays over
 	// budget AND spilling made no progress at all — so with a working spill
 	// directory a budgeted run completes out-of-core instead of truncating.
 	// Zero means no budget.
 	MaxMemoryBytes int64
-	// SpillDir, when non-empty, arms out-of-core operation: the checker
-	// caches evict cold entries to checksummed segments under this directory
-	// and reload them on demand instead of recomputing, and a tripped
-	// MaxMemoryBytes spills the whole cache before truncation is even
-	// considered. The directory is created if missing, wiped of leftover
+	// SpillDir, when non-empty, arms out-of-core operation: a tripped
+	// MaxMemoryBytes spills every worker's rank-vector cache to checksummed
+	// segments under this directory before truncation is even considered,
+	// and cache misses reload them instead of recomputing. That rung is the
+	// only writer: an ordinary eviction from a full cache drops the vector
+	// (recomputing it costs one O(rows) pass; writing it, a synced file),
+	// so an unbudgeted run leaves the directory empty. The directory is created if missing, wiped of leftover
 	// segments on open (spill files are pure cache — after a crash they are
 	// unreachable orphans), and emptied again when the run ends. Spill I/O
 	// failures never fail the run and never produce wrong results: a failed
@@ -221,9 +229,10 @@ type Stats struct {
 	// of truncating the run).
 	MemoryReleases int
 	// SpillEvictions counts cache entries written to spill segments under
-	// Options.SpillDir (both steady-state evictions and budget-trip bulk
-	// spills); SpillReloads counts entries read back from disk instead of
-	// recomputed. Both are zero without a spill dir.
+	// Options.SpillDir, all by the budget-trip rung (ordinary evictions
+	// write nothing); SpillReloads counts entries read back from disk
+	// instead of recomputed. Both are zero without a spill dir or without
+	// a budget that tripped.
 	SpillEvictions int64
 	SpillReloads   int64
 	// SpillError records why the spill directory could not be opened; the

@@ -1,10 +1,9 @@
 package order
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
-	"sync"
-	"sync/atomic"
 
 	"ocd/internal/attr"
 	"ocd/internal/faultinject"
@@ -12,25 +11,97 @@ import (
 	"ocd/internal/spill"
 )
 
-// cache is the bounded store of the Checker's derived rank vectors: at
-// most cap entries, the oldest evicted first. With a spill manager attached
-// it works out of core: an evicted vector is written to a checksummed disk
-// segment and a miss reloads it, under the degradation ladder of spill.go.
-// The Checker embeds it, so its exported methods are the Checker's. Safe
-// for concurrent use.
-type cache struct {
-	mu      sync.Mutex
-	m       map[string]rankVec
-	keys    []string // insertion order
-	cap     int
-	numRows int // rows of every cached vector, checked on reload
+// Handle is one goroutine's view of a Checker. It owns what a check
+// mutates: a bounded FIFO cache of derived rank vectors, the check's
+// scratch arrays, and a free list of the buffers of dropped vectors, which
+// later derivations reuse. Nothing on its lookup path is shared, so it
+// takes no lock; only one goroutine may use a Handle at a time. The
+// Checker's own methods run on a built-in Handle behind a mutex.
+type Handle struct {
+	c *Checker
+	fifo
+	s scratch
 
-	sm                 *spill.Manager
-	evictions, reloads atomic.Int64
+	// free holds buffers ready for reuse. held holds the buffers dropped
+	// during the current check, which that check may still be reading;
+	// they join free when it ends.
+	free, held [][]int32
 
-	// Pre-resolved instrumentation handles; nil (no-op) until setObs.
-	obsHits, obsMisses                                               *obs.Counter
-	obsEvictions, obsReloads, obsRetries, obsRecomputes, obsFailures *obs.Counter
+	// Lookup counters, published to the Checker by Flush.
+	hits, misses, sorts int64
+}
+
+// NewHandle returns a Handle on c whose cache holds at most cacheCap rank
+// vectors of multi-attribute lists (0 disables caching). The Checker
+// remembers it, so EvictToSpill and ReleaseMemory reach its cache.
+func (c *Checker) NewHandle(cacheCap int) *Handle {
+	h := &Handle{c: c, fifo: fifo{cap: cacheCap}}
+	c.mu.Lock()
+	c.handles = append(c.handles, h)
+	c.mu.Unlock()
+	return h
+}
+
+// Flush publishes the Handle's lookup counters to the Checker: its Sorts
+// count and the order.index_cache.* counters. Call it from the goroutine
+// using the Handle, or after that goroutine is done.
+func (h *Handle) Flush() {
+	c := h.c
+	if h.sorts != 0 {
+		c.sorts.Add(h.sorts)
+	}
+	c.obsHits.Add(h.hits)
+	c.obsMisses.Add(h.misses)
+	h.hits, h.misses, h.sorts = 0, 0, 0
+}
+
+// buffer returns a rank buffer of n rows, recycled when one is free.
+func (h *Handle) buffer(n int) []int32 {
+	if k := len(h.free) - 1; k >= 0 {
+		b := h.free[k]
+		h.free[k] = nil
+		h.free = h.free[:k]
+		return b[:n]
+	}
+	return make([]int32, n)
+}
+
+// release ends a check: buffers it dropped become free for reuse.
+func (h *Handle) release() {
+	h.free = append(h.free, h.held...)
+	clear(h.held)
+	h.held = h.held[:0]
+}
+
+// cacheVec caches rv under key. The buffer of the vector it evicts, or rv's
+// own when the cache keeps nothing, is held until the check ends.
+func (h *Handle) cacheVec(key []byte, hash uint64, rv rankVec) {
+	faultinject.Point("order.checker.cacheput")
+	old, ok := h.put(key, hash, rv)
+	if !ok {
+		old = rv.ranks
+	}
+	if old != nil {
+		h.held = append(h.held, old)
+	}
+}
+
+// fifo is a bounded cache of rank vectors keyed by list: at most cap
+// entries, the oldest evicted first. ents is a ring in insertion order
+// once full (next is its oldest entry); slots is an open-addressing index
+// over the entries' hashes (entry index + 1, 0 empty), so a warm cache
+// inserts and evicts without allocating.
+type fifo struct {
+	cap   int
+	ents  []entry
+	next  int
+	slots []int32
+}
+
+type entry struct {
+	hash uint64
+	key  []byte
+	rv   rankVec
 }
 
 // keyWidth is the number of key bytes per attribute, so the first
@@ -45,10 +116,86 @@ func appendKey(dst []byte, x attr.List) []byte {
 	return dst
 }
 
+// find returns the slot holding key, or the empty slot where it belongs.
+func (f *fifo) find(key []byte, hash uint64) int {
+	mask := len(f.slots) - 1
+	for i := int(hash) & mask; ; i = (i + 1) & mask {
+		e := f.slots[i]
+		if e == 0 || (f.ents[e-1].hash == hash && bytes.Equal(f.ents[e-1].key, key)) {
+			return i
+		}
+	}
+}
+
+// get returns the vector cached under key.
+func (f *fifo) get(key []byte, hash uint64) (rankVec, bool) {
+	if len(f.ents) == 0 {
+		return rankVec{}, false
+	}
+	if e := f.slots[f.find(key, hash)]; e != 0 {
+		return f.ents[e-1].rv, true
+	}
+	return rankVec{}, false
+}
+
+// put caches rv under key, which must not be cached yet, and returns the
+// buffer of the vector it evicted (nil when none). ok is false when the
+// cache keeps nothing.
+func (f *fifo) put(key []byte, hash uint64, rv rankVec) (old []int32, ok bool) {
+	if f.cap <= 0 {
+		return nil, false
+	}
+	e := len(f.ents)
+	if e < f.cap {
+		f.ents = append(f.ents, entry{})
+		if 2*len(f.ents) > len(f.slots) {
+			f.rehash()
+		}
+	} else {
+		e, f.next = f.next, (f.next+1)%f.cap
+		f.remove(f.find(f.ents[e].key, f.ents[e].hash))
+		old = f.ents[e].rv.ranks
+	}
+	ent := &f.ents[e]
+	ent.hash, ent.key, ent.rv = hash, append(ent.key[:0], key...), rv
+	f.slots[f.find(key, hash)] = int32(e + 1)
+	return old, true
+}
+
+// rehash doubles the index for the entries, keeping it at most half full.
+func (f *fifo) rehash() {
+	f.slots = make([]int32, max(16, 2*len(f.slots)))
+	for i := range f.ents[:len(f.ents)-1] {
+		f.slots[f.find(f.ents[i].key, f.ents[i].hash)] = int32(i + 1)
+	}
+}
+
+// remove empties slot i, shifting later entries of its probe run back so
+// that every entry stays reachable from its home slot.
+func (f *fifo) remove(i int) {
+	mask := len(f.slots) - 1
+	for j := i; ; {
+		f.slots[i] = 0
+		for {
+			j = (j + 1) & mask
+			e := f.slots[j]
+			if e == 0 {
+				return
+			}
+			// The entry may fill the hole unless its home lies in (i, j].
+			if home := int(f.ents[e-1].hash) & mask; (j-home)&mask >= (j-i)&mask {
+				f.slots[i] = e
+				i = j
+				break
+			}
+		}
+	}
+}
+
 // SetObs attaches the rank-vector cache's hit/miss counters and the spill
 // counters from the registry (a nil registry resolves to no-op handles).
 // Not safe to call concurrently with checks.
-func (c *cache) SetObs(reg *obs.Registry) {
+func (c *Checker) SetObs(reg *obs.Registry) {
 	c.obsHits = reg.Counter("order.index_cache.hits")
 	c.obsMisses = reg.Counter("order.index_cache.misses")
 	c.obsEvictions = reg.Counter("order.spill.evictions")
@@ -58,47 +205,21 @@ func (c *cache) SetObs(reg *obs.Registry) {
 	c.obsFailures = reg.Counter("order.spill.write_failures")
 }
 
-// get returns the entry cached under key.
-func (c *cache) get(key []byte) (rankVec, bool) {
-	c.mu.Lock()
-	v, ok := c.m[string(key)]
-	c.mu.Unlock()
-	return v, ok
+// SetSpill attaches a spill manager: EvictToSpill writes cached vectors to
+// it and cache misses reload them. Not safe to call concurrently with
+// checks.
+func (c *Checker) SetSpill(sm *spill.Manager) { c.sm = sm }
+
+// SpillStats returns how many entries were spilled to disk and how many
+// were reloaded from it.
+func (c *Checker) SpillStats() (evictions, reloads int64) {
+	return c.evictions.Load(), c.reloads.Load()
 }
 
-// put caches v under key unless already present. The entry it evicts
-// spills when a manager is attached — file I/O outside the lock, so
-// concurrent checks keep flowing.
-func (c *cache) put(key string, v rankVec) {
-	if c.cap <= 0 {
-		return
-	}
-	faultinject.Point("order.checker.cacheput")
-	var oldKey string
-	var old rankVec
-	c.mu.Lock()
-	if _, dup := c.m[key]; !dup {
-		if len(c.keys) >= c.cap {
-			oldKey, old = c.keys[0], c.m[c.keys[0]]
-			delete(c.m, oldKey)
-			c.keys = c.keys[1:]
-		}
-		if c.m == nil {
-			c.m = make(map[string]rankVec)
-		}
-		c.m[key] = v
-		c.keys = append(c.keys, key)
-	}
-	c.mu.Unlock()
-	if oldKey != "" && c.sm != nil {
-		c.spill(oldKey, old)
-	}
-}
-
-// spill writes one evicted entry with the write rung of the ladder: retry
-// once, then give up — the entry is recomputed when next needed. Reports
-// whether the entry is durably spilled.
-func (c *cache) spill(key string, v rankVec) bool {
+// spill writes one entry with the write rung of the ladder: retry once,
+// then give up — the entry is recomputed when next needed. Reports whether
+// the entry is durably spilled.
+func (c *Checker) spill(key string, v rankVec) bool {
 	payload := encodeIndex(v.ranks)
 	if err := c.sm.Put(key, payload); err != nil {
 		c.obsRetries.Inc()
@@ -115,25 +236,27 @@ func (c *cache) spill(key string, v rankVec) bool {
 // load reloads key's spilled entry with the read rung of the ladder: retry
 // once on any failure, then drop the segment so the caller recomputes. A
 // segment that fails the structural decode is dropped the same way, so
-// damaged data never reaches a check.
-func (c *cache) load(key string) (rankVec, bool) {
-	if c.sm == nil {
+// damaged data never reaches a check. Until EvictToSpill has written a
+// segment it costs one atomic load.
+func (c *Checker) load(key []byte) (rankVec, bool) {
+	if !c.spilled.Load() {
 		return rankVec{}, false
 	}
-	payload, err := c.sm.Get(key)
+	k := string(key)
+	payload, err := c.sm.Get(k)
 	if errors.Is(err, spill.ErrNoSegment) {
 		return rankVec{}, false
 	}
 	if err != nil {
 		c.obsRetries.Inc()
-		payload, err = c.sm.Get(key)
+		payload, err = c.sm.Get(k)
 	}
 	var v rankVec
 	if err == nil {
-		v, err = decodeRanks(payload, c.numRows)
+		v, err = decodeRanks(payload, c.r.NumRows())
 	}
 	if err != nil {
-		c.sm.Drop(key)
+		c.sm.Drop(k)
 		c.obsRecomputes.Inc()
 		return rankVec{}, false
 	}
@@ -142,48 +265,50 @@ func (c *cache) load(key string) (rankVec, bool) {
 	return v, true
 }
 
-// SetSpill attaches a spill manager: cache evictions spill to disk and
-// misses reload from it. Not safe to call concurrently with checks.
-func (c *cache) SetSpill(sm *spill.Manager) { c.sm = sm }
-
-// SpillStats returns how many entries were spilled to disk and how many
-// were reloaded from it.
-func (c *cache) SpillStats() (evictions, reloads int64) {
-	return c.evictions.Load(), c.reloads.Load()
-}
-
-// ReleaseMemory drops every cached entry, the degradation step of the
-// engine's soft memory budget. The checker stays fully usable; later
-// lookups derive (and re-cache) their entries.
-func (c *cache) ReleaseMemory() {
+// ReleaseMemory drops every cached entry and free buffer of every Handle,
+// the degradation step of the engine's soft memory budget. The checker
+// stays fully usable; later lookups derive (and re-cache) their entries.
+// No Handle may be checking meanwhile.
+func (c *Checker) ReleaseMemory() {
 	c.mu.Lock()
-	c.m, c.keys = nil, nil
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	for _, h := range c.handles {
+		h.fifo = fifo{cap: h.cap}
+		h.free = nil
+	}
 }
 
-// EvictToSpill moves every cached entry to disk and clears the memory
-// cache — the engine's first response to a tripped memory budget. It
-// returns the number of entries durably spilled; 0 (no spill manager, or
-// every write failed) tells the engine this rung made no progress. An
-// empty cache returns -1: the rung is idle, not exhausted. The checker
-// then holds only the relation's own columns, which no spill can free, and
-// the next level's longer lists give the rung something to move.
-func (c *cache) EvictToSpill() int {
+// EvictToSpill moves every cached entry of every Handle to disk and clears
+// the memory caches — the engine's first response to a tripped memory
+// budget, and the only path that writes segments. It returns the number of
+// entries durably spilled; 0 (no spill manager, or every write failed)
+// tells the engine this rung made no progress. Empty caches return -1:
+// the rung is idle, not exhausted. The checker then holds only the
+// relation's own columns, which no spill can free, and the next level's
+// longer lists give the rung something to move. No Handle may be checking
+// meanwhile.
+func (c *Checker) EvictToSpill() int {
 	if c.sm == nil {
 		return 0
 	}
 	c.mu.Lock()
-	keys, m := c.keys, c.m
-	c.m, c.keys = nil, nil
-	c.mu.Unlock()
-	if len(keys) == 0 {
-		return -1
-	}
-	n := 0
-	for _, k := range keys {
-		if c.spill(k, m[k]) {
-			n++
+	defer c.mu.Unlock()
+	n, seen := 0, false
+	for _, h := range c.handles {
+		for _, e := range h.ents {
+			seen = true
+			if c.spill(string(e.key), e.rv) {
+				n++
+			}
 		}
+		h.fifo = fifo{cap: h.cap}
+		h.free = nil
+	}
+	if n > 0 {
+		c.spilled.Store(true)
+	}
+	if !seen {
+		return -1
 	}
 	return n
 }

@@ -30,11 +30,15 @@
 package order
 
 import (
+	"hash/maphash"
+	"sync"
 	"sync/atomic"
 
 	"ocd/internal/attr"
 	"ocd/internal/faultinject"
+	"ocd/internal/obs"
 	"ocd/internal/relation"
+	"ocd/internal/spill"
 )
 
 // stopCheckMask throttles cooperative-stop polling inside row scans: the
@@ -104,10 +108,14 @@ type ODResult struct {
 	SwapWitness  Violation
 }
 
-// Checker performs order checks against a fixed relation, caching the rank
-// vectors of attribute lists. It is safe for concurrent use; the paper's
-// multi-threaded tree traversal (Section 4.2.2) shares one Checker across
-// workers.
+// Checker performs order checks against a fixed relation. It holds what
+// every check shares: the relation's column rank vectors, the spill
+// manager, the check counter and the stop flag. What a check mutates — the
+// cache of derived rank vectors, scratch arrays, recycled buffers — lives
+// in a Handle, one per goroutine: the paper's multi-threaded tree
+// traversal (Section 4.2.2) gives each worker its own. The Checker's own
+// methods run on a built-in Handle behind a mutex, so a Checker is safe
+// for concurrent use.
 type Checker struct {
 	r *relation.Relation
 
@@ -115,8 +123,8 @@ type Checker struct {
 	// last slot holds the empty list's all-zero vector.
 	cols []atomic.Pointer[rankVec]
 
-	// cache holds the derived vectors of multi-attribute lists.
-	cache
+	// seed hashes the cache keys of every Handle.
+	seed maphash.Seed
 
 	checks atomic.Int64
 	sorts  atomic.Int64
@@ -126,16 +134,34 @@ type Checker struct {
 	// and nothing partial is ever cached. Armed by the discovery engine's
 	// context watcher.
 	stop *atomic.Bool
+
+	// sm is the spill manager; spilled reports that EvictToSpill wrote a
+	// segment, so a cache miss may find one.
+	sm                 *spill.Manager
+	spilled            atomic.Bool
+	evictions, reloads atomic.Int64
+
+	// Pre-resolved instrumentation handles; nil (no-op) until SetObs.
+	obsHits, obsMisses                                               *obs.Counter
+	obsEvictions, obsReloads, obsRetries, obsRecomputes, obsFailures *obs.Counter
+
+	// mu serializes the Checker's own methods on own and guards handles,
+	// every Handle made on this Checker (own included).
+	mu      sync.Mutex
+	own     *Handle
+	handles []*Handle
 }
 
-// NewChecker returns a Checker over r whose cache holds at most cacheCap
-// rank vectors of multi-attribute lists (0 disables caching).
+// NewChecker returns a Checker over r whose built-in Handle caches at most
+// cacheCap rank vectors of multi-attribute lists (0 disables caching).
 func NewChecker(r *relation.Relation, cacheCap int) *Checker {
-	return &Checker{
-		r:     r,
-		cols:  make([]atomic.Pointer[rankVec], r.NumCols()+1),
-		cache: cache{cap: cacheCap, numRows: r.NumRows()},
+	c := &Checker{
+		r:    r,
+		cols: make([]atomic.Pointer[rankVec], r.NumCols()+1),
+		seed: maphash.MakeSeed(),
 	}
+	c.own = c.NewHandle(cacheCap)
+	return c
 }
 
 // Relation returns the relation the checker operates on.
@@ -155,7 +181,7 @@ func (c *Checker) stopped() bool { return c.stop != nil && c.stop.Load() }
 func (c *Checker) Checks() int64 { return c.checks.Load() }
 
 // Sorts returns how many rank vectors were derived (cache misses of
-// multi-attribute lists).
+// multi-attribute lists), as of each Handle's last Flush.
 func (c *Checker) Sorts() int64 { return c.sorts.Load() }
 
 // SortedIndex returns row positions sorted ascending by list x under ⪯,
@@ -163,14 +189,17 @@ func (c *Checker) Sorts() int64 { return c.sorts.Load() }
 // the rows by x's rank vector. Do not mutate the result. A nil return means
 // the build was aborted by the stop flag.
 func (c *Checker) SortedIndex(x attr.List) []int32 {
-	s := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(s)
-	rv, ok := c.ranks(x, s)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	h := c.own
+	defer h.Flush()
+	defer h.release()
+	rv, ok := h.ranks(x)
 	if !ok {
 		return nil
 	}
 	idx := make([]int32, len(rv.ranks))
-	if !c.countSort(idx, nil, rv, s) {
+	if !h.countSort(idx, nil, rv) {
 		return nil
 	}
 	return idx
@@ -196,15 +225,32 @@ func (c *Checker) CheckODFull(x, y attr.List) ODResult {
 	return c.check(x, y, scanFull)
 }
 
+// check runs one check on the built-in Handle.
+func (c *Checker) check(x, y attr.List, mode scanMode) ODResult {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	defer c.own.Flush()
+	return c.own.check(x, y, mode)
+}
+
+// CheckOCD is Checker.CheckOCD on this Handle's cache.
+func (h *Handle) CheckOCD(x, y attr.List) bool {
+	return h.check(x, y, scanOCD).Valid
+}
+
+// CheckOD is Checker.CheckOD on this Handle's cache.
+func (h *Handle) CheckOD(x, y attr.List) bool {
+	return h.check(x, y, scanOD).Valid
+}
+
 // check runs one candidate check: exactly one Checks() increment, then the
 // grouped scan. An aborted check conservatively reports both violation
 // kinds so no pruning rule treats the candidate as verified.
-func (c *Checker) check(x, y attr.List, mode scanMode) ODResult {
-	c.checks.Add(1)
+func (h *Handle) check(x, y attr.List, mode scanMode) ODResult {
+	h.c.checks.Add(1)
 	faultinject.Point("order.checker.check")
-	s := scratchPool.Get().(*scratch)
-	res, ok := c.scan(x, y, mode, s)
-	scratchPool.Put(s)
+	res, ok := h.scan(x, y, mode)
+	h.release()
 	if !ok {
 		return ODResult{HasSplit: true, HasSwap: true}
 	}

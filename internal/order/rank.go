@@ -1,9 +1,9 @@
 package order
 
 import (
+	"hash/maphash"
 	"math"
 	"slices"
-	"sync"
 
 	"ocd/internal/attr"
 )
@@ -17,8 +17,8 @@ type rankVec struct {
 	dom   int
 }
 
-// scratch is the working memory of one check, pooled so that a check over
-// cached lists allocates nothing.
+// scratch is the working memory of a Handle's checks, reused so that a
+// check over cached lists allocates nothing.
 type scratch struct {
 	key          []byte  // cache key of the list being resolved
 	lo, hi       []int32 // per X-group minimum and maximum Y-rank
@@ -26,8 +26,6 @@ type scratch struct {
 	cnt          []int32 // counting-sort buckets or composite-key marks
 	buf, ord     []int32 // row orders of a counting derivation
 }
-
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // grow resizes *s to n, reallocating only when its capacity is short.
 func grow(s *[]int32, n int) []int32 {
@@ -43,41 +41,42 @@ func grow(s *[]int32, n int) []int32 {
 const compositeSlack = 1024
 
 // ranks returns x's rank vector; ok is false when the stop flag aborted a
-// derivation.
-func (c *Checker) ranks(x attr.List, s *scratch) (rankVec, bool) {
-	s.key = appendKey(s.key[:0], x)
-	return c.lookup(x, s.key, s)
+// derivation. The vector stays valid until the check ends (release).
+func (h *Handle) ranks(x attr.List) (rankVec, bool) {
+	h.s.key = appendKey(h.s.key[:0], x)
+	return h.lookup(x, h.s.key)
 }
 
 // lookup resolves the rank vector of x, whose cache key is key: a column
 // directly, a longer list from the cache, from its spilled segment, or by
 // derivation from its prefix (resolved the same way). Only completed
 // derivations are cached.
-func (c *Checker) lookup(x attr.List, key []byte, s *scratch) (rankVec, bool) {
+func (h *Handle) lookup(x attr.List, key []byte) (rankVec, bool) {
+	c := h.c
 	if len(x) < 2 {
 		return c.column(x), true
 	}
-	if rv, ok := c.get(key); ok {
-		c.obsHits.Inc()
+	hash := maphash.Bytes(c.seed, key)
+	if rv, ok := h.get(key, hash); ok {
+		h.hits++
 		return rv, true
 	}
-	c.obsMisses.Inc()
-	k := string(key)
+	h.misses++
 	// A spilled exact match beats deriving: one verified disk read. Damaged
 	// or missing segments fall through to a derivation — always correct.
-	if rv, ok := c.load(k); ok {
-		c.put(k, rv)
+	if rv, ok := c.load(key); ok {
+		h.cacheVec(key, hash, rv)
 		return rv, true
 	}
-	parent, ok := c.lookup(x[:len(x)-1], key[:len(key)-keyWidth], s)
+	parent, ok := h.lookup(x[:len(x)-1], key[:len(key)-keyWidth])
 	if !ok {
 		return rankVec{}, false
 	}
-	rv, ok := c.derive(parent, c.column(x[len(x)-1:]), s)
+	rv, ok := h.derive(parent, c.column(x[len(x)-1:]))
 	if !ok {
 		return rankVec{}, false
 	}
-	c.put(k, rv)
+	h.cacheVec(key, hash, rv)
 	return rv, true
 }
 
@@ -129,14 +128,15 @@ func denseCodes(codes []int32) rankVec {
 // col in O(rows + domain). When the pair space p.dom·col.dom is small it
 // marks the composite keys present and numbers them in key order;
 // otherwise two stable counting passes order the rows by (p, col) and a
-// walk numbers the distinct pairs. ok is false when the stop flag aborted
-// it.
+// walk numbers the distinct pairs. The result lives in a recycled buffer;
+// ok is false when the stop flag aborted it.
 // lint:hot
-func (c *Checker) derive(p, col rankVec, s *scratch) (rankVec, bool) {
-	c.sorts.Add(1)
+func (h *Handle) derive(p, col rankVec) (rankVec, bool) {
+	h.sorts++
+	c, s := h.c, &h.s
 	n := len(p.ranks)
 	pr, cr := p.ranks, col.ranks[:n]
-	out := make([]int32, n)
+	out := h.buffer(n)
 	if span := p.dom * col.dom; span <= 2*n+compositeSlack {
 		mark := grow(&s.cnt, span)
 		clear(mark)
@@ -167,7 +167,7 @@ func (c *Checker) derive(p, col rankVec, s *scratch) (rankVec, bool) {
 		return rankVec{out, int(d)}, true
 	}
 	buf, ord := grow(&s.buf, n), grow(&s.ord, n)
-	if !c.countSort(buf, nil, col, s) || !c.countSort(ord, buf, p, s) {
+	if !h.countSort(buf, nil, col) || !h.countSort(ord, buf, p) {
 		return rankVec{}, false
 	}
 	d, prevP, prevC := int32(-1), int32(-1), int32(-1)
@@ -187,8 +187,9 @@ func (c *Checker) derive(p, col rankVec, s *scratch) (rankVec, bool) {
 // is nil) to dst, stably sorted by their rank in key: one counting sort.
 // It reports false when the stop flag aborted it.
 // lint:hot
-func (c *Checker) countSort(dst, src []int32, key rankVec, s *scratch) bool {
-	cnt := grow(&s.cnt, key.dom+1)
+func (h *Handle) countSort(dst, src []int32, key rankVec) bool {
+	c := h.c
+	cnt := grow(&h.s.cnt, key.dom+1)
 	clear(cnt)
 	for i, k := range key.ranks {
 		if uint32(i)&stopCheckMask == 0 && c.stopped() {
@@ -222,21 +223,24 @@ type scanMode int
 
 const (
 	scanOCD  scanMode = iota // swaps only; the first one ends the scan
-	scanOD                   // splits and swaps; the first one ends the scan
+	scanOD                   // splits and swaps; the first one ends the scan, a split even mid-row-pass
 	scanFull                 // both kinds, each with a witness pair
 )
 
 // scan checks X against Y (see the package comment): one pass over the
 // rows collects each X-group's minimum and maximum Y-rank and the rows
-// holding them, then one pass walks the groups in rank order. ok is false
-// when the stop flag aborted it.
+// holding them, then one pass walks the groups in rank order. In scanOD
+// mode the row pass ends at the first split, a row whose Y-rank differs
+// from the first of its X-group; the group pass then only looks for swaps.
+// ok is false when the stop flag aborted it.
 // lint:hot
-func (c *Checker) scan(x, y attr.List, mode scanMode, s *scratch) (res ODResult, ok bool) {
-	xv, ok := c.ranks(x, s)
+func (h *Handle) scan(x, y attr.List, mode scanMode) (res ODResult, ok bool) {
+	c, s := h.c, &h.s
+	xv, ok := h.ranks(x)
 	if !ok {
 		return res, false
 	}
-	yv, ok := c.ranks(y, s)
+	yv, ok := h.ranks(y)
 	if !ok {
 		return res, false
 	}
@@ -249,23 +253,37 @@ func (c *Checker) scan(x, y attr.List, mode scanMode, s *scratch) (res ODResult,
 	}
 	xr, yr := xv.ranks, yv.ranks[:len(xv.ranks)]
 	loRow, hiRow := grow(&s.loRow, xv.dom), grow(&s.hiRow, xv.dom)
-	for i, g := range xr {
-		if uint32(i)&stopCheckMask == 0 && c.stopped() {
-			return res, false
+	if mode == scanOD {
+		for i, g := range xr {
+			if uint32(i)&stopCheckMask == 0 && c.stopped() {
+				return res, false
+			}
+			if v := yr[i]; hi[g] < 0 {
+				lo[g], hi[g] = v, v
+			} else if v != lo[g] {
+				res.HasSplit = true
+				return res, true
+			}
 		}
-		if v := yr[i]; v < lo[g] {
-			lo[g], loRow[g] = v, int32(i)
-		}
-		if v := yr[i]; v > hi[g] {
-			hi[g], hiRow[g] = v, int32(i)
+	} else {
+		for i, g := range xr {
+			if uint32(i)&stopCheckMask == 0 && c.stopped() {
+				return res, false
+			}
+			if v := yr[i]; v < lo[g] {
+				lo[g], loRow[g] = v, int32(i)
+			}
+			if v := yr[i]; v > hi[g] {
+				hi[g], hiRow[g] = v, int32(i)
+			}
 		}
 	}
 	run, runRow := int32(-1), int32(0)
-	for g, h := range hi {
+	for g, top := range hi {
 		if uint32(g)&stopCheckMask == 0 && c.stopped() {
 			return res, false
 		}
-		if h < 0 {
+		if top < 0 {
 			continue // no row has this rank
 		}
 		if lo[g] < run && !res.HasSwap {
@@ -275,7 +293,7 @@ func (c *Checker) scan(x, y attr.List, mode scanMode, s *scratch) (res ODResult,
 			}
 			res.SwapWitness = Violation{Kind: Swap, P: int(runRow), Q: int(loRow[g])}
 		}
-		if lo[g] != h && mode != scanOCD && !res.HasSplit {
+		if lo[g] != top && mode != scanOCD && !res.HasSplit {
 			res.HasSplit = true
 			if mode != scanFull {
 				return res, true
@@ -285,8 +303,8 @@ func (c *Checker) scan(x, y attr.List, mode scanMode, s *scratch) (res ODResult,
 		if res.HasSplit && res.HasSwap {
 			break
 		}
-		if h > run {
-			run, runRow = h, hiRow[g]
+		if top > run {
+			run, runRow = top, hiRow[g]
 		}
 	}
 	return res, true

@@ -171,13 +171,12 @@ func TestDeriveStrategiesAgree(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		r := randomRelation(rng, 1+rng.Intn(300), 2, 1+rng.Intn(30))
 		c := NewChecker(r, 0)
-		s := new(scratch)
 		p, col := c.column(attr.NewList(0)), c.column(attr.NewList(1))
-		marked, _ := c.derive(p, col, s)
+		marked, _ := c.own.derive(p, col)
 		// Unused ranks are legal, so an inflated domain forces the
 		// counting passes without changing the order.
 		p.dom += 4 * r.NumRows() * compositeSlack
-		counted, _ := c.derive(p, col, s)
+		counted, _ := c.own.derive(p, col)
 		if marked.dom != counted.dom || !slices.Equal(marked.ranks, counted.ranks) {
 			t.Fatalf("trial %d: marked %v (dom %d) != counted %v (dom %d)", trial, marked.ranks, marked.dom, counted.ranks, counted.dom)
 		}
@@ -279,12 +278,59 @@ func TestSlicedRelationChecksMatchFreshEncoding(t *testing.T) {
 	}
 }
 
-// TestWarmChecksDoNotAllocate: once the lists' rank vectors are cached, a
-// check allocates nothing.
-func TestWarmChecksDoNotAllocate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop items at random")
+// TestODEarlyExitMatchesAlgorithm2: CheckOD's row pass ends at the first
+// row whose Y-rank differs from its X-group's first. Splits involving row 0,
+// found at row 1, and found only at the last row — each with and without a
+// swap elsewhere — agree with Algorithm 2, as do split-free instances whose
+// only violation is a swap at the last row.
+func TestODEarlyExitMatchesAlgorithm2(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rows [][]int // columns A, B; the check is A → B
+	}{
+		{"row 0 splits with the last row", [][]int{{1, 0}, {2, 5}, {3, 6}, {1, 1}}},
+		{"row 0 splits with the last row, swap too", [][]int{{1, 0}, {2, 9}, {3, 8}, {1, 1}}},
+		{"row 1 splits with row 0", [][]int{{4, 2}, {4, 3}, {5, 4}, {6, 5}}},
+		{"row 1 splits with row 0, swap too", [][]int{{5, 1}, {5, 2}, {1, 3}, {6, 0}}},
+		{"last row splits", [][]int{{1, 1}, {2, 2}, {3, 3}, {2, 7}}},
+		{"last row splits, swap too", [][]int{{1, 5}, {2, 4}, {3, 6}, {3, 7}}},
+		{"last row swaps, no split", [][]int{{1, 1}, {2, 2}, {3, 3}, {4, 0}}},
+		{"valid", [][]int{{1, 1}, {2, 2}, {2, 2}, {3, 3}}},
+	} {
+		r := relation.FromInts("t", []string{"A", "B"}, tc.rows)
+		x, y := attr.NewList(0), attr.NewList(1)
+		split, swap := algorithm2(r, x, y)
+		c := NewChecker(r, 4)
+		if got := c.CheckOD(x, y); got != (!split && !swap) {
+			t.Errorf("%s: CheckOD = %v, Algorithm 2 split %v swap %v", tc.name, got, split, swap)
+		}
+		if full := c.CheckODFull(x, y); full.HasSplit != split || full.HasSwap != swap {
+			t.Errorf("%s: CheckODFull = %+v, Algorithm 2 split %v swap %v", tc.name, full, split, swap)
+		}
+		// The same instances through a derived two-attribute LHS.
+		r2 := relation.FromInts("t", []string{"A", "Z", "B"}, appendZero(tc.rows))
+		xz := attr.NewList(0, 1)
+		split, swap = algorithm2(r2, xz, attr.NewList(2))
+		if got := NewChecker(r2, 4).CheckOD(xz, attr.NewList(2)); got != (!split && !swap) {
+			t.Errorf("%s: CheckOD(AZ → B) = %v, Algorithm 2 split %v swap %v", tc.name, got, split, swap)
+		}
 	}
+}
+
+// appendZero inserts a constant 0 column after each row's first value.
+func appendZero(rows [][]int) [][]int {
+	out := make([][]int, len(rows))
+	for i, row := range rows {
+		out[i] = []int{row[0], 0, row[1]}
+	}
+	return out
+}
+
+// TestWarmChecksDoNotAllocate: once the lists' rank vectors are cached, a
+// check allocates nothing; and a warm Handle whose cache is full derives
+// every vector into a recycled buffer, so checks that evict and re-derive
+// allocate nothing either.
+func TestWarmChecksDoNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	c := NewChecker(randomRelation(rng, 3000, 5, 40), 64)
 	x, y, col := attr.NewList(0, 1), attr.NewList(2, 3), attr.NewList(4)
@@ -298,5 +344,25 @@ func TestWarmChecksDoNotAllocate(t *testing.T) {
 		if n := testing.AllocsPerRun(100, check); n != 0 {
 			t.Errorf("warm %s: %v allocations per check, want 0", name, n)
 		}
+	}
+
+	h := c.NewHandle(2)
+	lists := []attr.List{attr.NewList(0, 1, 2), attr.NewList(3, 4), attr.NewList(1, 0), attr.NewList(2, 4, 3)}
+	k := 0
+	churn := func() {
+		h.CheckOCD(lists[k%4], lists[(k+1)%4])
+		h.CheckOD(lists[(k+2)%4], lists[(k+3)%4])
+		k++
+	}
+	for i := 0; i < 8; i++ {
+		churn()
+	}
+	h.Flush()
+	before := c.Sorts()
+	if n := testing.AllocsPerRun(100, churn); n != 0 {
+		t.Errorf("warm Handle deriving through a full cache: %v allocations per round, want 0", n)
+	}
+	if h.Flush(); c.Sorts()-before < 100 {
+		t.Errorf("only %d derivations in 101 rounds: the cache did not churn", c.Sorts()-before)
 	}
 }

@@ -13,10 +13,13 @@ import (
 
 // checkAllAgainst runs a fixed check workload on both checkers and fails
 // on any divergence — the "never wrong results" clause of the spill
-// degradation ladder.
+// degradation ladder. Before each row of the workload the spilled
+// checker's cache goes to disk, as at a tripped memory budget, so the row
+// reloads what earlier rows cached.
 func checkAllAgainst(t *testing.T, spilled, mem *Checker, lists []attr.List) {
 	t.Helper()
 	for i, x := range lists {
+		spilled.EvictToSpill()
 		for j, y := range lists {
 			if got, want := spilled.CheckOD(x, y), mem.CheckOD(x, y); got != want {
 				t.Fatalf("(%d,%d): CheckOD = %v, want %v", i, j, got, want)
@@ -31,7 +34,8 @@ func checkAllAgainst(t *testing.T, spilled, mem *Checker, lists []attr.List) {
 // spillWorkload returns a check workload, a cap-2 checker spilling to a
 // fresh manager with its counters in reg, and an unconstrained in-memory
 // checker over the same relation. Only lists of two or more attributes
-// are cached, so the workload's multi-attribute lists are what spills.
+// are cached, so the workload's multi-attribute lists are what spills
+// (checkAllAgainst evicts them to disk).
 func spillWorkload(t *testing.T, seed int64) (lists []attr.List, spilled, mem *Checker, reg *obs.Registry) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -71,7 +75,7 @@ func TestSpillReadFaultsDegradeToRecompute(t *testing.T) {
 }
 
 // TestSpillWriteFaultsDegradeGracefully: every spill write fails (ENOSPC,
-// say); evictions silently become plain drops and results stay exact.
+// say); spills to disk silently become plain drops and results stay exact.
 func TestSpillWriteFaultsDegradeGracefully(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
@@ -82,7 +86,7 @@ func TestSpillWriteFaultsDegradeGracefully(t *testing.T) {
 	if ev, _ := spilled.SpillStats(); ev != 0 {
 		t.Errorf("evictions = %d with every write failing, want 0", ev)
 	}
-	// The evictions happened; each one's write failed twice and was dropped.
+	// The spills happened; each one's write failed twice and was dropped.
 	if n := reg.Counter("order.spill.write_failures").Value(); n == 0 {
 		t.Error("no failed spill writes counted despite a cap-2 cache")
 	}

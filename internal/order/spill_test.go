@@ -45,9 +45,10 @@ func TestIndexCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckerSpillsAndReloads: a tiny cache under a spill manager must
-// evict to disk, reload on demand, and answer every check exactly as an
-// unconstrained in-memory checker does.
+// TestCheckerSpillsAndReloads: a tiny cache under a spill manager, evicted
+// to disk every few checks as a tripped memory budget would, must reload
+// on demand and answer every check exactly as an unconstrained in-memory
+// checker does.
 func TestCheckerSpillsAndReloads(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	r := randomRelation(rng, 60, 5, 3)
@@ -58,6 +59,9 @@ func TestCheckerSpillsAndReloads(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		rng2 := rand.New(rand.NewSource(7))
 		for i := 0; i < 60; i++ {
+			if i%5 == 0 {
+				spilled.EvictToSpill()
+			}
 			x, y := randomList(rng2, 5, 2), randomList(rng2, 5, 2)
 			if got, want := spilled.CheckOD(x, y), mem.CheckOD(x, y); got != want {
 				t.Fatalf("pass %d check %d: CheckOD = %v, want %v", pass, i, got, want)
@@ -118,6 +122,26 @@ func TestEvictToSpill(t *testing.T) {
 	bare.SortedIndex(attr.NewList(0, 1))
 	if n := bare.EvictToSpill(); n != 0 {
 		t.Errorf("EvictToSpill without a manager = %d, want 0", n)
+	}
+}
+
+// TestPlainEvictionWritesNoSegment: without a tripped budget, a full cache
+// drops its oldest vector; only EvictToSpill writes segments.
+func TestPlainEvictionWritesNoSegment(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	r := randomRelation(rng, 40, 5, 3)
+	c := NewChecker(r, 1)
+	sm := newTestSpill(t)
+	c.SetSpill(sm)
+	for i := 0; i < 40; i++ {
+		c.CheckOD(randomList(rng, 5, 2), randomList(rng, 5, 2))
+	}
+	c.own.Flush()
+	if c.Sorts() < 2 {
+		t.Fatalf("%d derivations cannot have evicted from a 1-entry cache", c.Sorts())
+	}
+	if ev, _ := c.SpillStats(); ev != 0 || sm.Puts() != 0 {
+		t.Errorf("plain evictions wrote %d segments (%d counted), want 0", sm.Puts(), ev)
 	}
 }
 

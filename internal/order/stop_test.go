@@ -65,19 +65,19 @@ func TestRadixAborts(t *testing.T) {
 	stop.Store(true)
 	c := NewChecker(r, 16)
 	c.SetStopFlag(&stop)
-	s := new(scratch)
 	p, col := c.column(attr.NewList(0)), c.column(attr.NewList(2))
-	if _, ok := c.derive(p, col, s); ok {
+	if _, ok := c.own.derive(p, col); ok {
 		t.Fatal("a counting-pass derivation must abort on a raised stop flag")
 	}
-	if _, ok := c.derive(c.column(attr.NewList(2)), col, s); ok {
+	if _, ok := c.own.derive(c.column(attr.NewList(2)), col); ok {
 		t.Fatal("a composite-key derivation must abort on a raised stop flag")
 	}
 	if c.SortedIndex(attr.NewList(0)) != nil || c.SortedIndex(attr.NewList(0, 1)) != nil {
 		t.Fatal("SortedIndex must abort on a raised stop flag")
 	}
-	if c.Sorts() == 0 || len(c.m) != 0 {
-		t.Fatalf("aborted derivations must run and never be cached: %d sorts, %d cached", c.Sorts(), len(c.m))
+	c.own.Flush()
+	if c.Sorts() == 0 || len(c.own.ents) != 0 {
+		t.Fatalf("aborted derivations must run and never be cached: %d sorts, %d cached", c.Sorts(), len(c.own.ents))
 	}
 }
 

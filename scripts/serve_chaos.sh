@@ -127,7 +127,7 @@ go build -o "$tmp/datagen" ./cmd/datagen
 "$tmp/datagen" -dataset taxinfo -out "$tmp/tax.csv" >/dev/null
 # Large enough to run for seconds at one worker: the crash lands mid-run
 # with submissions still queued, and the drain signal lands mid-level.
-"$tmp/datagen" -dataset flight -rows 1000 -cols 50 -out "$tmp/flight50.csv" >/dev/null
+"$tmp/datagen" -dataset flight -rows 10000 -cols 50 -out "$tmp/flight50.csv" >/dev/null
 
 step "baseline: uninterrupted server run"
 start_server baseline "$tmp/base" ""

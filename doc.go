@@ -2,8 +2,12 @@
 //
 // It implements OCDDISCOVER from "Discovering Order Dependencies through
 // Order Compatibility" (Consonni, Montresor, Sottovia, Velegrakis — EDBT
-// 2019): a complete, parallel order-dependency discovery algorithm that
-// searches the space of order compatibility dependencies.
+// 2019): a parallel order-dependency discovery algorithm that searches the
+// space of order compatibility dependencies. The search is complete over
+// candidates whose two sides are disjoint only: an OD whose sides share a
+// prefix, such as AB → AC on the rows (0,1,5) (0,2,6) (1,1,1) (1,2,2) of
+// A,B,C, can be missed, as the errata note on the paper (arXiv 1905.02010)
+// points out.
 //
 // An order dependency (OD) X → Y states that sorting a table by the
 // attribute list X also sorts it by Y — the property that lets a query

@@ -166,8 +166,10 @@ func (t *Table) colList(names []string) (attr.List, error) {
 
 // Stream maintains discovered dependencies over a table that grows at
 // runtime — the paper's future-work scenario. Dependencies can only die
-// under row appends, so maintenance costs a handful of order checks per
-// batch instead of a re-discovery.
+// under row appends, so a batch that kills nothing costs a handful of
+// order checks instead of a re-discovery; after a batch that kills or
+// breaks something the minimal set can gain new members, and the stream
+// re-discovers.
 type Stream struct {
 	m       *Maintainer
 	columns []string

@@ -3,20 +3,21 @@
 // consider dynamic inputs, where additional rows and columns may be added
 // at runtime", Section 7).
 //
-// The key structural fact making maintenance cheap is anti-monotonicity:
-// order dependencies (and OCDs) are universally quantified over tuple
-// pairs, so appending rows can only *falsify* them, never create new ones.
-// A maintainer therefore tracks the dependency set produced by a discovery
-// run and, on every append, re-validates only the still-alive tracked
-// dependencies — |deps| order checks instead of re-running the candidate
-// tree — and reports which ones died. Full re-discovery is only needed when
-// *columns* are added (new candidates become possible) or rows are removed
-// (dependencies can resurrect); AddColumn performs a discovery restricted
-// to candidates involving the new column and merges the results.
+// Order dependencies (and OCDs) are universally quantified over tuple
+// pairs, so appending rows can only falsify them, never create new valid
+// ones. Minimal sets are not anti-monotone, though: when X → Y dies,
+// XA → Y may become minimal, and a broken constant or a shattered
+// equivalence class changes the candidate tree itself. A maintainer
+// therefore re-validates the tracked dependencies and reduction facts on
+// every append — |deps| order checks instead of the candidate tree — and
+// keeps them when all survive and no column changed kind: the candidate
+// tree is then unchanged, since validity only shrinks. Otherwise it
+// re-runs discovery, as it does when a column is added.
 package incremental
 
 import (
 	"fmt"
+	"slices"
 
 	"ocd/internal/attr"
 	"ocd/internal/core"
@@ -54,7 +55,12 @@ type Report struct {
 	// BrokenClasses are equivalence classes that shattered (at least one
 	// member pair is no longer order equivalent).
 	BrokenClasses [][]attr.ID
-	// Checks is the number of order checks the revalidation used.
+	// Rediscovered reports that something died, broke or changed kind, so
+	// the tracked set was replaced by a fresh discovery on the grown
+	// relation.
+	Rediscovered bool
+	// Checks is the number of order checks the append used, rediscovery
+	// included.
 	Checks int64
 }
 
@@ -84,12 +90,15 @@ func (m *Maintainer) rebuild() error {
 	return nil
 }
 
-func (m *Maintainer) rediscover() {
+// rediscover replaces the tracked set with a fresh discovery and returns
+// the checks it used.
+func (m *Maintainer) rediscover() int64 {
 	res := core.Discover(m.rel, m.discOpts)
 	m.ocds = res.OCDs
 	m.ods = res.ODs
 	m.constants = res.Constants
 	m.classes = res.EquivClasses
+	return res.Stats.Checks
 }
 
 // NumRows returns the current row count.
@@ -112,15 +121,16 @@ func (m *Maintainer) EquivClasses() [][]attr.ID { return m.classes }
 func (m *Maintainer) Revalidations() int64 { return m.revalidations }
 
 // AppendRows adds tuples and re-validates all tracked facts against the
-// grown instance, returning what died. Appending never creates new
-// dependencies (anti-monotonicity), so the alive set stays complete with
-// respect to the original discovery.
+// grown instance, returning what died. When anything died or broke, or a
+// column's inferred kind changed, it re-runs discovery, so the tracked set
+// always equals a fresh discovery on the grown relation.
 func (m *Maintainer) AppendRows(rows [][]string) (*Report, error) {
 	for i, row := range rows {
 		if len(row) != len(m.colNames) {
 			return nil, fmt.Errorf("incremental: appended row %d has %d fields, want %d", i, len(row), len(m.colNames))
 		}
 	}
+	kinds := m.rel.Kinds
 	m.rows = append(m.rows, rows...)
 	if err := m.rebuild(); err != nil {
 		// roll back the append; the relation still reflects the old rows
@@ -183,6 +193,11 @@ func (m *Maintainer) AppendRows(rows [][]string) (*Report, error) {
 	m.classes = aliveClasses
 
 	rep.Checks = chk.Checks()
+	if len(rep.DiedOCDs)+len(rep.DiedODs)+len(rep.BrokenConstants)+len(rep.BrokenClasses) > 0 ||
+		!slices.Equal(kinds, m.rel.Kinds) {
+		rep.Rediscovered = true
+		rep.Checks += m.rediscover()
+	}
 	m.revalidations += rep.Checks
 	return rep, nil
 }

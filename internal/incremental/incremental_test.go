@@ -2,6 +2,7 @@ package incremental
 
 import (
 	"math/rand"
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -225,4 +226,62 @@ func TestRevalidationsAccumulate(t *testing.T) {
 	if m.RediscoveryCost() <= 0 {
 		t.Error("rediscovery cost should be positive")
 	}
+}
+
+// TestMaintainedEqualsRediscovery: after every append, the maintained
+// OCDs, ODs, constants and equivalence classes are exactly what a fresh
+// core.Discover finds on the grown relation. Minimal sets are not
+// anti-monotone: when X → Y dies, XA → Y may become minimal.
+func TestMaintainedEqualsRediscovery(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	opts := core.Options{Workers: 1}
+	row := func(cols, domain int) []string {
+		r := make([]string, cols)
+		for i := range r {
+			r[i] = strconv.Itoa(rng.Intn(domain))
+		}
+		return r
+	}
+	appends, diverged, rediscovered := 0, 0, 0
+	for appends < 300 {
+		cols, domain := 3+rng.Intn(2), 2+rng.Intn(3)
+		var rows [][]string
+		for i := 0; i < 3+rng.Intn(10); i++ {
+			rows = append(rows, row(cols, domain))
+		}
+		m, err := New("t", []string{"A", "B", "C", "D"}[:cols], rows, relation.Options{}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 5 && appends < 300; step++ {
+			rep, err := m.AppendRows([][]string{row(cols, domain)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			appends++
+			if rep.Rediscovered {
+				rediscovered++
+			}
+			want := core.Discover(m.rel, opts)
+			if !same(m.OCDs(), want.OCDs) || !same(m.ODs(), want.ODs) ||
+				!same(m.Constants(), want.Constants) || !same(m.EquivClasses(), want.EquivClasses) {
+				diverged++
+				t.Errorf("append %d: maintained OCDs %v ODs %v constants %v classes %v; Discover finds %v %v %v %v",
+					appends, m.OCDs(), m.ODs(), m.Constants(), m.EquivClasses(), want.OCDs, want.ODs, want.Constants, want.EquivClasses)
+			}
+		}
+	}
+	if diverged > 0 {
+		t.Errorf("%d of %d appends diverged from core.Discover", diverged, appends)
+	}
+	// Both paths ran: revalidation alone, and rediscovery.
+	if rediscovered == 0 || rediscovered == appends {
+		t.Errorf("%d of %d appends rediscovered", rediscovered, appends)
+	}
+}
+
+// same reports whether a and b hold equal elements in the same order; nil
+// and empty are the same.
+func same[T any](a, b []T) bool {
+	return len(a) == 0 && len(b) == 0 || reflect.DeepEqual(a, b)
 }

@@ -1,7 +1,9 @@
 package relation
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"strconv"
@@ -10,18 +12,23 @@ import (
 	"sync/atomic"
 )
 
-// Ingestion is one streaming pass. Every record is dictionary-encoded as it
-// arrives: each column maps a raw value to a provisional id in
-// first-occurrence order, so a cell costs one map lookup and only the
-// distinct values of a column outlive their record. At the end each column
-// infers its kind from its distinct values, ranks them once through
-// rankValues and rewrites its provisional ids to rank codes in place.
+// Ingestion is one streaming pass. Every column starts in integer mode: a
+// cell spelled exactly as strconv.FormatInt prints a value in int32 range is
+// parsed from its bytes and stored as that value, so an integer column never
+// touches a map. On its first other non-NULL cell a column drops to a
+// dictionary: each raw value maps to a provisional id in first-occurrence
+// order, the integers seen so far are replayed into it, and from then on a
+// cell costs one map lookup and only the distinct values outlive their
+// record. At the end an integer-mode column ranks its values through a
+// dense mark array or a sort; a dictionary column infers its kind from its
+// distinct values, ranks them and rewrites its provisional ids to rank codes
+// in place.
 //
 // From the batchRows+1-th record on, the columns are striped across
-// min(GOMAXPROCS, cols) encoder goroutines: the caller copies records into a
-// flat batch and hands it to every encoder, and the last encoder done with a
-// batch returns it to a free list. Inputs of at most batchRows records are
-// encoded inline and start no goroutine.
+// min(GOMAXPROCS, cols) encoder goroutines: the caller copies each
+// record's bytes into a flat batch and hands it to every encoder, and the
+// last encoder done with a batch returns it to a free list. Inputs of at
+// most batchRows records are encoded inline and start no goroutine.
 
 // batchRows is the number of records in one batch handed to the encoder
 // goroutines, and the input size up to which none is started.
@@ -31,29 +38,97 @@ const batchRows = 1024
 // are at most maxBatches·batchRows records.
 const maxBatches = 4
 
-// provisionalNull is the provisional id of NULL cells; rank maps it to
-// NullCode.
+// provisionalNull is the provisional id of NULL cells in dictionary mode;
+// rank maps it to NullCode.
 const provisionalNull = int32(-1)
 
-// colBuilder accumulates one column.
-type colBuilder struct {
-	dict    map[string]int32 // raw value → provisional id; NULL tokens → provisionalNull
-	vals    []string         // distinct non-NULL values, by provisional id
-	codes   []int32          // per-row provisional ids; rank codes after rank
-	hasNull bool
+// intNull marks NULL cells of an integer-mode column. It is outside the
+// range parseCanonical accepts, so no value collides with it.
+const intNull = int32(math.MinInt32)
+
+// nullTokens is the NULL tokens of one ingestion.
+type nullTokens struct {
+	tokens map[string]bool
+	// ints holds the tokens spelled as canonical integers; an integer-mode
+	// cell holding one of them is NULL, not a value.
+	ints []int32
 }
 
-// add appends one cell. nulls is consulted only on a value's first
-// occurrence. own clones a new value, so the dictionary does not pin the
-// buffer the cell was sliced from.
-func (b *colBuilder) add(s string, nulls map[string]bool, own bool) {
-	id, ok := b.dict[s]
-	if !ok {
-		if own {
-			s = strings.Clone(s)
+func newNullTokens(tokens map[string]bool) *nullTokens {
+	n := &nullTokens{tokens: tokens}
+	for t := range tokens {
+		if v, ok := parseCanonical([]byte(t)); ok {
+			n.ints = append(n.ints, v)
 		}
+	}
+	return n
+}
+
+// parseCanonical returns the value of s when s is spelled exactly as
+// strconv.FormatInt prints a value in (math.MinInt32, math.MaxInt32]: an
+// optional '-', then digits without a leading zero, and no "-0".
+func parseCanonical(s []byte) (int32, bool) {
+	d := s
+	if len(d) > 0 && d[0] == '-' {
+		d = d[1:]
+	}
+	if len(d) == 0 || len(d) > 10 || (d[0] == '0' && len(s) > 1) {
+		return 0, false
+	}
+	var v int64
+	for _, c := range d {
+		c -= '0'
+		if c > 9 {
+			return 0, false
+		}
+		v = v*10 + int64(c)
+	}
+	if len(d) < len(s) {
+		v = -v
+	}
+	if v <= math.MinInt32 || v > math.MaxInt32 {
+		return 0, false
+	}
+	return int32(v), true
+}
+
+// colBuilder accumulates one column. A nil dict means integer mode.
+type colBuilder struct {
+	nulls *nullTokens
+	dict  map[string]int32 // raw value → provisional id; NULL tokens → provisionalNull
+	vals  []string         // distinct non-NULL values, by provisional id
+	// codes holds per-row values (intNull for NULL) in integer mode, per-row
+	// provisional ids in dictionary mode, and rank codes after ranking.
+	codes   []int32
+	lo, hi  int32 // integer mode: the value range seen; lo > hi while none
+	hasNull bool
+	// Adjacent builders belong to different encoder goroutines; the padding
+	// keeps the fields each one writes per cell off the other's cache line.
+	_ [64]byte
+}
+
+// add appends one cell. The cell's bytes are cloned only when the
+// dictionary meets a new value, and the dictionary consults the NULL
+// tokens only on a value's first occurrence.
+func (b *colBuilder) add(cell []byte) {
+	if b.dict == nil {
+		if v, ok := parseCanonical(cell); ok && !slices.Contains(b.nulls.ints, v) {
+			b.lo, b.hi = min(b.lo, v), max(b.hi, v)
+			b.push(v)
+			return
+		}
+		if b.nulls.tokens[string(cell)] {
+			b.hasNull = true
+			b.push(intNull)
+			return
+		}
+		b.toDict()
+	}
+	id, ok := b.dict[string(cell)]
+	if !ok {
+		s := string(cell)
 		id = provisionalNull
-		if nulls[s] {
+		if b.nulls.tokens[s] {
 			b.hasNull = true
 		} else {
 			id = int32(len(b.vals))
@@ -61,51 +136,270 @@ func (b *colBuilder) add(s string, nulls map[string]bool, own bool) {
 		}
 		b.dict[s] = id
 	}
-	b.codes = append(b.codes, id)
+	b.push(id)
 }
 
-// rank parses the distinct values as kind, ranks them with rankValues and
-// rewrites the provisional ids to rank codes in place. A value that does not
-// parse is reported at the 1-based row of its first occurrence.
-func (b *colBuilder) rank(kind Kind) (display []string, distinct int, err error) {
-	entries := make([]rankEntry, len(b.vals))
-	for id, s := range b.vals {
-		e := rankEntry{s: s}
-		switch kind {
-		case KindInt:
-			e.i, err = strconv.ParseInt(s, 10, 64)
-		case KindFloat:
-			e.f, err = strconv.ParseFloat(s, 64)
-		}
-		if err != nil {
-			row := slices.Index(b.codes, int32(id)) + 1
-			return nil, 0, fmt.Errorf("row %d: value %q does not parse as %v", row, s, kind)
-		}
-		entries[id] = e
+// push appends one code. A full slice doubles, where append's growth for
+// large slices would allocate about five times the final size over a long
+// column.
+func (b *colBuilder) push(code int32) {
+	if len(b.codes) == cap(b.codes) {
+		codes := make([]int32, len(b.codes), max(2*cap(b.codes), 8))
+		copy(codes, b.codes)
+		b.codes = codes
 	}
-	final, display, distinct := rankValues(entries, kind)
+	b.codes = append(b.codes, code)
+}
+
+// toDict moves an integer-mode column to dictionary mode, replaying the
+// values seen so far in their canonical spelling.
+func (b *colBuilder) toDict() {
+	b.dict = make(map[string]int32)
+	var buf []byte
+	for i, v := range b.codes {
+		if v == intNull {
+			b.codes[i] = provisionalNull
+			continue
+		}
+		buf = strconv.AppendInt(buf[:0], int64(v), 10)
+		id, ok := b.dict[string(buf)]
+		if !ok {
+			id = int32(len(b.vals))
+			s := string(buf)
+			b.vals = append(b.vals, s)
+			b.dict[s] = id
+		}
+		b.codes[i] = id
+	}
+}
+
+// rankInts rank-encodes an integer-mode column in place. A column with no
+// value is TEXT, as inferKind has it.
+func (b *colBuilder) rankInts() (kind Kind, display []string, distinct int) {
+	if b.lo > b.hi {
+		clear(b.codes) // every cell is NULL
+		return KindString, []string{"NULL"}, 0
+	}
+	lo := int(b.lo)
+	var vals []int32 // the distinct values, ascending
+	if span := int(b.hi) - lo; span <= 2*len(b.codes)+1024 {
+		// rank[v-lo] is set for every value v, then holds v's rank code.
+		rank := make([]int32, span+1)
+		for _, v := range b.codes {
+			if v != intNull {
+				rank[int(v)-lo] = 1
+			}
+		}
+		for i, seen := range rank {
+			if seen != 0 {
+				vals = append(vals, int32(lo+i))
+				rank[i] = int32(len(vals))
+			}
+		}
+		for i, v := range b.codes {
+			if v == intNull {
+				b.codes[i] = NullCode
+			} else {
+				b.codes[i] = rank[int(v)-lo]
+			}
+		}
+	} else {
+		vals = make([]int32, 0, len(b.codes))
+		for _, v := range b.codes {
+			if v != intNull {
+				vals = append(vals, v)
+			}
+		}
+		slices.Sort(vals)
+		vals = slices.Clip(slices.Compact(vals))
+		for i, v := range b.codes {
+			if v == intNull {
+				b.codes[i] = NullCode
+			} else {
+				k, _ := slices.BinarySearch(vals, v)
+				b.codes[i] = int32(k + 1)
+			}
+		}
+	}
+	return KindInt, intDisplay(vals), len(vals)
+}
+
+// intDisplay returns "NULL" followed by the spellings of vals, all sliced
+// from one string.
+func intDisplay(vals []int32) []string {
+	var digits []byte
+	ends := make([]int, len(vals))
+	for i, v := range vals {
+		digits = strconv.AppendInt(digits, int64(v), 10)
+		ends[i] = len(digits)
+	}
+	all := string(digits)
+	display := make([]string, 1, len(vals)+1)
+	display[0] = "NULL"
+	start := 0
+	for _, end := range ends {
+		display = append(display, all[start:end])
+		start = end
+	}
+	return display
+}
+
+// rank parses a dictionary column's distinct values as kind, ranks them
+// and rewrites the provisional ids to rank codes in place. A value that
+// does not parse is reported at the 1-based row of its first occurrence.
+func (b *colBuilder) rank(kind Kind) (display []string, distinct int, err error) {
 	// remap[p+1] is the rank code of provisional id p; remap[0] is NullCode.
-	remap := make([]int32, len(final)+1)
-	copy(remap[1:], final)
+	var remap []int32
+	if kind == KindString {
+		remap, display = rankStrings(b.vals)
+	} else {
+		entries := make([]rankEntry, len(b.vals))
+		for id, s := range b.vals {
+			e := rankEntry{s: s, id: int32(id)}
+			if kind == KindInt {
+				e.i, err = strconv.ParseInt(s, 10, 64)
+			} else {
+				e.f, err = strconv.ParseFloat(s, 64)
+			}
+			if err != nil {
+				row := slices.Index(b.codes, int32(id)) + 1
+				return nil, 0, fmt.Errorf("row %d: value %q does not parse as %v", row, s, kind)
+			}
+			entries[id] = e
+		}
+		remap, display = rankNumbers(entries, kind)
+	}
 	for i, p := range b.codes {
 		b.codes[i] = remap[p+1]
 	}
 	b.dict, b.vals = nil, nil
-	return display, distinct, nil
+	return display, len(display) - 1, nil
+}
+
+// rankEntry is one distinct non-NULL value of a numeric dictionary column,
+// with its provisional id and its numeric form.
+type rankEntry struct {
+	s  string
+	i  int64
+	f  float64
+	id int32
+}
+
+// rankNumbers sorts entries in the kind's natural order, spelling as
+// tiebreak, and merges distinct spellings of one number ("1" and "01",
+// "1.0" and "1.00") into one code, displayed by the least spelling. It
+// returns remap (the rank code of provisional id p at p+1, NullCode at 0)
+// and display (code → spelling, "NULL" at 0).
+func rankNumbers(entries []rankEntry, kind Kind) (remap []int32, display []string) {
+	num := func(a, b rankEntry) int {
+		if kind == KindInt {
+			return cmp.Compare(a.i, b.i)
+		}
+		return cmpFloat(a.f, b.f)
+	}
+	slices.SortFunc(entries, func(a, b rankEntry) int {
+		if c := num(a, b); c != 0 {
+			return c
+		}
+		return strings.Compare(a.s, b.s)
+	})
+	remap = make([]int32, len(entries)+1)
+	display = make([]string, 1, len(entries)+1)
+	display[0] = "NULL"
+	for k, e := range entries {
+		if k == 0 || num(entries[k-1], e) != 0 {
+			display = append(display, e.s)
+		}
+		remap[e.id+1] = int32(len(display) - 1)
+	}
+	return remap, display
+}
+
+// rankStrings ranks distinct strings byte-wise through an MSD radix sort.
+// It returns remap and display as rankNumbers does.
+func rankStrings(vals []string) (remap []int32, display []string) {
+	pairs := make([]strID, len(vals))
+	for id, s := range vals {
+		pairs[id] = strID{s: s, id: int32(id)}
+	}
+	radixSort(pairs, make([]strID, len(pairs)))
+	remap = make([]int32, len(vals)+1)
+	display = make([]string, len(vals)+1)
+	display[0] = "NULL"
+	for k, p := range pairs {
+		remap[p.id+1] = int32(k + 1)
+		display[k+1] = p.s
+	}
+	return remap, display
+}
+
+// strID is a distinct string and its provisional id.
+type strID struct {
+	s  string
+	id int32
+}
+
+// radixCutoff is the bucket size below which radixSort hands over to a
+// comparison sort.
+const radixCutoff = 32
+
+// radixSort sorts distinct strings byte-wise, most significant byte first.
+// It keeps its pending buckets on a heap-allocated stack, not the call
+// stack, because strings that share a long prefix would nest a frame per
+// byte of it. scratch is as long as a.
+func radixSort(a, scratch []strID) {
+	type bucket struct{ lo, hi, depth int } // a[lo:hi] agree on depth bytes
+	todo := []bucket{{0, len(a), 0}}
+	for len(todo) > 0 {
+		t := todo[len(todo)-1]
+		todo = todo[:len(todo)-1]
+		b, depth := a[t.lo:t.hi], t.depth
+		if len(b) <= radixCutoff {
+			slices.SortFunc(b, func(x, y strID) int { return strings.Compare(x.s[depth:], y.s[depth:]) })
+			continue
+		}
+		// Radix 0 holds the string that ends at depth; byte c goes to c+1.
+		var count [257]int
+		for _, p := range b {
+			count[byteAt(p.s, depth)]++
+		}
+		var next [257]int // where the next string of each radix goes in scratch
+		for k, sum := 0, 0; k < len(count); k++ {
+			next[k] = sum
+			if count[k] > 1 {
+				todo = append(todo, bucket{t.lo + sum, t.lo + sum + count[k], depth + 1})
+			}
+			sum += count[k]
+		}
+		for _, p := range b {
+			k := byteAt(p.s, depth)
+			scratch[next[k]] = p
+			next[k]++
+		}
+		copy(b, scratch[:len(b)])
+	}
+}
+
+// byteAt is the radix of s at depth: 0 past its end, its byte plus one
+// otherwise.
+func byteAt(s string, depth int) int {
+	if depth < len(s) {
+		return int(s[depth]) + 1
+	}
+	return 0
 }
 
 // batch is a flat, row-major run of records awaiting the encoders.
 type batch struct {
-	cells []string
-	refs  atomic.Int32 // encoders still to finish with it
+	buf  []byte       // the cells' bytes, back to back
+	ends []int        // ends[k] is where cell k ends in buf
+	refs atomic.Int32 // encoders still to finish with it
 }
 
-// encoder dictionary-encodes a stream of records of len(cols) fields.
+// encoder encodes a stream of records of len(cols) fields.
 type encoder struct {
-	cols  []colBuilder
-	nulls map[string]bool
-	own   bool
-	rows  int
+	cols []colBuilder
+	rows int
 
 	// Set once the stream passes batchRows records.
 	feeds []chan *batch // one per encoder goroutine
@@ -113,26 +407,37 @@ type encoder struct {
 	made  int // batches allocated, at most maxBatches
 	cur   *batch
 	wg    sync.WaitGroup
-	procs int // encoder goroutines started; finalize uses as many
+	procs int // encoder goroutines started; finish uses as many
 }
 
-// newEncoder returns an encoder for ncols columns; rowsHint presizes the
-// code slices when the row count is known.
-func newEncoder(ncols int, nulls map[string]bool, own bool, rowsHint int) *encoder {
-	e := &encoder{cols: make([]colBuilder, ncols), nulls: nulls, own: own}
+// newEncoder returns an encoder for ncols columns. forceString starts every
+// column in dictionary mode; rowsHint presizes the code slices when the row
+// count is known.
+func newEncoder(ncols int, nulls map[string]bool, forceString bool, rowsHint int) *encoder {
+	e := &encoder{cols: make([]colBuilder, ncols)}
+	ns := newNullTokens(nulls)
 	for c := range e.cols {
-		e.cols[c] = colBuilder{dict: make(map[string]int32), codes: make([]int32, 0, rowsHint)}
+		b := colBuilder{nulls: ns, codes: make([]int32, 0, rowsHint), lo: math.MaxInt32, hi: math.MinInt32}
+		if forceString {
+			b.dict = make(map[string]int32)
+		}
+		e.cols[c] = b
 	}
 	return e
 }
 
 // add encodes one record. The caller may reuse rec once add returns.
-func (e *encoder) add(rec []string) {
+func (e *encoder) add(rec []string) { addRecord(e, rec) }
+
+// addBytes is add for a record of byte cells.
+func (e *encoder) addBytes(rec [][]byte) { addRecord(e, rec) }
+
+func addRecord[S string | []byte](e *encoder, rec []S) {
 	e.rows++
 	if e.feeds == nil {
 		if e.rows <= batchRows || len(e.cols) == 0 {
-			for c, s := range rec {
-				e.cols[c].add(s, e.nulls, e.own)
+			for c, cell := range rec {
+				e.cols[c].add([]byte(cell))
 			}
 			return
 		}
@@ -141,8 +446,12 @@ func (e *encoder) add(rec []string) {
 	if e.cur == nil {
 		e.cur = e.take()
 	}
-	e.cur.cells = append(e.cur.cells, rec...)
-	if len(e.cur.cells) == batchRows*len(e.cols) {
+	b := e.cur
+	for _, cell := range rec {
+		b.buf = append(b.buf, cell...)
+		b.ends = append(b.ends, len(b.buf))
+	}
+	if len(b.ends) == batchRows*len(e.cols) {
 		e.send()
 	}
 }
@@ -166,14 +475,19 @@ func (e *encoder) encode(feed <-chan *batch, first int) {
 	defer e.wg.Done()
 	nc := len(e.cols)
 	for b := range feed {
-		for r := 0; r < len(b.cells); r += nc {
-			rec := b.cells[r : r+nc]
+		start := 0
+		for r := 0; r < len(b.ends); r += nc {
+			ends := b.ends[r : r+nc]
 			for c := first; c < nc; c += e.procs {
-				e.cols[c].add(rec[c], e.nulls, e.own)
+				if c > 0 {
+					start = ends[c-1]
+				}
+				e.cols[c].add(b.buf[start:ends[c]])
 			}
+			start = ends[nc-1]
 		}
 		if b.refs.Add(-1) == 0 {
-			b.cells = b.cells[:0]
+			b.buf, b.ends = b.buf[:0], b.ends[:0]
 			e.free <- b
 		}
 	}
@@ -188,7 +502,7 @@ func (e *encoder) take() *batch {
 		default:
 		}
 		e.made++
-		return &batch{cells: make([]string, 0, batchRows*len(e.cols))}
+		return &batch{ends: make([]int, 0, batchRows*len(e.cols))}
 	}
 	return <-e.free
 }
@@ -248,14 +562,22 @@ func (e *encoder) finish(name string, colNames []string, opts Options) (*Relatio
 				return
 			}
 			b := &e.cols[c]
-			kind := KindString
-			if !opts.ForceString {
-				kind = inferKind(b.vals, nil)
-			}
-			disp, distinct, err := b.rank(kind)
-			if err != nil {
-				errs[c] = fmt.Errorf("relation %s: column %d (%s): %w", name, c+1, colNames[c], err)
-				return
+			var kind Kind
+			var disp []string
+			var distinct int
+			if b.dict == nil {
+				kind, disp, distinct = b.rankInts()
+			} else {
+				kind = KindString
+				if !opts.ForceString {
+					kind = inferKind(b.vals, nil)
+				}
+				var err error
+				disp, distinct, err = b.rank(kind)
+				if err != nil {
+					errs[c] = fmt.Errorf("relation %s: column %d (%s): %w", name, c+1, colNames[c], err)
+					return
+				}
 			}
 			r.Kinds[c], r.Codes[c], r.display[c], r.distinct[c], r.hasNull[c] = kind, b.codes, disp, distinct, b.hasNull
 		}

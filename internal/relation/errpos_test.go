@@ -42,11 +42,12 @@ func TestCSVRaggedRowErrorIsOneBased(t *testing.T) {
 // this exercises the defensive path directly.
 func TestCoercionErrorReportsRow(t *testing.T) {
 	rank := func(kind Kind, vals ...string) error {
-		b := colBuilder{dict: make(map[string]int32)}
+		e := newEncoder(1, nil, true, 0)
 		for _, s := range vals {
-			b.add(s, nil, false)
+			e.add([]string{s})
 		}
-		_, _, err := b.rank(kind)
+		e.close()
+		_, _, err := e.cols[0].rank(kind)
 		return err
 	}
 	err := rank(KindInt, "1", "2", "x")

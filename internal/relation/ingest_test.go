@@ -1,11 +1,15 @@
 package relation
 
 import (
+	"bytes"
 	"encoding/csv"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"runtime"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -76,7 +80,7 @@ func encodeColumn(raw []string, kind Kind, nulls map[string]bool) (codes []int32
 		seen[s] = int32(len(entries))
 		entries = append(entries, e)
 	}
-	final, display, distinct := rankValues(entries, kind)
+	final, display, distinct := referenceRankValues(entries, kind)
 	codes = make([]int32, len(raw))
 	for i, s := range raw {
 		if !nulls[s] {
@@ -84,6 +88,63 @@ func encodeColumn(raw []string, kind Kind, nulls map[string]bool) (codes []int32
 		}
 	}
 	return codes, display, distinct, hasNull
+}
+
+// referenceRankValues is the comparison-sort ranking the encoder
+// replaced, kept so the oracle does not share the code it checks. It
+// sorts a column's distinct values in the kind's natural order (spelling
+// as tiebreak), then merges distinct numeric values with multiple
+// spellings ("1" vs "01", "1.0" vs "1.00") into one code so that equal
+// values compare equal. codes[k] is the final code of entries[k]; display
+// maps code → representative spelling, with code 0 reserved for NULL.
+func referenceRankValues(entries []rankEntry, kind Kind) (codes []int32, display []string, distinct int) {
+	ord := make([]int, len(entries))
+	for i := range ord {
+		ord[i] = i
+	}
+	switch kind {
+	case KindInt:
+		sort.Slice(ord, func(a, b int) bool {
+			ea, eb := entries[ord[a]], entries[ord[b]]
+			if ea.i != eb.i {
+				return ea.i < eb.i
+			}
+			return ea.s < eb.s
+		})
+	case KindFloat:
+		sort.Slice(ord, func(a, b int) bool {
+			ea, eb := entries[ord[a]], entries[ord[b]]
+			if c := cmpFloat(ea.f, eb.f); c != 0 {
+				return c < 0
+			}
+			return ea.s < eb.s
+		})
+	default:
+		sort.Slice(ord, func(a, b int) bool { return entries[ord[a]].s < entries[ord[b]].s })
+	}
+	codes = make([]int32, len(entries))
+	display = []string{"NULL"}
+	var next int32 = 0
+	for k, idx := range ord {
+		same := false
+		if k > 0 {
+			prev := entries[ord[k-1]]
+			switch kind {
+			case KindInt:
+				same = entries[idx].i == prev.i
+			case KindFloat:
+				same = cmpFloat(entries[idx].f, prev.f) == 0
+			default:
+				same = false // distinct strings are distinct values
+			}
+		}
+		if !same {
+			next++
+			display = append(display, entries[idx].s)
+		}
+		codes[idx] = next
+	}
+	return codes, display, int(next)
 }
 
 // assertSameRelation compares every observable of two relations.
@@ -347,19 +408,151 @@ func TestReadCSVLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
+// scaleCSV returns a header and n data rows joined by sep, one column per
+// encoding path: a sparse unique key, integers with non-canonical
+// spellings ("01", "+1", "-0") and a 19-digit one, an integer
+// column that turns into floats at row 3,000, a column whose values
+// include -1, near-unique strings of several lengths and scripts, and NULL
+// tokens among integers.
+func scaleCSV(n int, sep string) []string {
+	lines := []string{strings.Join([]string{"key", "respelt", "turns", "neg", "text", "holes"}, sep)}
+	for r := 1; r <= n; r++ {
+		respelt := strconv.Itoa(r % 50)
+		switch r % 700 {
+		case 1:
+			respelt = "01"
+		case 2:
+			respelt = "+1"
+		case 3:
+			respelt = "-0"
+		case 4:
+			respelt = "1234567890123456789"
+		}
+		if r < 600 {
+			respelt = strconv.Itoa(r % 50) // the column starts in integer mode
+		}
+		turns := strconv.Itoa(r % 97)
+		if r >= 3000 {
+			turns = fmt.Sprintf("%d.5", r%97)
+		}
+		text := fmt.Sprintf("t%d", (r*7919)%(n+13))
+		if r%3 == 0 {
+			text = fmt.Sprintf("é%x", r*r)
+		}
+		holes := []string{"", "NULL", "?", strconv.Itoa(-r)}[r%4]
+		cells := []string{strconv.Itoa(r * 100_003), respelt, turns, strconv.Itoa(r%13 - 1), text, holes}
+		lines = append(lines, strings.Join(cells, sep))
+	}
+	return lines
+}
+
+// setCell replaces the text cell of comma-separated line i.
+func setCell(lines []string, i int, v string) {
+	cells := strings.Split(lines[i], ",")
+	cells[4] = v
+	lines[i] = strings.Join(cells, ",")
+}
+
+// TestReadCSVMatchesReferenceAtScale checks ReadCSV against the whole-file
+// reference on inputs past the striping threshold and the read buffer's
+// growth, in each of the splitter's situations: plain input, a handoff
+// to encoding/csv at the first quote or carriage return, and encoding/csv
+// from the start for a multi-byte comma. Bad rows must fail both, with the
+// reference's row and line numbers.
+func TestReadCSVMatchesReferenceAtScale(t *testing.T) {
+	const n = 5000
+	join := func(lines []string) string { return strings.Join(lines, "\n") + "\n" }
+	edit := func(lines []string, f func(lines []string) []string) string {
+		return join(f(slices.Clone(lines)))
+	}
+	plain := scaleCSV(n, ",")
+	cases := map[string]struct {
+		csv     string
+		opts    CSVOptions
+		wantErr bool
+	}{
+		"plain": {csv: join(plain)},
+		"minus-one-is-null": {
+			csv:  join(plain),
+			opts: CSVOptions{Options: Options{NullTokens: []string{"-1", "", "NULL"}}},
+		},
+		"force-string": {csv: join(plain), opts: CSVOptions{Options: Options{ForceString: true}}},
+		"no-header":    {csv: join(plain[1:]), opts: CSVOptions{NoHeader: true}},
+		"quotes-from-row-4000": {csv: edit(plain, func(l []string) []string {
+			setCell(l, 4000, `"a ""b"", c"`)
+			setCell(l, 4500, "\"two\nlines\"")
+			return l
+		})},
+		"crlf":          {csv: strings.Join(plain, "\r\n") + "\r\n"},
+		"crlf-from-row": {csv: join(plain[:2500]) + strings.Join(plain[2500:], "\r\n")},
+		"empty-lines": {csv: edit(plain, func(l []string) []string {
+			for i := len(l) - 1; i > 0; i -= 333 {
+				l = slices.Insert(l, i, "", "")
+			}
+			return l
+		})},
+		"no-final-newline": {csv: strings.Join(plain, "\n")},
+		"semicolon":        {csv: join(scaleCSV(n, ";")), opts: CSVOptions{Comma: ';'}},
+		"tab":              {csv: join(scaleCSV(n, "\t")), opts: CSVOptions{Comma: '\t'}},
+		"multibyte-comma":  {csv: join(scaleCSV(n, "¦")), opts: CSVOptions{Comma: '¦'}},
+		"ragged": {csv: edit(plain, func(l []string) []string {
+			l[2000] += ",7"
+			return l
+		}), wantErr: true},
+		"ragged-after-handoff": {csv: edit(plain, func(l []string) []string {
+			setCell(l, 4000, `"x"`)
+			l[4001] += ",7"
+			return l
+		}), wantErr: true},
+		"bare-quote-after-handoff": {csv: edit(plain, func(l []string) []string {
+			setCell(l, 3000, "\"two\nlines\"")
+			setCell(l, 4321, `x"y`)
+			return l
+		}), wantErr: true},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			want, werr := referenceReadCSV(tc.csv, "t", tc.opts)
+			got, gerr := ReadCSV(strings.NewReader(tc.csv), "t", tc.opts)
+			if tc.wantErr {
+				if werr == nil || gerr == nil || !strings.Contains(gerr.Error(), werr.Error()) {
+					t.Fatalf("errors differ: reference=%v ReadCSV=%v", werr, gerr)
+				}
+				return
+			}
+			if werr != nil || gerr != nil {
+				t.Fatalf("reference=%v ReadCSV=%v", werr, gerr)
+			}
+			assertSameRelation(t, want, got)
+		})
+	}
+}
+
+// fuzzCommas are the separators the fuzz targets draw from: the default,
+// other one-byte separators the splitter handles, a multi-byte one and two
+// that encoding/csv rejects.
+var fuzzCommas = []rune{0, ',', ';', '\t', '¦', '"', '\n'}
+
 // FuzzReadCSVMatchesReference cross-checks ReadCSV against the whole-file
-// reference on arbitrary CSV bytes: they must agree on acceptance, and on
-// acceptance produce identical relations.
+// reference on arbitrary CSV bytes and options: they must agree on
+// acceptance, and on acceptance produce identical relations. nulls, when
+// not empty, is a '|'-separated list of NULL tokens.
 func FuzzReadCSVMatchesReference(f *testing.F) {
-	f.Add("a,b\n1,2\n3,4\n")
-	f.Add("a,b\n01,x\n1,y\nNULL,?\n")
-	f.Add("x\nNaN\n1.0\n1.00\n")
-	f.Fuzz(func(t *testing.T, data string) {
+	f.Add("a,b\n1,2\n3,4\n", "", false, uint8(0))
+	f.Add("a,b\n01,x\n1,y\nNULL,?\n", "", false, uint8(0))
+	f.Add("x\nNaN\n1.0\n1.00\n", "", false, uint8(0))
+	f.Add("a;b\n-1;2\n3;-1\n", "-1|x", false, uint8(2))
+	f.Add("a¦b\n10¦9\n\"9\"¦10\r\n", "", true, uint8(4))
+	f.Fuzz(func(t *testing.T, data, nulls string, force bool, comma uint8) {
 		if len(data) > 1<<16 {
 			return
 		}
-		want, werr := referenceReadCSV(data, "f", CSVOptions{})
-		got, gerr := ReadCSV(strings.NewReader(data), "f", CSVOptions{})
+		opts := CSVOptions{Comma: fuzzCommas[int(comma)%len(fuzzCommas)], Options: Options{ForceString: force}}
+		if nulls != "" {
+			opts.NullTokens = strings.Split(nulls, "|")
+		}
+		want, werr := referenceReadCSV(data, "f", opts)
+		got, gerr := ReadCSV(strings.NewReader(data), "f", opts)
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("acceptance differs: reference=%v ReadCSV=%v", werr, gerr)
 		}
@@ -367,5 +560,52 @@ func FuzzReadCSVMatchesReference(f *testing.F) {
 			return
 		}
 		assertSameRelation(t, want, got)
+	})
+}
+
+// chunkReader returns at most n bytes per Read.
+type chunkReader struct {
+	r io.Reader
+	n int
+}
+
+func (c chunkReader) Read(p []byte) (int, error) { return c.r.Read(p[:min(len(p), c.n)]) }
+
+// FuzzSplitMatchesEncodingCSV requires the splitter, with its handoff to
+// encoding/csv, to read the same records as encoding/csv from arbitrary
+// bytes arriving in chunks of any size, and to fail where it fails with
+// the same error.
+func FuzzSplitMatchesEncodingCSV(f *testing.F) {
+	f.Add([]byte("a,b\n1,2\n\n3,4"), uint8(0), uint8(3))
+	f.Add([]byte("a,b\n1,\"2\n3\",4\r\n5,6\n"), uint8(1), uint8(255))
+	f.Add([]byte("a\tb\n1\t2\nx\"y\t3\n"), uint8(3), uint8(1))
+	f.Add([]byte("a¦b\n1¦2\n"), uint8(4), uint8(7))
+	f.Add([]byte("a,b\n1,2\n"), uint8(5), uint8(7))
+	f.Fuzz(func(t *testing.T, data []byte, comma, chunk uint8) {
+		c := fuzzCommas[int(comma)%len(fuzzCommas)]
+		cr := csv.NewReader(bytes.NewReader(data))
+		if c != 0 {
+			cr.Comma = c
+		}
+		cr.FieldsPerRecord = -1
+		sp := newSplitter(chunkReader{bytes.NewReader(data), int(chunk) + 1}, c)
+		for n := 1; ; n++ {
+			want, werr := cr.Read()
+			got, gerr := sp.read()
+			if fmt.Sprint(werr) != fmt.Sprint(gerr) {
+				t.Fatalf("record %d: encoding/csv err %v, splitter err %v", n, werr, gerr)
+			}
+			if werr != nil {
+				return
+			}
+			if len(got) != len(want) {
+				t.Fatalf("record %d: encoding/csv %q, splitter %q", n, want, got)
+			}
+			for i := range want {
+				if string(got[i]) != want[i] {
+					t.Fatalf("record %d: encoding/csv %q, splitter %q", n, want, got)
+				}
+			}
+		}
 	})
 }

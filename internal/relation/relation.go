@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 
 	"ocd/internal/attr"
@@ -202,7 +201,7 @@ func FromStrings(name string, colNames []string, rows [][]string, opts Options) 
 			return nil, fmt.Errorf("relation %s: row %d has %d fields, want %d", name, i+1, len(row), nc)
 		}
 	}
-	enc := newEncoder(nc, opts.nullSet(), false, len(rows))
+	enc := newEncoder(nc, opts.nullSet(), opts.ForceString, len(rows))
 	for i, row := range rows {
 		if opts.Stop != nil && i%stopEvery == 0 && opts.Stop() {
 			enc.close()
@@ -323,70 +322,6 @@ func inferKind(raw []string, nulls map[string]bool) Kind {
 		return KindString
 	}
 	return kind
-}
-
-// rankEntry is one distinct non-NULL value of a column, with its numeric
-// form pre-parsed for KindInt/KindFloat ordering.
-type rankEntry struct {
-	s string
-	i int64
-	f float64
-}
-
-// rankValues assigns final rank codes to a column's distinct values: sort in
-// the kind's natural order (spelling as tiebreak), then merge distinct
-// numeric values with multiple spellings ("1" vs "01", "1.0" vs "1.00")
-// into one code so that equal values compare equal. codes[k] is the final
-// code of entries[k]; display maps code → representative spelling, with
-// code 0 reserved for NULL.
-func rankValues(entries []rankEntry, kind Kind) (codes []int32, display []string, distinct int) {
-	ord := make([]int, len(entries))
-	for i := range ord {
-		ord[i] = i
-	}
-	switch kind {
-	case KindInt:
-		sort.Slice(ord, func(a, b int) bool {
-			ea, eb := entries[ord[a]], entries[ord[b]]
-			if ea.i != eb.i {
-				return ea.i < eb.i
-			}
-			return ea.s < eb.s
-		})
-	case KindFloat:
-		sort.Slice(ord, func(a, b int) bool {
-			ea, eb := entries[ord[a]], entries[ord[b]]
-			if c := cmpFloat(ea.f, eb.f); c != 0 {
-				return c < 0
-			}
-			return ea.s < eb.s
-		})
-	default:
-		sort.Slice(ord, func(a, b int) bool { return entries[ord[a]].s < entries[ord[b]].s })
-	}
-	codes = make([]int32, len(entries))
-	display = []string{"NULL"}
-	var next int32 = 0
-	for k, idx := range ord {
-		same := false
-		if k > 0 {
-			prev := entries[ord[k-1]]
-			switch kind {
-			case KindInt:
-				same = entries[idx].i == prev.i
-			case KindFloat:
-				same = cmpFloat(entries[idx].f, prev.f) == 0
-			default:
-				same = false // distinct strings are distinct values
-			}
-		}
-		if !same {
-			next++
-			display = append(display, entries[idx].s)
-		}
-		codes[idx] = next
-	}
-	return codes, display, int(next)
 }
 
 // Project returns a new relation containing only the given columns, in the

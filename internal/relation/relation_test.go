@@ -3,6 +3,7 @@ package relation
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -471,5 +472,26 @@ func TestSampleFraction(t *testing.T) {
 	}
 	if r.SampleFraction(-0.1, 1).NumRows() != 0 {
 		t.Error("frac ≤ 0 should keep nothing")
+	}
+}
+
+// TestRankStringsSharedPrefix: strings that agree on a long prefix, one of
+// them the prefix itself, rank in byte order.
+func TestRankStringsSharedPrefix(t *testing.T) {
+	prefix := strings.Repeat("x", 50_000)
+	vals := []string{prefix}
+	for i := 0; i < 200; i++ {
+		vals = append(vals, prefix+strconv.Itoa(i*7919%1000), prefix+"\xff"+strconv.Itoa(i))
+	}
+	remap, display := rankStrings(vals)
+	want := slices.Clone(vals)
+	slices.Sort(want)
+	if !slices.Equal(display[1:], want) {
+		t.Fatal("display is not in byte order")
+	}
+	for id, s := range vals {
+		if display[remap[id+1]] != s {
+			t.Fatalf("value %d ranks as %q", id, display[remap[id+1]][50_000:])
+		}
 	}
 }

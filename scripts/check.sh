@@ -63,7 +63,8 @@
 #                                workload gates and its catalogue-vs-
 #                                BENCHMARK.json test (~2 s)
 #  12. fuzz smokes               FuzzCSVParse, FuzzRankEncode,
-#                                FuzzReadCSVMatchesReference and
+#                                FuzzReadCSVMatchesReference,
+#                                FuzzSplitMatchesEncodingCSV and
 #                                FuzzCheckpointDecode for FUZZTIME each
 #                                (default 10s)
 #
@@ -120,7 +121,7 @@ go -C bench vet ./...
 go -C bench test ./...
 
 if [ "$FUZZTIME" != "0" ]; then
-    for target in FuzzCSVParse FuzzRankEncode FuzzReadCSVMatchesReference; do
+    for target in FuzzCSVParse FuzzRankEncode FuzzReadCSVMatchesReference FuzzSplitMatchesEncodingCSV; do
         step "fuzz $target ($FUZZTIME)"
         go test -run='^$' -fuzz="^${target}\$" -fuzztime="$FUZZTIME" ./internal/relation/
     done

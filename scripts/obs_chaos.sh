@@ -162,8 +162,9 @@ go build -tags=faultinject -o "$tmp/ocdserve" ./cmd/ocdserve
 go build -o "$tmp/datagen" ./cmd/datagen
 
 "$tmp/datagen" -dataset taxinfo -out "$tmp/tax.csv" >/dev/null
-# Runs for seconds at one worker so the mid-stream kill lands mid-job.
-"$tmp/datagen" -dataset flight -rows 1000 -cols 50 -out "$tmp/flight50.csv" >/dev/null
+# Runs for seconds at one worker so the mid-stream kill lands mid-job:
+# the event stream must connect before the job reaches level 3.
+"$tmp/datagen" -dataset flight -rows 10000 -cols 50 -out "$tmp/flight50.csv" >/dev/null
 
 step "prometheus exposition matches the JSON snapshot"
 start_server prom "$tmp/prom" ""

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
+
+	"ocd/internal/datagen"
 )
 
 // TestOptionsWorkersNormalization pins the Workers contract: values
@@ -51,6 +54,24 @@ func TestOptionsIndexCacheDefault(t *testing.T) {
 	chk.SortedIndex(x)
 	if got := chk.Sorts(); got != 2 {
 		t.Errorf("negative IndexCacheSize should disable caching: %d sorts for 2 lookups", got)
+	}
+}
+
+// TestHepatitisDerivesOnlyPrefixes: on the HEPATITIS replica nearly every
+// check side extends a prefix by one attribute and resolves as composite
+// keys, so one worker derives fewer dense rank vectors than a tenth of its
+// checks, while the checks and OCDs stay Table 6's.
+func TestHepatitisDerivesOnlyPrefixes(t *testing.T) {
+	d := newDiscoverer(datagen.Hepatitis(), Options{Workers: 1})
+	res, err := d.run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Checks != 138080 || len(res.OCDs) != 4405 {
+		t.Fatalf("%d checks and %d OCDs, want 138080 and 4405", res.Stats.Checks, len(res.OCDs))
+	}
+	if sorts := d.chk.Sorts(); 10*sorts > res.Stats.Checks {
+		t.Errorf("%d dense derivations for %d checks, want at most a tenth", sorts, res.Stats.Checks)
 	}
 }
 

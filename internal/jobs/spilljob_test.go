@@ -4,15 +4,25 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"ocd/internal/datagen"
 )
 
 // TestBudgetedJobSpillsAndCompletes pins the jobs-layer leg of the
 // degradation ladder: a job squeezed by an absurdly small shared memory
 // budget must still complete un-truncated by evicting checker state to its
 // per-job spill dir, and the spill segments must be gone once it lands.
+// The input is the HORSE replica: the checker caches only the prefixes of
+// sides of three or more attributes, which a shallower lattice never
+// derives, leaving nothing to spill.
 func TestBudgetedJobSpillsAndCompletes(t *testing.T) {
+	var horse strings.Builder
+	if err := datagen.Horse().WriteCSV(&horse); err != nil {
+		t.Fatal(err)
+	}
 	m := newTestManager(t, Config{MaxActive: 1, MaxMemoryBytes: 1, MaxUploadBytes: 1 << 20})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -20,7 +30,7 @@ func TestBudgetedJobSpillsAndCompletes(t *testing.T) {
 	defer m.Wait()
 	defer cancel()
 
-	j := submit(t, m, "spilly", testCSV(40), JobOptions{})
+	j := submit(t, m, "spilly", horse.String(), JobOptions{})
 	waitState(t, m, j.ID(), StateCompleted)
 	doc := resultDoc(t, m, j.ID())
 	if doc.TruncateReason == "memory-budget" {

@@ -56,3 +56,14 @@ func BenchmarkCompareRows(b *testing.B) {
 		CompareRows(r, i%1000, (i+1)%1000, l)
 	}
 }
+
+// BenchmarkCheckOCDExtension checks an X side that extends a cached prefix
+// by one attribute, the shape of nearly every check discovery makes.
+func BenchmarkCheckOCDExtension(b *testing.B) {
+	h, x, y := extensionHandle()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.CheckOCD(x, y)
+	}
+}

@@ -284,9 +284,10 @@ func (c *Checker) ReleaseMemory() {
 // entries durably spilled; 0 (no spill manager, or every write failed)
 // tells the engine this rung made no progress. Empty caches return -1:
 // the rung is idle, not exhausted. The checker then holds only the
-// relation's own columns, which no spill can free, and the next level's
-// longer lists give the rung something to move. No Handle may be checking
-// meanwhile.
+// relation's own columns, which no spill can free; caches hold dense
+// vectors only, mostly prefixes of sides of three or more attributes, so
+// a shallow run can leave the rung idle throughout. No Handle may be
+// checking meanwhile.
 func (c *Checker) EvictToSpill() int {
 	if c.sm == nil {
 		return 0

@@ -9,12 +9,18 @@
 //
 // Algorithm 2 of the paper finds them by sorting the rows and scanning
 // adjacent pairs; the Checker needs no sort. The rank vector of a list L
-// holds, per row, the dense rank of the row's L-tuple under ⪯, so rows
-// compare on L as their ranks do. A column's vector is its rank codes; the
-// vector of L∘a is derived from the cached vector of L and the codes of a
-// in one O(rows + domain) pass (rank.go). A check of X against Y makes one
-// pass over the rows collecting each X-rank group's minimum and maximum
-// Y-rank, and one pass over the groups in rank order:
+// holds, per row, a rank of the row's L-tuple under ⪯, so rows compare on
+// L as their ranks do; ranks no row has are allowed. A column's vector is
+// its rank codes. Discovery checks one-step extensions of valid parents
+// (Algorithm 3), so a check side is usually L∘a: when its pair space
+// dom(L)·dom(a) is at most 2·rows+1024, its vector is the composite key
+// rank(L)·dom(a)+code(a), written in one pass into the Handle's scratch and
+// never cached. L itself, SortedIndex lists and larger pair spaces get a
+// dense vector, derived from the prefix's vector in one O(rows + domain)
+// pass and cached (rank.go), so the caches hold the prefixes that sibling
+// candidates share. A check of X against Y makes one pass over the rows
+// collecting each X-rank group's minimum and maximum Y-rank, and one pass
+// over the non-empty groups in rank order:
 //
 //   - a split is a group whose minimum differs from its maximum;
 //   - a swap is a group whose minimum is below the running maximum of the
@@ -180,8 +186,8 @@ func (c *Checker) stopped() bool { return c.stop != nil && c.stop.Load() }
 // "#checks" statistic of Table 6.
 func (c *Checker) Checks() int64 { return c.checks.Load() }
 
-// Sorts returns how many rank vectors were derived (cache misses of
-// multi-attribute lists), as of each Handle's last Flush.
+// Sorts returns how many dense rank vectors were derived, as of each
+// Handle's last Flush. Composite-key sides are not derivations.
 func (c *Checker) Sorts() int64 { return c.sorts.Load() }
 
 // SortedIndex returns row positions sorted ascending by list x under ⪯,

@@ -11,20 +11,22 @@ import (
 // rankVec is an attribute list's rank vector: ranks[row] is the rank of the
 // row's tuple under ⪯, in [0, dom), so two rows compare on the list exactly
 // as their ranks compare. Derived vectors are dense; a column's own codes
-// may leave unused ranks, which the scans skip as empty groups.
+// and composite keys may leave unused ranks, which the scans skip as empty
+// groups.
 type rankVec struct {
 	ranks []int32
 	dom   int
 }
 
 // scratch is the working memory of a Handle's checks, reused so that a
-// check over cached lists allocates nothing.
+// check over cached prefixes allocates nothing.
 type scratch struct {
-	key          []byte  // cache key of the list being resolved
-	lo, hi       []int32 // per X-group minimum and maximum Y-rank
-	loRow, hiRow []int32 // rows holding them (CheckODFull witnesses)
-	cnt          []int32 // counting-sort buckets or composite-key marks
-	buf, ord     []int32 // row orders of a counting derivation
+	key          []byte     // cache key of the list being resolved
+	side         [2][]int32 // composite keys of a check's X and Y sides
+	lo, hi       []int32    // per X-group minimum and maximum Y-rank
+	loRow, hiRow []int32    // rows holding them (CheckODFull witnesses)
+	cnt          []int32    // counting-sort buckets or composite-key marks
+	buf, ord     []int32    // row orders of a counting derivation
 }
 
 // grow resizes *s to n, reallocating only when its capacity is short.
@@ -36,22 +38,35 @@ func grow(s *[]int32, n int) []int32 {
 	return *s
 }
 
-// compositeSlack lets short relations use composite-key marking even when
-// the pair space exceeds twice the row count.
+// compositeSlack lets short relations use composite keys even when the
+// pair space exceeds twice the row count.
 const compositeSlack = 1024
 
-// ranks returns x's rank vector; ok is false when the stop flag aborted a
-// derivation. The vector stays valid until the check ends (release).
+// ranks returns x's dense rank vector, cached; ok is false when the stop
+// flag aborted a derivation. The vector stays valid until the check ends
+// (release).
 func (h *Handle) ranks(x attr.List) (rankVec, bool) {
 	h.s.key = appendKey(h.s.key[:0], x)
-	return h.lookup(x, h.s.key)
+	return h.lookup(x, h.s.key, nil)
+}
+
+// side returns the rank vector of side i (0 for X, 1 for Y) of a check.
+// A one-step extension L∘a of a small pair space is not derived: its
+// vector is the composite key rank(L)·dom(a)+code(a), written into the
+// side's scratch, whose ranks are sparse in [0, dom(L)·dom(a)) and never
+// cached. So only prefixes, which sibling candidates share, fill the cache.
+func (h *Handle) side(x attr.List, i int) (rankVec, bool) {
+	h.s.key = appendKey(h.s.key[:0], x)
+	return h.lookup(x, h.s.key, &h.s.side[i])
 }
 
 // lookup resolves the rank vector of x, whose cache key is key: a column
-// directly, a longer list from the cache, from its spilled segment, or by
-// derivation from its prefix (resolved the same way). Only completed
-// derivations are cached.
-func (h *Handle) lookup(x attr.List, key []byte) (rankVec, bool) {
+// directly, a longer list from the cache, from its spilled segment, or
+// from its prefix's vector (resolved the same way, densely). With comp
+// non-nil and a pair space of at most 2·rows+compositeSlack, that last
+// step writes x's composite keys into *comp; otherwise it derives a dense
+// vector and caches it. Only completed derivations are cached.
+func (h *Handle) lookup(x attr.List, key []byte, comp *[]int32) (rankVec, bool) {
 	c := h.c
 	if len(x) < 2 {
 		return c.column(x), true
@@ -68,11 +83,15 @@ func (h *Handle) lookup(x attr.List, key []byte) (rankVec, bool) {
 		h.cacheVec(key, hash, rv)
 		return rv, true
 	}
-	parent, ok := h.lookup(x[:len(x)-1], key[:len(key)-keyWidth])
+	parent, ok := h.lookup(x[:len(x)-1], key[:len(key)-keyWidth], nil)
 	if !ok {
 		return rankVec{}, false
 	}
-	rv, ok := h.derive(parent, c.column(x[len(x)-1:]))
+	col := c.column(x[len(x)-1:])
+	if span := parent.dom * col.dom; comp != nil && span <= 2*len(parent.ranks)+compositeSlack {
+		return h.compose(grow(comp, len(parent.ranks)), parent, col)
+	}
+	rv, ok := h.derive(parent, col)
 	if !ok {
 		return rankVec{}, false
 	}
@@ -122,6 +141,22 @@ func denseCodes(codes []int32) rankVec {
 		out[i] = int32(r)
 	}
 	return rankVec{out, len(vals)}
+}
+
+// compose writes each row's composite key p·dom(col)+col to out: the
+// rank vector of L∘a from L's vector p and a's vector col, sparse over the
+// pair space. ok is false when the stop flag aborted it.
+// lint:hot
+func (h *Handle) compose(out []int32, p, col rankVec) (rankVec, bool) {
+	c := h.c
+	pr, cr, w := p.ranks, col.ranks[:len(out)], int32(col.dom)
+	for i := range out {
+		if uint32(i)&stopCheckMask == 0 && c.stopped() {
+			return rankVec{}, false
+		}
+		out[i] = pr[i]*w + cr[i]
+	}
+	return rankVec{out, p.dom * col.dom}, true
 }
 
 // derive returns the rank vector of L∘a from L's vector p and a's vector
@@ -228,19 +263,20 @@ const (
 )
 
 // scan checks X against Y (see the package comment): one pass over the
-// rows collects each X-group's minimum and maximum Y-rank and the rows
-// holding them, then one pass walks the groups in rank order. In scanOD
-// mode the row pass ends at the first split, a row whose Y-rank differs
-// from the first of its X-group; the group pass then only looks for swaps.
-// ok is false when the stop flag aborted it.
+// rows collects each X-group's minimum and maximum Y-rank, then one pass
+// walks the groups in rank order, skipping ranks no row has. Only scanFull
+// also tracks the rows holding them, for witnesses. In scanOD mode the row
+// pass ends at the first split, a row whose Y-rank differs from the first
+// of its X-group; the group pass then only looks for swaps. ok is false
+// when the stop flag aborted it.
 // lint:hot
 func (h *Handle) scan(x, y attr.List, mode scanMode) (res ODResult, ok bool) {
 	c, s := h.c, &h.s
-	xv, ok := h.ranks(x)
+	xv, ok := h.side(x, 0)
 	if !ok {
 		return res, false
 	}
-	yv, ok := h.ranks(y)
+	yv, ok := h.side(y, 1)
 	if !ok {
 		return res, false
 	}
@@ -252,8 +288,9 @@ func (h *Handle) scan(x, y attr.List, mode scanMode) (res ODResult, ok bool) {
 		lo[g], hi[g] = math.MaxInt32, -1
 	}
 	xr, yr := xv.ranks, yv.ranks[:len(xv.ranks)]
-	loRow, hiRow := grow(&s.loRow, xv.dom), grow(&s.hiRow, xv.dom)
-	if mode == scanOD {
+	var loRow, hiRow []int32
+	switch mode {
+	case scanOD:
 		for i, g := range xr {
 			if uint32(i)&stopCheckMask == 0 && c.stopped() {
 				return res, false
@@ -265,7 +302,20 @@ func (h *Handle) scan(x, y attr.List, mode scanMode) (res ODResult, ok bool) {
 				return res, true
 			}
 		}
-	} else {
+	case scanOCD:
+		for i, g := range xr {
+			if uint32(i)&stopCheckMask == 0 && c.stopped() {
+				return res, false
+			}
+			if v := yr[i]; v < lo[g] {
+				lo[g] = v
+			}
+			if v := yr[i]; v > hi[g] {
+				hi[g] = v
+			}
+		}
+	default:
+		loRow, hiRow = grow(&s.loRow, xv.dom), grow(&s.hiRow, xv.dom)
 		for i, g := range xr {
 			if uint32(i)&stopCheckMask == 0 && c.stopped() {
 				return res, false
@@ -304,7 +354,10 @@ func (h *Handle) scan(x, y attr.List, mode scanMode) (res ODResult, ok bool) {
 			break
 		}
 		if top > run {
-			run, runRow = top, hiRow[g]
+			run = top
+			if mode == scanFull {
+				runRow = hiRow[g]
+			}
 		}
 	}
 	return res, true

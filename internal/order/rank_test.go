@@ -326,10 +326,10 @@ func appendZero(rows [][]int) [][]int {
 	return out
 }
 
-// TestWarmChecksDoNotAllocate: once the lists' rank vectors are cached, a
-// check allocates nothing; and a warm Handle whose cache is full derives
-// every vector into a recycled buffer, so checks that evict and re-derive
-// allocate nothing either.
+// TestWarmChecksDoNotAllocate: once the lists' prefixes are cached and
+// the scratch has grown, a check allocates nothing; and a warm Handle
+// whose cache is full derives every vector into a recycled buffer, so
+// checks that evict and re-derive allocate nothing either.
 func TestWarmChecksDoNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	c := NewChecker(randomRelation(rng, 3000, 5, 40), 64)

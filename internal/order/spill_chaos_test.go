@@ -33,14 +33,16 @@ func checkAllAgainst(t *testing.T, spilled, mem *Checker, lists []attr.List) {
 
 // spillWorkload returns a check workload, a cap-2 checker spilling to a
 // fresh manager with its counters in reg, and an unconstrained in-memory
-// checker over the same relation. Only lists of two or more attributes
-// are cached, so the workload's multi-attribute lists are what spills
+// checker over the same relation. A check side of two attributes on these
+// small domains resolves as composite keys and is never cached; a side of
+// three caches its two-attribute prefix, so the workload draws lists of
+// up to three attributes and their prefixes are what spills
 // (checkAllAgainst evicts them to disk).
 func spillWorkload(t *testing.T, seed int64) (lists []attr.List, spilled, mem *Checker, reg *obs.Registry) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < 12; i++ {
-		lists = append(lists, randomList(rng, 4, 2))
+		lists = append(lists, randomList(rng, 4, 3))
 	}
 	r := randomRelation(rng, 50, 4, 3)
 	mem = NewChecker(r, 1024)

@@ -48,7 +48,9 @@ func TestIndexCodecRoundTrip(t *testing.T) {
 // TestCheckerSpillsAndReloads: a tiny cache under a spill manager, evicted
 // to disk every few checks as a tripped memory budget would, must reload
 // on demand and answer every check exactly as an unconstrained in-memory
-// checker does.
+// checker does. The lists have up to three attributes: a two-attribute
+// side on small domains is composite keys, never cached, so only the
+// prefixes of three-attribute sides reach the cache.
 func TestCheckerSpillsAndReloads(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	r := randomRelation(rng, 60, 5, 3)
@@ -62,7 +64,7 @@ func TestCheckerSpillsAndReloads(t *testing.T) {
 			if i%5 == 0 {
 				spilled.EvictToSpill()
 			}
-			x, y := randomList(rng2, 5, 2), randomList(rng2, 5, 2)
+			x, y := randomList(rng2, 5, 3), randomList(rng2, 5, 3)
 			if got, want := spilled.CheckOD(x, y), mem.CheckOD(x, y); got != want {
 				t.Fatalf("pass %d check %d: CheckOD = %v, want %v", pass, i, got, want)
 			}
@@ -126,7 +128,8 @@ func TestEvictToSpill(t *testing.T) {
 }
 
 // TestPlainEvictionWritesNoSegment: without a tripped budget, a full cache
-// drops its oldest vector; only EvictToSpill writes segments.
+// drops its oldest vector; only EvictToSpill writes segments. As above,
+// three-attribute sides are what derives and caches.
 func TestPlainEvictionWritesNoSegment(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	r := randomRelation(rng, 40, 5, 3)
@@ -134,7 +137,7 @@ func TestPlainEvictionWritesNoSegment(t *testing.T) {
 	sm := newTestSpill(t)
 	c.SetSpill(sm)
 	for i := 0; i < 40; i++ {
-		c.CheckOD(randomList(rng, 5, 2), randomList(rng, 5, 2))
+		c.CheckOD(randomList(rng, 5, 3), randomList(rng, 5, 3))
 	}
 	c.own.Flush()
 	if c.Sorts() < 2 {

@@ -86,7 +86,7 @@ func TestRadixAborts(t *testing.T) {
 func TestReleaseMemoryKeepsCheckersUsable(t *testing.T) {
 	r := stopRelation(t, 2000)
 	// Columns rank by their codes; only multi-attribute lists are derived
-	// and cached.
+	// and cached, and AC's pair space is too large for composite keys.
 	x, y := attr.NewList(0, 2), attr.NewList(1)
 
 	c := NewChecker(r, 16)

@@ -64,7 +64,8 @@
 #                                BENCHMARK.json test (~2 s)
 #  12. fuzz smokes               FuzzCSVParse, FuzzRankEncode,
 #                                FuzzReadCSVMatchesReference,
-#                                FuzzSplitMatchesEncodingCSV and
+#                                FuzzSplitMatchesEncodingCSV,
+#                                FuzzCheckMatchesBruteForce and
 #                                FuzzCheckpointDecode for FUZZTIME each
 #                                (default 10s)
 #
@@ -125,6 +126,8 @@ if [ "$FUZZTIME" != "0" ]; then
         step "fuzz $target ($FUZZTIME)"
         go test -run='^$' -fuzz="^${target}\$" -fuzztime="$FUZZTIME" ./internal/relation/
     done
+    step "fuzz FuzzCheckMatchesBruteForce ($FUZZTIME)"
+    go test -run='^$' -fuzz='^FuzzCheckMatchesBruteForce$' -fuzztime="$FUZZTIME" ./internal/order/
     step "fuzz FuzzCheckpointDecode ($FUZZTIME)"
     go test -run='^$' -fuzz='^FuzzCheckpointDecode$' -fuzztime="$FUZZTIME" ./internal/checkpoint/
 fi

@@ -53,11 +53,14 @@ fail() {
 FAULT_EXIT=86
 BUDGET=1 # bytes: always over budget, so every level exercises the ladder
 
-# discover <out.json> [flags...]: run ocddiscover -json on the tax dataset.
+# discover <out.json> [flags...]: run ocddiscover -json on the HORSE replica.
+# Checkers cache only the prefixes of sides of three or more attributes;
+# a shallow input such as TAXINFO never derives one, so a 1-byte budget
+# would find nothing to spill (the rung stays idle, as designed).
 discover() {
     local out=$1
     shift
-    "$tmp/ocddiscover" -input "$tmp/tax.csv" -json -partial-ok "$@" \
+    "$tmp/ocddiscover" -input "$tmp/horse.csv" -json -partial-ok "$@" \
         >"$LOGDIR/$out" 2>"$LOGDIR/${out%.json}.err"
 }
 
@@ -81,7 +84,7 @@ step "building fault-injection binaries"
 go build -tags=faultinject -o "$tmp/ocddiscover" ./cmd/ocddiscover
 go build -tags=faultinject -o "$tmp/ocdserve" ./cmd/ocdserve
 go build -o "$tmp/datagen" ./cmd/datagen
-"$tmp/datagen" -dataset taxinfo -out "$tmp/tax.csv" >/dev/null
+"$tmp/datagen" -dataset horse -out "$tmp/horse.csv" >/dev/null
 
 step "baseline: unconstrained in-memory run"
 discover baseline.json
@@ -148,7 +151,7 @@ jq -e --slurpfile base "$LOGDIR/baseline.json" \
 step "kill mid-spill-write (spill.write:exit:3), rerun over the dirty dir"
 status=0
 OCD_FAULT="spill.write:exit:3" "$tmp/ocddiscover" \
-    -input "$tmp/tax.csv" -json -max-memory-bytes "$BUDGET" \
+    -input "$tmp/horse.csv" -json -max-memory-bytes "$BUDGET" \
     -spill-dir "$tmp/spill-crash" -checkpoint "$tmp/crash.ckpt" \
     >/dev/null 2>"$LOGDIR/crash.err" || status=$?
 [ "$status" -eq "$FAULT_EXIT" ] || fail "expected exit $FAULT_EXIT from the injected mid-spill kill, got $status"
@@ -157,7 +160,7 @@ resume_flags=()
 if [ -s "$tmp/crash.ckpt" ]; then
     resume_flags=(-resume "$tmp/crash.ckpt")
 fi
-"$tmp/ocddiscover" -input "$tmp/tax.csv" -json -partial-ok \
+"$tmp/ocddiscover" -input "$tmp/horse.csv" -json -partial-ok \
     -max-memory-bytes "$BUDGET" -spill-dir "$tmp/spill-crash" "${resume_flags[@]}" \
     >"$LOGDIR/crashresume.json" 2>"$LOGDIR/crashresume.err"
 [ "$(jfield crashresume.json .truncated)" = "false" ] || fail "post-crash run truncated"
@@ -204,7 +207,7 @@ strip_job_volatile() {
 }
 
 start_server plain "$tmp/srv-plain"
-id=$(curl -sS -X POST --data-binary @"$tmp/tax.csv" "$BASE/jobs?name=tax" | jq -er .id)
+id=$(curl -sS -X POST --data-binary @"$tmp/horse.csv" "$BASE/jobs?name=horse" | jq -er .id)
 wait_job "$id"
 curl -sS "$BASE/jobs/$id/result" >"$tmp/job_plain.json"
 stop_server
@@ -212,7 +215,7 @@ stop_server
 # The upload cap would otherwise derive from the (tiny) per-job budget;
 # spilling, not admission, is what the budget is meant to squeeze here.
 start_server budget "$tmp/srv-budget" -max-memory-bytes "$BUDGET" -max-upload-bytes 1048576
-id=$(curl -sS -X POST --data-binary @"$tmp/tax.csv" "$BASE/jobs?name=tax" | jq -er .id)
+id=$(curl -sS -X POST --data-binary @"$tmp/horse.csv" "$BASE/jobs?name=horse" | jq -er .id)
 wait_job "$id"
 curl -sS "$BASE/jobs/$id/result" >"$tmp/job_budget.json"
 [ "$(jq -r .truncate_reason "$tmp/job_budget.json")" != "memory-budget" ] ||
@@ -227,7 +230,7 @@ stop_server
 step "low-disk floor: submissions refused with typed 503 + Retry-After"
 start_server lowdisk "$tmp/srv-lowdisk" -min-free-bytes 9223372036854775807
 code=$(curl -sS -D "$tmp/lowdisk_hdrs.txt" -o "$tmp/lowdisk_body.json" -w '%{http_code}' \
-    -X POST --data-binary @"$tmp/tax.csv" "$BASE/jobs?name=refused")
+    -X POST --data-binary @"$tmp/horse.csv" "$BASE/jobs?name=refused")
 [ "$code" = "503" ] || fail "low-disk submit returned $code, want 503"
 [ "$(jq -r .kind "$tmp/lowdisk_body.json")" = "low-disk" ] || fail "low-disk kind: $(cat "$tmp/lowdisk_body.json")"
 grep -qi '^Retry-After:' "$tmp/lowdisk_hdrs.txt" || fail "low-disk 503 carries no Retry-After"

@@ -1,7 +1,7 @@
 # Convenience wrappers around the check gate; scripts/check.sh is the
 # source of truth for what CI runs.
 
-.PHONY: build test race lint lint-json lint-fix lint-fix-diff lint-baseline lint-timings chaos resume-chaos serve-chaos spill-chaos obs-chaos fuzz bench bench-smoke bench-test check
+.PHONY: build test race lint lint-json lint-fix lint-fix-diff lint-baseline lint-timings chaos resume-chaos serve-chaos obs-chaos fuzz bench bench-smoke bench-test check
 
 build:
 	go build ./...
@@ -62,14 +62,6 @@ resume-chaos:
 # clean SIGTERM drain (docs/SERVICE.md).
 serve-chaos:
 	scripts/serve_chaos.sh
-
-# spill-chaos runs budget-constrained discovery fully out-of-core and
-# injects torn segments, bit rot, read/write faults, and a mid-spill-write
-# kill; every leg must produce output byte-identical to an unconstrained
-# run, and total write failure must fall back to a typed truncation
-# (docs/ROBUSTNESS.md).
-spill-chaos:
-	scripts/spill_chaos.sh
 
 # obs-chaos proves the observability contract: Prometheus text matching
 # the JSON snapshot, SSE streams with monotone ids whose done event is

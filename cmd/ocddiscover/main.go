@@ -8,14 +8,13 @@
 //	            [-no-header] [-force-string] [-max-level 0]
 //	            [-top-entropy 0] [-expand 20] [-partial-ok]
 //	            [-checkpoint run.ckpt] [-resume run.ckpt]
-//	            [-max-memory-bytes 0] [-spill-dir DIR]
+//	            [-max-memory-bytes 0]
 //	            [-progress] [-metrics-out m.json] [-trace-out t.json]
 //	            [-trace-tree-out tree.json] [-debug-addr :6060]
 //
-// -max-memory-bytes sets a soft heap budget; with -spill-dir the engine
-// rides out the budget by evicting checker state to recomputable spill
-// segments in that directory (out-of-core discovery) and only truncates
-// when even eviction cannot free memory.
+// -max-memory-bytes sets a soft heap budget: over it the engine drops its
+// cached rank vectors and recomputes them on demand, and truncates (reason
+// "memory-budget") when even that release leaves the heap over budget.
 //
 // -progress renders a live status line (level, frontier, checks/s, cache hit
 // rate, ETA) on stderr. -metrics-out dumps the run's metrics registry as
@@ -76,7 +75,6 @@ func main() {
 		depsOut     = flag.String("deps-out", "", "write discovered dependencies in odverify's format to this file")
 		partialOK   = flag.Bool("partial-ok", false, "exit 0 instead of 3 when results are partial (truncated or interrupted)")
 		maxMemory   = flag.Int64("max-memory-bytes", 0, "soft heap budget for discovery (0 = none)")
-		spillDir    = flag.String("spill-dir", "", "spill checker state to this directory under memory pressure instead of truncating")
 		ckptPath    = flag.String("checkpoint", "", "write a resumable snapshot to this file at every completed level")
 		ckptEvery   = flag.Int("checkpoint-every", 0, "snapshot only every n completed levels (0 = every level)")
 		resumeFrom  = flag.String("resume", "", "restart from the snapshot at this path (input must be the original data)")
@@ -95,7 +93,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	// Operational warnings (checkpoint/spill degradation, debug server) go
+	// Operational warnings (checkpoint degradation, debug server) go
 	// through slog so service wrappers can parse them; results stay on
 	// stdout untouched.
 	logger, err := obs.NewLogger(os.Stderr, *logFormat, *logLevel)
@@ -164,7 +162,6 @@ func main() {
 		MaxLevel:        *maxLevel,
 		MaxCandidates:   *maxCand,
 		MaxMemoryBytes:  *maxMemory,
-		SpillDir:        *spillDir,
 		CheckpointPath:  *ckptPath,
 		CheckpointEvery: *ckptEvery,
 		ResumeFrom:      *resumeFrom,
@@ -258,9 +255,6 @@ func main() {
 			Checkpoints      int        `json:"checkpoints,omitempty"`
 			CheckpointPath   string     `json:"checkpoint_path,omitempty"`
 			CheckpointError  string     `json:"checkpoint_error,omitempty"`
-			SpillEvictions   int64      `json:"spill_evictions,omitempty"`
-			SpillReloads     int64      `json:"spill_reloads,omitempty"`
-			SpillError       string     `json:"spill_error,omitempty"`
 			ResumeCommand    string     `json:"resume_command,omitempty"`
 		}
 		out := jsonOut{
@@ -276,9 +270,6 @@ func main() {
 			Resumed:         res.Stats.Resumed,
 			Checkpoints:     res.Stats.Checkpoints,
 			CheckpointError: res.Stats.CheckpointError,
-			SpillEvictions:  res.Stats.SpillEvictions,
-			SpillReloads:    res.Stats.SpillReloads,
-			SpillError:      res.Stats.SpillError,
 		}
 		if path, ok := resumableSnapshot(*ckptPath, res); ok {
 			out.CheckpointPath = path
@@ -327,9 +318,6 @@ func main() {
 	fmt.Printf("\n%s\n", res.Summary())
 	if res.Stats.CheckpointError != "" {
 		logger.Warn("checkpointing disabled after write failure", "error", res.Stats.CheckpointError)
-	}
-	if res.Stats.SpillError != "" {
-		logger.Warn("spill dir unusable, running fully in-memory", "error", res.Stats.SpillError)
 	}
 	if path, ok := resumableSnapshot(*ckptPath, res); ok {
 		fmt.Printf("\ncheckpoint: %s\nresume with: %s\n", path, resumeCommand(path))

@@ -45,7 +45,7 @@ func run() int {
 		dir        = flag.String("dir", "", "data directory for job state (required)")
 		maxActive  = flag.Int("max-active", 2, "jobs running concurrently")
 		queueDepth = flag.Int("queue-depth", 16, "admitted-but-not-running jobs before 429")
-		maxMemory  = flag.Int64("max-memory-bytes", 0, "shared soft heap budget split across active jobs (0 = none)")
+		maxMemory  = flag.Int64("max-memory-bytes", 0, "shared soft heap budget for the whole server process (0 = none)")
 		maxUpload  = flag.Int64("max-upload-bytes", 0, "largest accepted CSV (0 = derive from budget, else 1GiB)")
 		maxAttempt = flag.Int("max-attempts", 3, "attempts before a crashing job is marked failed")
 		backoff    = flag.Duration("backoff", 500*time.Millisecond, "base retry delay after a failed attempt")

@@ -34,25 +34,12 @@ type Options struct {
 	// DisableColumnReduction skips the constant/equivalent column
 	// reduction phase; for ablation only.
 	DisableColumnReduction bool
-	// MaxMemoryBytes is a soft heap budget: when the heap crosses it at a
-	// level boundary the engine degrades instead of growing toward an OOM
-	// kill — with a SpillDir it moves its rank-vector caches to disk,
-	// otherwise it drops them — and truncates the run (reason
-	// "memory-budget") only when nothing could be spilled and the heap
-	// stays over budget. Zero means no budget.
+	// MaxMemoryBytes is a soft heap budget on the whole process: when the
+	// heap crosses it at a level boundary the engine drops its rank-vector
+	// caches and recomputes them on demand instead of growing toward an OOM
+	// kill, and truncates the run (reason "memory-budget") when the heap
+	// stays over budget after that release. Zero means no budget.
 	MaxMemoryBytes int64
-	// SpillDir, when non-empty, arms out-of-core discovery: when
-	// MaxMemoryBytes trips, the engine writes its cached rank vectors to
-	// checksummed segments under this directory and reloads them on
-	// demand, so a budgeted run completes with identical results instead
-	// of truncating. Without a tripped budget nothing is written: a full
-	// cache drops its oldest entry, which is cheaper to recompute than to
-	// write. Segments are
-	// pure cache — the directory is wiped on open and emptied when the run
-	// ends, spill I/O failures degrade to recomputation (never wrong
-	// results), and an unopenable directory merely records
-	// Stats.SpillError and continues in-memory.
-	SpillDir string
 	// CheckpointPath, when non-empty, makes the run durable: a snapshot of
 	// the traversal is atomically written there at level barriers and when
 	// the run stops for any reason, so an interrupted run can be restarted
@@ -186,18 +173,8 @@ type Stats struct {
 	// traversal completed.
 	TruncateReason TruncateReason
 	// MemoryReleases counts how often the soft memory budget forced the
-	// checker cache to be spilled or dropped without truncating the run.
+	// checker caches to be dropped.
 	MemoryReleases int
-	// SpillEvictions counts cache entries written to spill segments under
-	// Options.SpillDir by a tripped MaxMemoryBytes budget; SpillReloads
-	// counts entries read back from disk instead of recomputed. Both are
-	// zero without a spill dir or without a budget that tripped.
-	SpillEvictions int64
-	SpillReloads   int64
-	// SpillError records why the spill directory could not be opened; the
-	// run then continued fully in-memory. Empty when spilling worked or was
-	// off.
-	SpillError string
 	// Checkpoints counts the snapshots written during the run (periodic
 	// level barriers plus the final stop/completion snapshot).
 	Checkpoints int
@@ -285,7 +262,6 @@ func (t *Table) DiscoverContext(ctx context.Context, opts Options) (*Result, err
 		Columns:                cols,
 		DisableColumnReduction: opts.DisableColumnReduction,
 		MaxMemoryBytes:         opts.MaxMemoryBytes,
-		SpillDir:               opts.SpillDir,
 		CheckpointPath:         opts.CheckpointPath,
 		CheckpointEvery:        opts.CheckpointEvery,
 		Resume:                 snap,
@@ -324,9 +300,6 @@ func (t *Table) wrapResult(inner *core.Result) *Result {
 		Truncated:       inner.Stats.Truncated,
 		TruncateReason:  reasonOf(inner.Stats.Reason),
 		MemoryReleases:  inner.Stats.MemoryReleases,
-		SpillEvictions:  inner.Stats.SpillEvictions,
-		SpillReloads:    inner.Stats.SpillReloads,
-		SpillError:      inner.Stats.SpillError,
 		Checkpoints:     inner.Stats.Checkpoints,
 		CheckpointError: inner.Stats.CheckpointError,
 		Resumed:         inner.Stats.Resumed,

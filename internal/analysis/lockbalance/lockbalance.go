@@ -7,8 +7,8 @@
 // rank-vector cache (an order.Handle), which takes no lock. The locks
 // that remain guard what is shared: the order.Checker's built-in Handle,
 // which serves the column reduction and library callers, the handle
-// registry its memory-budget rungs walk, the spill manager, the job
-// server and the metrics registry. Two bug classes are reported:
+// registry the memory-budget release walks, the job server and the
+// metrics registry. Two bug classes are reported:
 //
 //  1. leak — a path from mu.Lock() reaches a return without an
 //     Unlock() and without an armed `defer mu.Unlock()`. A leaked

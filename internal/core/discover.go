@@ -16,7 +16,6 @@ import (
 	"ocd/internal/faultinject"
 	"ocd/internal/order"
 	"ocd/internal/relation"
-	"ocd/internal/spill"
 )
 
 // Note for readers coming from the paper: observability hooks (the d.ro
@@ -78,10 +77,6 @@ type discoverer struct {
 	// res accumulates the (possibly partial) output; kept on the
 	// discoverer so the boundary recover in DiscoverContext can return it.
 	res *Result
-
-	// sm is the out-of-core spill manager, nil when Options.SpillDir is
-	// empty or the directory could not be opened (Stats.SpillError).
-	sm *spill.Manager
 
 	// barrier is the latest consistent cut of the traversal (see
 	// checkpoint.go); snapshots are only ever taken from it.
@@ -213,16 +208,10 @@ func (d *discoverer) watch(ctx context.Context, timerC <-chan time.Time, stop <-
 }
 
 // overMemoryBudget implements the soft memory budget at a level boundary as
-// a degradation ladder: over budget → spill the checker's cache to disk
-// (rung 1, only with a SpillDir) → release whatever remains in memory and
-// force a GC (rung 2) → truncate (rung 3) only when the heap is still over
-// budget AND spilling made no progress. A working spill directory therefore
-// keeps a budgeted run alive out-of-core: every boundary that manages to
-// move at least one cache entry to disk earns the run its next level, and
-// TruncateMemoryBudget stays unreachable until the spill path itself is
-// exhausted (no manager, or every write failed). An idle rung (nothing
-// cached, as for a rank checker that has only seen single columns) is not
-// exhausted: the next level's derived entries give it something to spill.
+// a degradation ladder: over budget → release every worker's rank-vector
+// cache and force a GC (rung 1) → later misses recompute from column codes
+// in one O(rows + domain) pass each (rung 2) → truncate (rung 3) when the
+// heap is still over budget after the release.
 func (d *discoverer) overMemoryBudget() bool {
 	if d.opts.MaxMemoryBytes <= 0 {
 		return false
@@ -232,15 +221,11 @@ func (d *discoverer) overMemoryBudget() bool {
 	if ms.HeapAlloc <= uint64(d.opts.MaxMemoryBytes) {
 		return false
 	}
-	evicted := d.chk.EvictToSpill()
 	d.chk.ReleaseMemory()
 	d.res.Stats.MemoryReleases++
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
-	if ms.HeapAlloc <= uint64(d.opts.MaxMemoryBytes) {
-		return false
-	}
-	return evicted == 0
+	return ms.HeapAlloc > uint64(d.opts.MaxMemoryBytes)
 }
 
 // workerOut accumulates one worker's emissions for a level.
@@ -271,18 +256,6 @@ func (d *discoverer) run(ctx context.Context) (*Result, error) {
 		if err := d.verifyResume(d.opts.Resume); err != nil {
 			res.Stats.Elapsed = time.Since(d.start)
 			return res, err
-		}
-	}
-	// Arm out-of-core spilling. An unopenable spill dir is a degradation,
-	// not a failure: the run proceeds fully in-memory and records why.
-	if d.opts.SpillDir != "" {
-		if sm, smErr := spill.NewManager(d.opts.SpillDir); smErr != nil {
-			res.Stats.SpillError = smErr.Error()
-		} else {
-			d.sm = sm
-			d.chk.SetSpill(sm)
-			// Segments are pure cache — removing them on exit loses nothing.
-			defer sm.Close() // lint:allow errdrop — best-effort cleanup of recomputable cache files
 		}
 	}
 	d.ro.runStart(d.start, 0)
@@ -426,7 +399,6 @@ func (d *discoverer) run(ctx context.Context) (*Result, error) {
 	d.writeCheckpoint(res)
 
 	res.Stats.Checks = d.checksBase + d.chk.Checks()
-	res.Stats.SpillEvictions, res.Stats.SpillReloads = d.chk.SpillStats()
 	res.Stats.Elapsed = time.Since(d.start)
 	sortResult(res)
 	d.ro.runEnd(d, res)

@@ -85,30 +85,12 @@ type Options struct {
 	// the "most interesting columns" mode of Section 5.4. Nil means all.
 	Columns []attr.ID
 	// MaxMemoryBytes is a soft heap budget, checked via runtime.ReadMemStats
-	// at level boundaries. When crossed the engine degrades in a fixed
-	// ladder: with a SpillDir it first moves the workers' rank-vector caches
-	// to disk segments, then releases what remains in memory and forces a GC; the
-	// run truncates with TruncateMemoryBudget only when the heap stays over
-	// budget AND spilling made no progress at all — so with a working spill
-	// directory a budgeted run completes out-of-core instead of truncating.
-	// Zero means no budget.
+	// at level boundaries against the whole process's heap. When crossed
+	// the engine releases every worker's rank-vector cache and forces a GC;
+	// later cache misses recompute their vectors from column codes. The run
+	// truncates with TruncateMemoryBudget when the heap is still over
+	// budget after the release. Zero means no budget.
 	MaxMemoryBytes int64
-	// SpillDir, when non-empty, arms out-of-core operation: a tripped
-	// MaxMemoryBytes spills every worker's rank-vector cache to checksummed
-	// segments under this directory before truncation is even considered,
-	// and cache misses reload them instead of recomputing. That rung is the
-	// only writer: an ordinary eviction from a full cache drops the vector
-	// (recomputing it costs one O(rows) pass; writing it, a synced file),
-	// so an unbudgeted run leaves the directory empty. The directory is created if missing, wiped of leftover
-	// segments on open (spill files are pure cache — after a crash they are
-	// unreachable orphans), and emptied again when the run ends. Spill I/O
-	// failures never fail the run and never produce wrong results: a failed
-	// write is retried once and then the entry is merely not spilled; a
-	// failed, torn or corrupt read is retried once, then the segment is
-	// dropped and the entry recomputed from rank codes. If the directory
-	// itself cannot be opened the run continues fully in-memory and records
-	// the cause in Stats.SpillError.
-	SpillDir string
 	// CheckpointPath, when non-empty, makes the run durable: a snapshot of
 	// the BFS state is atomically written there at level barriers and when
 	// the run truncates for any reason, so an interrupted run can restart
@@ -179,9 +161,7 @@ const (
 	// TruncateCancelled: the caller's context was cancelled.
 	TruncateCancelled
 	// TruncateMemoryBudget: the heap stayed over Options.MaxMemoryBytes
-	// after the whole degradation ladder — spilling the checker cache to
-	// disk (when a SpillDir is armed), releasing what remained in memory,
-	// and a forced GC — made no progress.
+	// after the checker caches were released and a GC forced.
 	TruncateMemoryBudget
 	// TruncateWorkerPanic: a level worker panicked; the partial Result is
 	// accompanied by a *PanicError.
@@ -225,20 +205,9 @@ type Stats struct {
 	// Reason records why the run truncated; TruncateNone on complete runs.
 	Reason TruncateReason
 	// MemoryReleases counts how often the soft memory budget forced the
-	// checker cache to be spilled or dropped (graceful degradation short
-	// of truncating the run).
+	// checker caches to be released (graceful degradation short of
+	// truncating the run).
 	MemoryReleases int
-	// SpillEvictions counts cache entries written to spill segments under
-	// Options.SpillDir, all by the budget-trip rung (ordinary evictions
-	// write nothing); SpillReloads counts entries read back from disk
-	// instead of recomputed. Both are zero without a spill dir or without
-	// a budget that tripped.
-	SpillEvictions int64
-	SpillReloads   int64
-	// SpillError records why the spill directory could not be opened; the
-	// run then continued fully in-memory (degraded, never wrong). Empty
-	// when spilling worked or was off.
-	SpillError string
 	// Checkpoints counts the snapshots written during the run (periodic
 	// level barriers plus the final truncation/completion snapshot).
 	Checkpoints int

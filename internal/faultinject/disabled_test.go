@@ -26,8 +26,8 @@ func TestDisabledIsInert(t *testing.T) {
 }
 
 // TestDisabledPointErrNeverFails: without the tag PointErr always returns
-// nil, even with an ActionErr rule "armed" — spill and checkpoint I/O paths
-// may call it unconditionally.
+// nil, even with an ActionErr rule "armed" — the checkpoint I/O path may
+// call it unconditionally.
 func TestDisabledPointErrNeverFails(t *testing.T) {
 	Arm("y", Rule{Action: ActionErr, Nth: 1})
 	defer Reset()

@@ -94,9 +94,6 @@ type ResultDoc struct {
 	Resumed          bool       `json:"resumed,omitempty"`          // volatile
 	Checkpoints      int        `json:"checkpoints"`                // volatile
 	Attempts         int        `json:"attempts"`                   // volatile
-	SpillEvictions   int64      `json:"spill_evictions,omitempty"`  // volatile
-	SpillReloads     int64      `json:"spill_reloads,omitempty"`    // volatile
-	SpillError       string     `json:"spill_error,omitempty"`      // volatile
 }
 
 // writeResult renders and atomically persists the result document.
@@ -126,9 +123,6 @@ func (m *Manager) writeResult(j *Job, out attemptOutcome) error {
 		Resumed:          res.Stats.Resumed,
 		Checkpoints:      res.Stats.Checkpoints,
 		Attempts:         attempts,
-		SpillEvictions:   res.Stats.SpillEvictions,
-		SpillReloads:     res.Stats.SpillReloads,
-		SpillError:       res.Stats.SpillError,
 	}
 	if doc.OCDs == nil {
 		doc.OCDs = []ocd.OCD{}
@@ -210,7 +204,7 @@ type HealthDoc struct {
 	Jobs     int    `json:"jobs"`
 	Draining bool   `json:"draining,omitempty"`
 	// FreeBytes is the space available on the volume holding the data dir
-	// (which also hosts every job's checkpoint and spill segments); -1 when
+	// (which also hosts every job's input, checkpoint and result); -1 when
 	// the platform cannot report it.
 	FreeBytes int64 `json:"free_bytes"`
 	// MinFreeBytes echoes the admission floor; LowDisk is set when FreeBytes

@@ -138,17 +138,13 @@ type Manifest struct {
 	UpdatedAt      time.Time `json:"updated_at"`
 }
 
-// File names inside a job directory. The spill subdirectory holds the
-// engine's out-of-core cache segments for the running attempt; it lives
-// inside the job directory so Delete's RemoveAll covers it, and recovery
-// sweeps it (segments are pure cache, never carried across attempts).
+// File names inside a job directory.
 const (
 	manifestFile = "manifest.json"
 	inputFile    = "input.csv"
 	snapshotFile = "job.ckpt"
 	resultFile   = "result.json"
 	traceFile    = "trace.json"
-	spillSubdir  = "spill"
 )
 
 func manifestPath(dir string) string { return filepath.Join(dir, manifestFile) }
@@ -156,7 +152,6 @@ func inputPath(dir string) string    { return filepath.Join(dir, inputFile) }
 func snapshotPath(dir string) string { return filepath.Join(dir, snapshotFile) }
 func resultPath(dir string) string   { return filepath.Join(dir, resultFile) }
 func tracePath(dir string) string    { return filepath.Join(dir, traceFile) }
-func spillDirPath(dir string) string { return filepath.Join(dir, spillSubdir) }
 
 // writeJSONAtomic persists v as indented JSON at path with the same
 // crash-safety contract as checkpoint.Write: encode into a sibling temp
@@ -230,8 +225,8 @@ var (
 	ErrQueueFull = errors.New("jobs: queue is full")
 	// ErrTooLarge: the dataset cannot fit the per-job memory budget (413).
 	ErrTooLarge = errors.New("jobs: dataset exceeds the per-job budget")
-	// ErrLowDisk: the data/spill volume is below the configured free-space
-	// floor, so a new job could not durably checkpoint or spill (503 with
+	// ErrLowDisk: the data volume is below the configured free-space floor,
+	// so a new job could not durably store its input and checkpoints (503 with
 	// Retry-After — the condition is transient once jobs are deleted or the
 	// disk is grown).
 	ErrLowDisk = errors.New("jobs: insufficient free disk space")

@@ -22,7 +22,6 @@ import (
 	"ocd/internal/core"
 	"ocd/internal/faultinject"
 	"ocd/internal/obs"
-	"ocd/internal/spill"
 )
 
 // Config tunes a Manager. The zero value of every field selects a sane
@@ -36,13 +35,16 @@ type Config struct {
 	// retry-backoff window (default 16). Beyond it submissions get
 	// ErrQueueFull.
 	QueueDepth int
-	// MaxMemoryBytes is the shared soft heap budget; each running job gets
-	// MaxMemoryBytes/MaxActive as its Options.MaxMemoryBytes. Zero means no
-	// budget.
+	// MaxMemoryBytes is the shared soft heap budget. The engine compares the
+	// whole process's heap with it, so every running job gets the full value
+	// as its Options.MaxMemoryBytes: over budget at a level barrier, a job
+	// drops its caches, and it truncates with reason "memory-budget" when
+	// the process heap stays over. Zero means no budget.
 	MaxMemoryBytes int64
 	// MaxUploadBytes caps a submitted CSV. Zero derives the cap from the
-	// per-job memory share (a rank-encoded relation needs at least its CSV
-	// size in heap) or 1 GiB when there is no budget.
+	// per-job memory share, MaxMemoryBytes/MaxActive (a rank-encoded
+	// relation needs at least its CSV size in heap), or 1 GiB when there is
+	// no budget.
 	MaxUploadBytes int64
 	// MaxAttempts is the poison cap: a job whose attempt fails (panic or
 	// crash) this many times is marked failed for good (default 3).
@@ -63,7 +65,7 @@ type Config struct {
 	// MinFreeBytes is the free-space floor for the data volume: while the
 	// filesystem holding Dir has fewer free bytes, new submissions are
 	// refused with ErrLowDisk (503) instead of being admitted into a run
-	// that would fail mid-checkpoint or mid-spill. Zero disables the gate.
+	// that would fail mid-checkpoint. Zero disables the gate.
 	MinFreeBytes int64
 	// Metrics receives the manager's counters and gauges (nil = private
 	// registry).
@@ -314,13 +316,6 @@ func (m *Manager) recover() error {
 		if _, err := os.Stat(resultPath(dir)); err == nil {
 			j.resultReady = true
 		}
-		// Spill segments are pure cache scoped to one attempt; whatever the
-		// crashed process left behind is garbage to the next attempt (which
-		// opens its own manager over the same dir) and dead weight to a
-		// terminal job. Sweep unconditionally.
-		if err := spill.Sweep(spillDirPath(dir)); err != nil {
-			m.cfg.Logger.Warn("recover: spill sweep failed", "job_id", j.id, "error", err)
-		}
 		switch man.State {
 		case StateQueued:
 			// Re-admit immediately: any backoff window it was in elapsed
@@ -449,7 +444,7 @@ func (m *Manager) Submit(ctx context.Context, name string, src io.Reader, opts J
 		return nil, fmt.Errorf("%w: delimiter must be a single character", ErrBadInput)
 	}
 	// Free-space floor: refuse work the volume cannot carry (input copy,
-	// checkpoints, spill segments) rather than admit a job doomed to degrade.
+	// checkpoints, result, trace) rather than admit a job doomed to degrade.
 	// An unreadable filesystem stat (free < 0) fails open — the gate protects
 	// against a full disk, not a missing statfs syscall.
 	if m.cfg.MinFreeBytes > 0 {
@@ -705,15 +700,11 @@ func (m *Manager) runAttempt(ctx context.Context, j *Job, name string) (out atte
 		MaxCandidates:   opts.MaxCandidates,
 		MaxLevel:        opts.MaxLevel,
 		Columns:         opts.Columns,
-		MaxMemoryBytes:  m.cfg.perJobMemory(),
+		MaxMemoryBytes:  m.cfg.MaxMemoryBytes,
 		CheckpointPath:  snapshotPath(j.dir),
 		CheckpointEvery: m.cfg.CheckpointEvery,
-		// Per-job spill dir inside the job dir: Delete's RemoveAll covers it,
-		// recovery sweeps it, and under memory pressure the engine evicts
-		// checker state here instead of truncating the run.
-		SpillDir: spillDirPath(j.dir),
-		Reporter: j,
-		Trace:    tr.Root(),
+		Reporter:        j,
+		Trace:           tr.Root(),
 	}
 	if _, statErr := os.Stat(snapshotPath(j.dir)); statErr == nil {
 		dopts.ResumeFrom = snapshotPath(j.dir)

@@ -3,12 +3,10 @@ package order
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 
 	"ocd/internal/attr"
 	"ocd/internal/faultinject"
 	"ocd/internal/obs"
-	"ocd/internal/spill"
 )
 
 // Handle is one goroutine's view of a Checker. It owns what a check
@@ -33,7 +31,7 @@ type Handle struct {
 
 // NewHandle returns a Handle on c whose cache holds at most cacheCap rank
 // vectors of multi-attribute lists (0 disables caching). The Checker
-// remembers it, so EvictToSpill and ReleaseMemory reach its cache.
+// remembers it, so ReleaseMemory reaches its cache.
 func (c *Checker) NewHandle(cacheCap int) *Handle {
 	h := &Handle{c: c, fifo: fifo{cap: cacheCap}}
 	c.mu.Lock()
@@ -192,77 +190,12 @@ func (f *fifo) remove(i int) {
 	}
 }
 
-// SetObs attaches the rank-vector cache's hit/miss counters and the spill
-// counters from the registry (a nil registry resolves to no-op handles).
-// Not safe to call concurrently with checks.
+// SetObs attaches the rank-vector cache's hit/miss counters from the
+// registry (a nil registry resolves to no-op handles). Not safe to call
+// concurrently with checks.
 func (c *Checker) SetObs(reg *obs.Registry) {
 	c.obsHits = reg.Counter("order.index_cache.hits")
 	c.obsMisses = reg.Counter("order.index_cache.misses")
-	c.obsEvictions = reg.Counter("order.spill.evictions")
-	c.obsReloads = reg.Counter("order.spill.reloads")
-	c.obsRetries = reg.Counter("order.spill.retries")
-	c.obsRecomputes = reg.Counter("order.spill.recomputes")
-	c.obsFailures = reg.Counter("order.spill.write_failures")
-}
-
-// SetSpill attaches a spill manager: EvictToSpill writes cached vectors to
-// it and cache misses reload them. Not safe to call concurrently with
-// checks.
-func (c *Checker) SetSpill(sm *spill.Manager) { c.sm = sm }
-
-// SpillStats returns how many entries were spilled to disk and how many
-// were reloaded from it.
-func (c *Checker) SpillStats() (evictions, reloads int64) {
-	return c.evictions.Load(), c.reloads.Load()
-}
-
-// spill writes one entry with the write rung of the ladder: retry once,
-// then give up — the entry is recomputed when next needed. Reports whether
-// the entry is durably spilled.
-func (c *Checker) spill(key string, v rankVec) bool {
-	payload := encodeIndex(v.ranks)
-	if err := c.sm.Put(key, payload); err != nil {
-		c.obsRetries.Inc()
-		if err := c.sm.Put(key, payload); err != nil {
-			c.obsFailures.Inc()
-			return false
-		}
-	}
-	c.evictions.Add(1)
-	c.obsEvictions.Inc()
-	return true
-}
-
-// load reloads key's spilled entry with the read rung of the ladder: retry
-// once on any failure, then drop the segment so the caller recomputes. A
-// segment that fails the structural decode is dropped the same way, so
-// damaged data never reaches a check. Until EvictToSpill has written a
-// segment it costs one atomic load.
-func (c *Checker) load(key []byte) (rankVec, bool) {
-	if !c.spilled.Load() {
-		return rankVec{}, false
-	}
-	k := string(key)
-	payload, err := c.sm.Get(k)
-	if errors.Is(err, spill.ErrNoSegment) {
-		return rankVec{}, false
-	}
-	if err != nil {
-		c.obsRetries.Inc()
-		payload, err = c.sm.Get(k)
-	}
-	var v rankVec
-	if err == nil {
-		v, err = decodeRanks(payload, c.r.NumRows())
-	}
-	if err != nil {
-		c.sm.Drop(k)
-		c.obsRecomputes.Inc()
-		return rankVec{}, false
-	}
-	c.reloads.Add(1)
-	c.obsReloads.Inc()
-	return v, true
 }
 
 // ReleaseMemory drops every cached entry and free buffer of every Handle,
@@ -276,40 +209,4 @@ func (c *Checker) ReleaseMemory() {
 		h.fifo = fifo{cap: h.cap}
 		h.free = nil
 	}
-}
-
-// EvictToSpill moves every cached entry of every Handle to disk and clears
-// the memory caches — the engine's first response to a tripped memory
-// budget, and the only path that writes segments. It returns the number of
-// entries durably spilled; 0 (no spill manager, or every write failed)
-// tells the engine this rung made no progress. Empty caches return -1:
-// the rung is idle, not exhausted. The checker then holds only the
-// relation's own columns, which no spill can free; caches hold dense
-// vectors only, mostly prefixes of sides of three or more attributes, so
-// a shallow run can leave the rung idle throughout. No Handle may be
-// checking meanwhile.
-func (c *Checker) EvictToSpill() int {
-	if c.sm == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n, seen := 0, false
-	for _, h := range c.handles {
-		for _, e := range h.ents {
-			seen = true
-			if c.spill(string(e.key), e.rv) {
-				n++
-			}
-		}
-		h.fifo = fifo{cap: h.cap}
-		h.free = nil
-	}
-	if n > 0 {
-		c.spilled.Store(true)
-	}
-	if !seen {
-		return -1
-	}
-	return n
 }

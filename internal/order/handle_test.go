@@ -4,21 +4,22 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"ocd/internal/attr"
 	"ocd/internal/core"
+	"ocd/internal/datagen"
+	"ocd/internal/obs"
 	"ocd/internal/order"
 	"ocd/internal/relation"
 )
 
 // TestRecycledBuffersDoNotAlias: discovery through per-worker Handles —
 // tiny caches whose evicted buffers are recycled by the next derivation,
-// 1 to 8 workers, with and without a budget that spills every level —
-// gives byte-identical results with identical Checks and Candidates, and
-// every emitted dependency holds under Algorithm 2. A buffer recycled while
-// a check still reads it would corrupt a rank vector and show up here.
+// 1 to 8 workers — gives byte-identical results with identical Checks and
+// Candidates, and every emitted dependency holds under Algorithm 2. A
+// buffer recycled while a check still reads it would corrupt a rank vector
+// and show up here.
 func TestRecycledBuffersDoNotAlias(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 12; trial++ {
@@ -26,26 +27,19 @@ func TestRecycledBuffersDoNotAlias(t *testing.T) {
 		var want []byte
 		for _, cache := range []int{1, 2, 3} {
 			for _, workers := range []int{1, 2, 3, 8} {
-				for _, spill := range []bool{false, true} {
-					opts := core.Options{Workers: workers, IndexCacheSize: cache}
-					if spill {
-						opts.MaxMemoryBytes = 1
-						opts.SpillDir = filepath.Join(t.TempDir(), "spill")
-					}
-					res := core.Discover(r, opts)
-					if res.Stats.Truncated {
-						t.Fatalf("trial %d: run truncated: %+v", trial, res.Stats)
-					}
-					got := serialize(t, res)
-					if want == nil {
-						want = got
-						verify(t, r, res)
-						continue
-					}
-					if string(got) != string(want) {
-						t.Fatalf("trial %d cache=%d workers=%d spill=%v: results differ\nwant %s\ngot  %s",
-							trial, cache, workers, spill, want, got)
-					}
+				res := core.Discover(r, core.Options{Workers: workers, IndexCacheSize: cache})
+				if res.Stats.Truncated {
+					t.Fatalf("trial %d: run truncated: %+v", trial, res.Stats)
+				}
+				got := serialize(t, res)
+				if want == nil {
+					want = got
+					verify(t, r, res)
+					continue
+				}
+				if string(got) != string(want) {
+					t.Fatalf("trial %d cache=%d workers=%d: results differ\nwant %s\ngot  %s",
+						trial, cache, workers, want, got)
 				}
 			}
 		}
@@ -119,5 +113,37 @@ func verify(t *testing.T, r *relation.Relation, res *core.Result) {
 				t.Fatalf("equivalence class %v: %v and %v do not order each other", class, class[0], a)
 			}
 		}
+	}
+}
+
+// TestCacheMissesCountDerivations: order.index_cache.misses counts dense
+// derivations, so on one worker it equals Checker.Sorts. A one-step
+// extension over a small pair space is composite keys in scratch, neither
+// a hit nor a miss. The workload replays the candidates Algorithm 3
+// generates on HEPATITIS: every one-step extension of each side of the
+// OCDs a one-worker discovery reports.
+func TestCacheMissesCountDerivations(t *testing.T) {
+	r := datagen.Hepatitis()
+	res := core.Discover(r, core.Options{Workers: 1})
+	if len(res.OCDs) == 0 {
+		t.Fatal("HEPATITIS discovery reported no OCDs")
+	}
+	reg := obs.NewRegistry()
+	c := order.NewChecker(r, 0)
+	c.SetObs(reg)
+	h := c.NewHandle(32)
+	for _, d := range res.OCDs[:min(len(res.OCDs), 400)] {
+		for a := 0; a < r.NumCols(); a++ {
+			id := attr.ID(a)
+			if d.X.Contains(id) || d.Y.Contains(id) {
+				continue
+			}
+			h.CheckOCD(d.X.Append(id), d.Y)
+			h.CheckOCD(d.X, d.Y.Append(id))
+		}
+	}
+	h.Flush()
+	if misses := reg.Counter("order.index_cache.misses").Value(); misses != c.Sorts() || misses == 0 {
+		t.Fatalf("misses = %d, want Checker.Sorts() = %d (> 0)", misses, c.Sorts())
 	}
 }

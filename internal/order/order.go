@@ -44,7 +44,6 @@ import (
 	"ocd/internal/faultinject"
 	"ocd/internal/obs"
 	"ocd/internal/relation"
-	"ocd/internal/spill"
 )
 
 // stopCheckMask throttles cooperative-stop polling inside row scans: the
@@ -115,8 +114,8 @@ type ODResult struct {
 }
 
 // Checker performs order checks against a fixed relation. It holds what
-// every check shares: the relation's column rank vectors, the spill
-// manager, the check counter and the stop flag. What a check mutates — the
+// every check shares: the relation's column rank vectors, the check
+// counter and the stop flag. What a check mutates — the
 // cache of derived rank vectors, scratch arrays, recycled buffers — lives
 // in a Handle, one per goroutine: the paper's multi-threaded tree
 // traversal (Section 4.2.2) gives each worker its own. The Checker's own
@@ -141,15 +140,8 @@ type Checker struct {
 	// context watcher.
 	stop *atomic.Bool
 
-	// sm is the spill manager; spilled reports that EvictToSpill wrote a
-	// segment, so a cache miss may find one.
-	sm                 *spill.Manager
-	spilled            atomic.Bool
-	evictions, reloads atomic.Int64
-
 	// Pre-resolved instrumentation handles; nil (no-op) until SetObs.
-	obsHits, obsMisses                                               *obs.Counter
-	obsEvictions, obsReloads, obsRetries, obsRecomputes, obsFailures *obs.Counter
+	obsHits, obsMisses *obs.Counter
 
 	// mu serializes the Checker's own methods on own and guards handles,
 	// every Handle made on this Checker (own included).

@@ -61,11 +61,11 @@ func (h *Handle) side(x attr.List, i int) (rankVec, bool) {
 }
 
 // lookup resolves the rank vector of x, whose cache key is key: a column
-// directly, a longer list from the cache, from its spilled segment, or
-// from its prefix's vector (resolved the same way, densely). With comp
-// non-nil and a pair space of at most 2·rows+compositeSlack, that last
-// step writes x's composite keys into *comp; otherwise it derives a dense
-// vector and caches it. Only completed derivations are cached.
+// directly, a longer list from the cache, or from its prefix's vector
+// (resolved the same way, densely). With comp non-nil and a pair space of
+// at most 2·rows+compositeSlack, that last step writes x's composite keys
+// into *comp; otherwise it derives a dense vector and caches it, counting
+// one cache miss. Only completed derivations are cached.
 func (h *Handle) lookup(x attr.List, key []byte, comp *[]int32) (rankVec, bool) {
 	c := h.c
 	if len(x) < 2 {
@@ -76,13 +76,6 @@ func (h *Handle) lookup(x attr.List, key []byte, comp *[]int32) (rankVec, bool) 
 		h.hits++
 		return rv, true
 	}
-	h.misses++
-	// A spilled exact match beats deriving: one verified disk read. Damaged
-	// or missing segments fall through to a derivation — always correct.
-	if rv, ok := c.load(key); ok {
-		h.cacheVec(key, hash, rv)
-		return rv, true
-	}
 	parent, ok := h.lookup(x[:len(x)-1], key[:len(key)-keyWidth], nil)
 	if !ok {
 		return rankVec{}, false
@@ -91,6 +84,7 @@ func (h *Handle) lookup(x attr.List, key []byte, comp *[]int32) (rankVec, bool) 
 	if span := parent.dom * col.dom; comp != nil && span <= 2*len(parent.ranks)+compositeSlack {
 		return h.compose(grow(comp, len(parent.ranks)), parent, col)
 	}
+	h.misses++
 	rv, ok := h.derive(parent, col)
 	if !ok {
 		return rankVec{}, false

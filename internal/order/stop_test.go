@@ -1,7 +1,9 @@
 package order
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -81,8 +83,11 @@ func TestRadixAborts(t *testing.T) {
 	}
 }
 
-// TestReleaseMemoryKeepsCheckersUsable: dropping the cache must not change
-// any answer, only force rebuilds (visible via the sort counter).
+// TestReleaseMemoryKeepsCheckersUsable: dropping the caches must not change
+// any answer, only force rebuilds (visible via the sort counter) — on the
+// Checker's own Handle and on several worker Handles checking in parallel,
+// released between rounds as the engine's memory budget does at a level
+// barrier.
 func TestReleaseMemoryKeepsCheckersUsable(t *testing.T) {
 	r := stopRelation(t, 2000)
 	// Columns rank by their codes; only multi-attribute lists are derived
@@ -103,5 +108,64 @@ func TestReleaseMemoryKeepsCheckersUsable(t *testing.T) {
 	}
 	if c.Sorts() == sortsBefore {
 		t.Fatal("ReleaseMemory must force an index rebuild")
+	}
+
+	releaseWorkerHandles(t)
+}
+
+// releaseWorkerHandles checks random lists of up to four attributes on
+// four Handles at once, releases every cache between rounds, and compares
+// each answer with a fresh Checker's.
+func releaseWorkerHandles(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	r := randomRelation(rng, 80, 6, 3)
+	c := NewChecker(r, 4)
+	handles := make([]*Handle, 4)
+	for i := range handles {
+		handles[i] = c.NewHandle(1 + i)
+	}
+	for round := 0; round < 6; round++ {
+		type check struct {
+			x, y    attr.List
+			od, ocd bool
+		}
+		work := make([][]check, len(handles))
+		fresh := NewChecker(r, 0)
+		for i := range work {
+			for k := 0; k < 30; k++ {
+				x, y := randomList(rng, 6, 4), randomList(rng, 6, 4)
+				work[i] = append(work[i], check{x, y, fresh.CheckOD(x, y), fresh.CheckOCD(x, y)})
+			}
+		}
+		sortsBefore := c.Sorts()
+		var wg sync.WaitGroup
+		errs := make(chan string, len(handles))
+		for i, h := range handles {
+			wg.Add(1)
+			go func(h *Handle, checks []check) {
+				defer wg.Done()
+				defer h.Flush()
+				for k, ck := range checks {
+					if h.CheckOD(ck.x, ck.y) != ck.od || h.CheckOCD(ck.x, ck.y) != ck.ocd {
+						errs <- fmt.Sprintf("round %d check %d: %v vs %v differs from a fresh Checker", round, k, ck.x, ck.y)
+						return
+					}
+				}
+			}(h, work[i])
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Fatal(e)
+		}
+		if c.Sorts() == sortsBefore {
+			t.Fatalf("round %d derived nothing: the caches were never exercised", round)
+		}
+		c.ReleaseMemory()
+		for i, h := range handles {
+			if len(h.ents) != 0 || h.free != nil {
+				t.Fatalf("round %d: handle %d keeps %d entries after ReleaseMemory", round, i, len(h.ents))
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package ocd
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -280,6 +281,50 @@ func TestSimplifyOrderByRepeatedAttrs(t *testing.T) {
 	for i := 1; i < len(got); i++ {
 		if got[i] == got[0] {
 			t.Errorf("duplicate column survived: %v", got)
+		}
+	}
+}
+
+// TestMemoryBudgetTruncatesToSubset: a 1-byte budget trips at the first
+// level barrier; the run releases its caches, finds the heap still over
+// budget and truncates with the typed memory-budget reason. What it did
+// report is validated work: every dependency also appears in the
+// unconstrained run.
+func TestMemoryBudgetTruncatesToSubset(t *testing.T) {
+	tbl := loadTax(t)
+	want, err := tbl.Discover(Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := tbl.Discover(Options{Workers: 2, MaxMemoryBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats.TruncateReason != TruncateMemoryBudget || got.Stats.MemoryReleases < 1 {
+		t.Fatalf("truncate reason %q after %d releases, want %q after at least one",
+			got.Stats.TruncateReason, got.Stats.MemoryReleases, TruncateMemoryBudget)
+	}
+	// Column reduction (TAXINFO has one equivalence group) ends before the
+	// first barrier, so its output is complete even in a truncated run.
+	if len(want.EquivalentGroups) == 0 || fmt.Sprint(got.ConstantColumns, got.EquivalentGroups) != fmt.Sprint(want.ConstantColumns, want.EquivalentGroups) {
+		t.Errorf("reduction output %v %v, want %v %v",
+			got.ConstantColumns, got.EquivalentGroups, want.ConstantColumns, want.EquivalentGroups)
+	}
+	baseline := map[string]bool{}
+	for _, d := range want.OCDs {
+		baseline[d.String()] = true
+	}
+	for _, d := range want.ODs {
+		baseline[d.String()] = true
+	}
+	for _, d := range got.OCDs {
+		if !baseline[d.String()] {
+			t.Errorf("budgeted run reports %s, absent from the unconstrained run", d)
+		}
+	}
+	for _, d := range got.ODs {
+		if !baseline[d.String()] {
+			t.Errorf("budgeted run reports %s, absent from the unconstrained run", d)
 		}
 	}
 }

@@ -36,15 +36,7 @@
 #                                requires byte-identical resumed results,
 #                                a poisoned crash-looping job, and a
 #                                clean SIGTERM drain
-#   8. spill chaos               scripts/spill_chaos.sh runs discovery
-#                                under a 1-byte memory budget fully
-#                                out-of-core and injects torn spill
-#                                segments, bit rot, read/write faults and
-#                                a mid-spill-write kill; every leg must
-#                                match an unconstrained run byte for
-#                                byte, and a total write failure must
-#                                fall back to a typed truncation
-#   9. obs chaos                 scripts/obs_chaos.sh scrapes the job
+#   8. obs chaos                 scripts/obs_chaos.sh scrapes the job
 #                                server in both metrics formats and
 #                                requires them to agree, streams SSE
 #                                through a mid-stream server kill with a
@@ -52,17 +44,17 @@
 #                                done bound to the result hash), fetches
 #                                the per-job Chrome trace, and parses the
 #                                structured logs
-#  10. bench smoke               scripts/bench.sh --smoke runs every
+#   9. bench smoke               scripts/bench.sh --smoke runs every
 #                                tracked benchmark once and requires the
 #                                output to parse into the trajectory
 #                                format (cmd/benchjson); full trajectory
 #                                runs stay manual (make bench)
-#  11. bench module tests        go -C bench vet/test: bench/ is a Go
+#  10. bench module tests        go -C bench vet/test: bench/ is a Go
 #                                module of its own, so ./... above never
 #                                reaches it; this runs its toy-scale
 #                                workload gates and its catalogue-vs-
 #                                BENCHMARK.json test (~2 s)
-#  12. fuzz smokes               FuzzCSVParse, FuzzRankEncode,
+#  11. fuzz smokes               FuzzCSVParse, FuzzRankEncode,
 #                                FuzzReadCSVMatchesReference,
 #                                FuzzSplitMatchesEncodingCSV,
 #                                FuzzCheckMatchesBruteForce and
@@ -107,9 +99,6 @@ scripts/resume_chaos.sh
 
 step "chaos: job-server kill-and-restart differential (scripts/serve_chaos.sh)"
 scripts/serve_chaos.sh
-
-step "chaos: out-of-core spill differential (scripts/spill_chaos.sh)"
-scripts/spill_chaos.sh
 
 step "chaos: observability gate (scripts/obs_chaos.sh)"
 scripts/obs_chaos.sh

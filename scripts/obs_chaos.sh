@@ -113,8 +113,7 @@ wait_job() {
 
 # strip_volatile: drop per-execution result fields (see ResultDoc).
 strip_volatile() {
-    jq 'del(.id, .elapsed_ms, .prior_elapsed_ms, .resumed, .checkpoints, .attempts,
-            .spill_evictions, .spill_reloads, .spill_error)' "$1"
+    jq 'del(.id, .elapsed_ms, .prior_elapsed_ms, .resumed, .checkpoints, .attempts)' "$1"
 }
 
 # stream <id> <outfile> [last-event-id]: follow the job's SSE stream to

@@ -116,8 +116,7 @@ wait_job() {
 # them volatile); everything else must be byte-identical across a fresh
 # run and any crash/drain/resume schedule.
 strip_volatile() {
-    jq 'del(.id, .elapsed_ms, .prior_elapsed_ms, .resumed, .checkpoints, .attempts,
-            .spill_evictions, .spill_reloads, .spill_error)' "$1"
+    jq 'del(.id, .elapsed_ms, .prior_elapsed_ms, .resumed, .checkpoints, .attempts)' "$1"
 }
 
 step "building fault-injection server and datagen"

@@ -76,7 +76,6 @@ func main() {
 		partialOK   = flag.Bool("partial-ok", false, "exit 0 instead of 3 when results are partial (truncated or interrupted)")
 		maxMemory   = flag.Int64("max-memory-bytes", 0, "soft heap budget for discovery (0 = none)")
 		ckptPath    = flag.String("checkpoint", "", "write a resumable snapshot to this file at every completed level")
-		ckptEvery   = flag.Int("checkpoint-every", 0, "snapshot only every n completed levels (0 = every level)")
 		resumeFrom  = flag.String("resume", "", "restart from the snapshot at this path (input must be the original data)")
 		progress    = flag.Bool("progress", false, "render a live status line on stderr (level, throughput, cache hit rate, ETA)")
 		reportEvery = flag.Int64("report-every", 0, "progress sample cadence in checks (0 = default 10000)")
@@ -157,16 +156,15 @@ func main() {
 	}
 
 	dopts := ocd.Options{
-		Workers:         *workers,
-		Timeout:         *timeout,
-		MaxLevel:        *maxLevel,
-		MaxCandidates:   *maxCand,
-		MaxMemoryBytes:  *maxMemory,
-		CheckpointPath:  *ckptPath,
-		CheckpointEvery: *ckptEvery,
-		ResumeFrom:      *resumeFrom,
-		Metrics:         metrics,
-		ReportEvery:     *reportEvery,
+		Workers:        *workers,
+		Timeout:        *timeout,
+		MaxLevel:       *maxLevel,
+		MaxCandidates:  *maxCand,
+		MaxMemoryBytes: *maxMemory,
+		CheckpointPath: *ckptPath,
+		ResumeFrom:     *resumeFrom,
+		Metrics:        metrics,
+		ReportEvery:    *reportEvery,
 	}
 	if tracer != nil {
 		dopts.Trace = tracer.Root()

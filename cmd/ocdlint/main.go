@@ -23,7 +23,7 @@
 //	                 receive, or a WaitGroup the spawner joins
 //	ctxflow        — context discipline: ctx first parameter, never
 //	                 stored in structs; lint:hot loops poll a stop
-//	                 signal (warn tier)
+//	                 signal
 //
 // errdrop, sharedwrite, mapdeterminism and goroutineleak are
 // interprocedural: they export per-function summaries (call-graph
@@ -34,20 +34,14 @@
 //
 // Usage:
 //
-//	go run ./cmd/ocdlint [-json] [-list] [-fix [-diff]] [-timings] [-baseline file] [-write-baseline] [-baseline-strict] ./...
+//	go run ./cmd/ocdlint [-json] ./...
 //
 // Exit status is 0 when the tree is clean, 3 when any analyzer
-// reported a blocking diagnostic, and 1 on a driver error. Analyzers
-// run at one of two severities: error-tier findings always block;
-// warn-tier findings (ctxflow) are excused by the committed
-// lint.baseline.json so pre-existing sites do not block CI while new
-// ones do. With -json the active diagnostics are emitted as a JSON
-// array sorted by (package, file, line, col, analyzer, message) — see
-// docs/LINTING.md for the schema, the baseline workflow, and the CI
-// annotation pipeline. -list prints the analyzer catalogue with
-// severity tiers; -fix applies the machine-applicable suggested fixes
-// (-fix -diff previews them as a unified diff); -timings reports
-// per-analyzer wall time. Suppress a deliberate finding with a
+// reported a diagnostic, and 1 on a driver error. Every finding
+// blocks. With -json the diagnostics are emitted as a JSON array
+// sorted by (package, file, line, col, analyzer, message) — see
+// docs/LINTING.md for the schema and the CI annotation pipeline. -h
+// prints the analyzer catalogue. Suppress a deliberate finding with a
 // "// lint:allow <analyzer>" comment — several checks may share one
 // marker, comma-separated — on or above the offending line.
 package main
@@ -87,27 +81,6 @@ var analyzers = []*analysis.Analyzer{
 	ctxflow.Analyzer,
 }
 
-// severities assigns each analyzer its tier. Everything that catches
-// outright bugs is error; ctxflow encodes a convention whose
-// pre-existing violations live in lint.baseline.json until paid down.
-var severities = map[string]string{
-	nopanic.Analyzer.Name:        "error",
-	atomicfield.Analyzer.Name:    "error",
-	listalias.Analyzer.Name:      "error",
-	hotloopalloc.Analyzer.Name:   "error",
-	obshot.Analyzer.Name:         "error",
-	lockbalance.Analyzer.Name:    "error",
-	wgcheck.Analyzer.Name:        "error",
-	errdrop.Analyzer.Name:        "error",
-	sharedwrite.Analyzer.Name:    "error",
-	mapdeterminism.Analyzer.Name: "error",
-	goroutineleak.Analyzer.Name:  "error",
-	ctxflow.Analyzer.Name:        "warn",
-}
-
 func main() {
-	multichecker.MainWithConfig(multichecker.Config{
-		Severities: severities,
-		Baseline:   "lint.baseline.json",
-	}, analyzers...)
+	multichecker.Main(analyzers...)
 }

@@ -1,19 +1,15 @@
 package main
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 
 	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/analysis/multichecker"
-
-	"ocd/internal/analysis/ctxflow"
 )
 
 // cleanPkg is a small, dependency-light package of the module that the
@@ -153,9 +149,6 @@ func TestJSONOutputDeterministicallySorted(t *testing.T) {
 		if strings.HasPrefix(d.File, "/") {
 			t.Errorf("file paths must be cwd-relative, got %q", d.File)
 		}
-		if d.Severity != "error" {
-			t.Errorf("default severity must be error, got %q", d.Severity)
-		}
 	}
 }
 
@@ -163,302 +156,8 @@ func pad(n int) string {
 	return fmt.Sprintf("%08d\x00", n)
 }
 
-func TestSeverityAndBaselineFlow(t *testing.T) {
-	warned := noisyAnalyzer("warned", "legacy convention violation")
-	cfgBase := multichecker.Config{
-		Severities: map[string]string{"warned": "warn"},
-		Baseline:   filepath.Join(t.TempDir(), "baseline.json"),
-	}
-
-	// 1. Without a baseline file, warn findings still block.
-	var buf bytes.Buffer
-	if code := multichecker.RunWithConfig(&buf, []string{cleanPkg}, []*analysis.Analyzer{warned}, true, cfgBase); code != 3 {
-		t.Fatalf("warn findings with no baseline: exit %d, want 3", code)
-	}
-
-	// 2. -write-baseline records them and unblocks the run.
-	cfgWrite := cfgBase
-	cfgWrite.WriteBaseline = true
-	buf.Reset()
-	if code := multichecker.RunWithConfig(&buf, []string{cleanPkg}, []*analysis.Analyzer{warned}, true, cfgWrite); code != 0 {
-		t.Fatalf("write-baseline run: exit %d, want 0", code)
-	}
-
-	// 3. With the baseline in place the same findings are excused and
-	//    the JSON output holds only active findings (none).
-	buf.Reset()
-	if code := multichecker.RunWithConfig(&buf, []string{cleanPkg}, []*analysis.Analyzer{warned}, true, cfgBase); code != 0 {
-		t.Fatalf("baselined warn findings: exit %d, want 0\noutput:\n%s", code, buf.String())
-	}
-	var diags []multichecker.JSONDiagnostic
-	if err := json.Unmarshal(buf.Bytes(), &diags); err != nil {
-		t.Fatalf("bad json: %v", err)
-	}
-	if len(diags) != 0 {
-		t.Errorf("baselined findings must not appear in JSON output, got %d", len(diags))
-	}
-
-	// 4. A NEW warn finding beyond the baseline blocks.
-	fresh := noisyAnalyzer("warned", "a brand new violation")
-	buf.Reset()
-	if code := multichecker.RunWithConfig(&buf, []string{cleanPkg}, []*analysis.Analyzer{warned, fresh}, true, cfgBase); code != 3 {
-		t.Fatalf("new warn finding beyond baseline: exit %d, want 3", code)
-	}
-
-	// 5. Error-tier findings are never excused by the baseline.
-	cfgError := cfgBase
-	cfgError.Severities = map[string]string{"warned": "error"}
-	buf.Reset()
-	if code := multichecker.RunWithConfig(&buf, []string{cleanPkg}, []*analysis.Analyzer{warned}, true, cfgError); code != 3 {
-		t.Fatalf("error findings must block despite baseline: exit %d, want 3", code)
-	}
-
-	// 6. A stale baseline entry passes by default and fails in strict
-	//    mode (the CI configuration).
-	clean := noisyAnalyzer("silent", "never fires")
-	clean.Run = func(pass *analysis.Pass) (interface{}, error) { return nil, nil }
-	buf.Reset()
-	if code := multichecker.RunWithConfig(&buf, []string{cleanPkg}, []*analysis.Analyzer{clean}, true, cfgBase); code != 0 {
-		t.Fatalf("stale baseline without strict: exit %d, want 0", code)
-	}
-	cfgStrict := cfgBase
-	cfgStrict.BaselineStrict = true
-	buf.Reset()
-	if code := multichecker.RunWithConfig(&buf, []string{cleanPkg}, []*analysis.Analyzer{clean}, true, cfgStrict); code != 3 {
-		t.Fatalf("stale baseline in strict mode: exit %d, want 3", code)
-	}
-}
-
-func TestListCatalogue(t *testing.T) {
-	// JSON shape: one entry per registered analyzer, with its tier.
-	var buf bytes.Buffer
-	cfg := multichecker.Config{List: true, Severities: severities}
-	if code := multichecker.RunWithConfig(&buf, nil, analyzers, true, cfg); code != 0 {
-		t.Fatalf("-list -json exit = %d, want 0", code)
-	}
-	var entries []multichecker.CatalogueEntry
-	if err := json.Unmarshal(buf.Bytes(), &entries); err != nil {
-		t.Fatalf("-list -json output is not valid JSON: %v\noutput:\n%s", err, buf.String())
-	}
-	if len(entries) != len(analyzers) {
-		t.Fatalf("catalogue has %d entries, want %d", len(entries), len(analyzers))
-	}
-	byName := make(map[string]multichecker.CatalogueEntry, len(entries))
-	for _, e := range entries {
-		if e.Doc == "" {
-			t.Errorf("catalogue entry %s has no doc", e.Name)
-		}
-		byName[e.Name] = e
-	}
-	if byName["ctxflow"].Severity != "warn" {
-		t.Errorf("ctxflow severity = %q, want warn", byName["ctxflow"].Severity)
-	}
-	if byName["goroutineleak"].Severity != "error" {
-		t.Errorf("goroutineleak severity = %q, want error", byName["goroutineleak"].Severity)
-	}
-
-	// Text shape: one aligned line per analyzer, no package loading.
-	buf.Reset()
-	if code := multichecker.RunWithConfig(&buf, nil, analyzers, false, cfg); code != 0 {
-		t.Fatalf("-list exit = %d, want 0", code)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != len(analyzers) {
-		t.Fatalf("-list printed %d lines, want %d:\n%s", len(lines), len(analyzers), buf.String())
-	}
-	for _, line := range lines {
-		if !strings.Contains(line, "error") && !strings.Contains(line, "warn") {
-			t.Errorf("-list line missing severity: %q", line)
-		}
-	}
-}
-
-func TestTimingsOutputShape(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := multichecker.Config{Timings: true, Severities: severities}
-	if code := multichecker.RunWithConfig(&buf, []string{cleanPkg}, analyzers, true, cfg); code != 0 {
-		t.Fatalf("-json -timings exit = %d on a clean package, want 0\noutput:\n%s", code, buf.String())
-	}
-	var out multichecker.TimedOutput
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("-json -timings output is not a TimedOutput object: %v\noutput:\n%s", err, buf.String())
-	}
-	if len(out.Findings) != 0 {
-		t.Errorf("clean package must have no findings, got %d", len(out.Findings))
-	}
-	if len(out.Timings) != len(analyzers) {
-		t.Fatalf("timings cover %d analyzers, want %d", len(out.Timings), len(analyzers))
-	}
-	sum := 0.0
-	for i, e := range out.Timings {
-		if e.Millis < 0 {
-			t.Errorf("negative wall time for %s: %v", e.Analyzer, e.Millis)
-		}
-		if i > 0 && out.Timings[i-1].Analyzer >= e.Analyzer {
-			t.Errorf("timings not sorted by analyzer at %d: %s then %s", i, out.Timings[i-1].Analyzer, e.Analyzer)
-		}
-		sum += e.Millis
-	}
-	if diff := out.TotalMillis - sum; diff > 0.01 || diff < -0.01 {
-		t.Errorf("total_millis = %v, want sum of entries %v", out.TotalMillis, sum)
-	}
-}
-
-// writeFixModule lays out a throwaway module with one ctxflow-fixable
-// hot loop and chdirs into it so moduleRoot resolves there.
-func writeFixModule(t *testing.T) (modDir, fixFile string) {
-	t.Helper()
-	tmp := t.TempDir()
-	modDir = filepath.Join(tmp, "mod")
-	if err := os.MkdirAll(modDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(modDir, "go.mod"), []byte("module fixme\n\ngo 1.23\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fixFile = filepath.Join(modDir, "fix.go")
-	src := `package fixme
-
-import "context"
-
-// drain is a hot kernel with no stop poll.
-//
-// lint:hot
-func drain(ctx context.Context, vals []int) {
-	for _, v := range vals {
-		_ = v
-	}
-}
-`
-	if err := os.WriteFile(fixFile, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir(modDir); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := os.Chdir(wd); err != nil {
-			t.Errorf("restoring working directory: %v", err)
-		}
-	})
-	return modDir, fixFile
-}
-
-func TestFixApplyAndIdempotency(t *testing.T) {
-	_, fixFile := writeFixModule(t)
-	suite := []*analysis.Analyzer{ctxflow.Analyzer}
-	before, err := os.ReadFile(fixFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Dry run first: the diff previews the poll without writing.
-	var buf bytes.Buffer
-	cfg := multichecker.Config{Fix: true, FixDiff: true}
-	if code := multichecker.RunWithConfig(&buf, []string{"./..."}, suite, false, cfg); code != 0 {
-		t.Fatalf("-fix -diff exit = %d, want 0", code)
-	}
-	if !strings.Contains(buf.String(), "ctx.Err()") || !strings.Contains(buf.String(), "+") {
-		t.Fatalf("-fix -diff output missing the previewed edit:\n%s", buf.String())
-	}
-	after, err := os.ReadFile(fixFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Fatalf("-fix -diff must not write files")
-	}
-
-	// Apply for real: the loop gains the poll and the finding is gone.
-	buf.Reset()
-	cfg = multichecker.Config{Fix: true}
-	if code := multichecker.RunWithConfig(&buf, []string{"./..."}, suite, false, cfg); code != 0 {
-		t.Fatalf("-fix exit = %d, want 0", code)
-	}
-	fixed, err := os.ReadFile(fixFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(fixed), "if ctx.Err() != nil {") {
-		t.Fatalf("-fix did not insert the poll:\n%s", fixed)
-	}
-	buf.Reset()
-	if code := multichecker.RunWithConfig(&buf, []string{"./..."}, suite, false, multichecker.Config{}); code != 0 {
-		t.Fatalf("tree not clean after -fix: exit %d\n%s", code, buf.String())
-	}
-
-	// Second -fix run is a no-op: same bytes, nothing re-applied.
-	buf.Reset()
-	if code := multichecker.RunWithConfig(&buf, []string{"./..."}, suite, false, cfg); code != 0 {
-		t.Fatalf("second -fix exit = %d, want 0", code)
-	}
-	again, err := os.ReadFile(fixFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fixed, again) {
-		t.Fatalf("second -fix run changed the file:\n--- first\n%s\n--- second\n%s", fixed, again)
-	}
-}
-
-func TestFixRefusesEditsOutsideModuleRoot(t *testing.T) {
-	modDir, fixFile := writeFixModule(t)
-	outside := filepath.Join(filepath.Dir(modDir), "outside.go")
-	const outsideSrc = "package outside\n"
-	if err := os.WriteFile(outside, []byte(outsideSrc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// A rogue analyzer proposing an edit to a file above the module
-	// root: the driver must refuse it and leave the file untouched.
-	rogue := &analysis.Analyzer{
-		Name: "rogue",
-		Doc:  "proposes fixes outside the module root",
-		Run: func(pass *analysis.Pass) (interface{}, error) {
-			tf := pass.Fset.AddFile(outside, -1, len(outsideSrc))
-			for _, f := range pass.Files {
-				pass.Report(analysis.Diagnostic{
-					Pos:     f.Package,
-					Message: "rogue edit",
-					SuggestedFixes: []analysis.SuggestedFix{{
-						Message:   "overwrite a file outside the module",
-						TextEdits: []analysis.TextEdit{{Pos: tf.Pos(0), End: tf.Pos(0), NewText: []byte("// HACKED\n")}},
-					}},
-				})
-			}
-			return nil, nil
-		},
-	}
-	var buf bytes.Buffer
-	if code := multichecker.RunWithConfig(&buf, []string{"./..."}, []*analysis.Analyzer{rogue}, false, multichecker.Config{Fix: true}); code != 0 {
-		t.Fatalf("-fix exit = %d, want 0", code)
-	}
-	got, err := os.ReadFile(outside)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != outsideSrc {
-		t.Fatalf("file outside module root was modified:\n%s", got)
-	}
-	if in, err := os.ReadFile(fixFile); err != nil || strings.Contains(string(in), "HACKED") {
-		t.Fatalf("in-module file corrupted (err=%v):\n%s", err, in)
-	}
-}
-
 func TestFullSuiteHasTwelveAnalyzers(t *testing.T) {
 	if len(analyzers) != 12 {
 		t.Fatalf("registered analyzers = %d, want 12", len(analyzers))
-	}
-	if len(severities) != len(analyzers) {
-		t.Errorf("severities map covers %d analyzers, want %d", len(severities), len(analyzers))
-	}
-	for _, a := range analyzers {
-		if s := severities[a.Name]; s != "error" && s != "warn" {
-			t.Errorf("analyzer %s has no severity tier", a.Name)
-		}
 	}
 }

@@ -50,7 +50,6 @@ func run() int {
 		maxAttempt = flag.Int("max-attempts", 3, "attempts before a crashing job is marked failed")
 		backoff    = flag.Duration("backoff", 500*time.Millisecond, "base retry delay after a failed attempt")
 		backoffCap = flag.Duration("backoff-cap", 30*time.Second, "retry delay ceiling")
-		ckptEvery  = flag.Int("checkpoint-every", 1, "snapshot every n completed levels")
 		retryAfter = flag.Duration("retry-after", 2*time.Second, "Retry-After hint on 429/503")
 		minFree    = flag.Int64("min-free-bytes", 0, "refuse submissions (503) while the data volume has fewer free bytes (0 = no floor)")
 		drainGrace = flag.Duration("drain-grace", 30*time.Second, "max wait for in-flight jobs to checkpoint on shutdown")
@@ -81,19 +80,18 @@ func run() int {
 
 	reg := obs.NewRegistry()
 	m, err := jobs.Open(jobs.Config{
-		Dir:             *dir,
-		MaxActive:       *maxActive,
-		QueueDepth:      *queueDepth,
-		MaxMemoryBytes:  *maxMemory,
-		MaxUploadBytes:  *maxUpload,
-		MaxAttempts:     *maxAttempt,
-		BackoffBase:     *backoff,
-		BackoffCap:      *backoffCap,
-		CheckpointEvery: *ckptEvery,
-		RetryAfter:      *retryAfter,
-		MinFreeBytes:    *minFree,
-		Metrics:         reg,
-		Logger:          logger,
+		Dir:            *dir,
+		MaxActive:      *maxActive,
+		QueueDepth:     *queueDepth,
+		MaxMemoryBytes: *maxMemory,
+		MaxUploadBytes: *maxUpload,
+		MaxAttempts:    *maxAttempt,
+		BackoffBase:    *backoff,
+		BackoffCap:     *backoffCap,
+		RetryAfter:     *retryAfter,
+		MinFreeBytes:   *minFree,
+		Metrics:        reg,
+		Logger:         logger,
 	})
 	if err != nil {
 		logger.Error("open data directory failed", "dir", *dir, "error", err)

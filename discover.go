@@ -46,10 +46,6 @@ type Options struct {
 	// with ResumeFrom instead of from scratch. Snapshot-write failures never
 	// abort discovery; the first one is recorded in Stats.CheckpointError.
 	CheckpointPath string
-	// CheckpointEvery throttles the periodic barrier snapshots to every N
-	// completed levels (the final stop/completion snapshot is always
-	// written); values < 1 mean every level.
-	CheckpointEvery int
 	// ResumeFrom restarts discovery from the snapshot at this path. The
 	// snapshot must belong to the same data: its fingerprint (row/column
 	// counts plus per-column rank digests) is verified against the table and
@@ -263,7 +259,6 @@ func (t *Table) DiscoverContext(ctx context.Context, opts Options) (*Result, err
 		DisableColumnReduction: opts.DisableColumnReduction,
 		MaxMemoryBytes:         opts.MaxMemoryBytes,
 		CheckpointPath:         opts.CheckpointPath,
-		CheckpointEvery:        opts.CheckpointEvery,
 		Resume:                 snap,
 		Metrics:                opts.Metrics,
 		Trace:                  opts.Trace,

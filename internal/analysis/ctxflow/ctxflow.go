@@ -16,16 +16,11 @@
 //     discovery run burning a full level fan-out before anyone looks
 //     at the flag.
 //
-// These are warn-tier findings: pre-existing sites live in the
-// committed lint baseline and do not block CI, new ones do. A hot-poll
-// finding in a function with a named context parameter and no results
-// carries a machine-applicable fix inserting a `ctx.Err()` poll at the
-// top of the loop (applied by ocdlint -fix). Suppress a deliberate
-// site with // lint:allow ctxflow.
+// Like every ocdlint finding, these block. Suppress a deliberate site
+// with // lint:allow ctxflow.
 package ctxflow
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 	"strings"
@@ -51,13 +46,9 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			continue
 		}
 		allow := lintutil.NewAllower(pass.Fset, file)
-		report := func(pos ast.Node, fixes []analysis.SuggestedFix, format string, args ...interface{}) {
+		report := func(pos ast.Node, format string, args ...interface{}) {
 			if !allow.Allows(pos.Pos(), "ctxflow") {
-				pass.Report(analysis.Diagnostic{
-					Pos:            pos.Pos(),
-					Message:        fmt.Sprintf(format, args...),
-					SuggestedFixes: fixes,
-				})
+				pass.Reportf(pos.Pos(), format, args...)
 			}
 		}
 
@@ -68,7 +59,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			case *ast.FuncDecl:
 				checkCtxFirst(pass, report, n.Type)
 				if lintutil.IsHot(n) && n.Body != nil {
-					checkHotLoops(pass, report, n.Type, n.Body)
+					checkHotLoops(pass, report, n.Body)
 				}
 			case *ast.FuncLit:
 				checkCtxFirst(pass, report, n.Type)
@@ -91,7 +82,7 @@ func isContextType(t types.Type) bool {
 
 // checkCtxFirst flags a context.Context parameter that is not the
 // first parameter.
-func checkCtxFirst(pass *analysis.Pass, report func(ast.Node, []analysis.SuggestedFix, string, ...interface{}), ftype *ast.FuncType) {
+func checkCtxFirst(pass *analysis.Pass, report func(ast.Node, string, ...interface{}), ftype *ast.FuncType) {
 	if ftype.Params == nil {
 		return
 	}
@@ -103,7 +94,7 @@ func checkCtxFirst(pass *analysis.Pass, report func(ast.Node, []analysis.Suggest
 		}
 		if t := pass.TypesInfo.Types[field.Type].Type; t != nil && isContextType(t) {
 			if idx > 0 {
-				report(field, nil, "context.Context must be the first parameter, found at position %d: call sites across the tree assume the stdlib convention (// lint:allow ctxflow to suppress)", idx+1)
+				report(field, "context.Context must be the first parameter, found at position %d: call sites across the tree assume the stdlib convention (// lint:allow ctxflow to suppress)", idx+1)
 			}
 		}
 		idx += n
@@ -111,10 +102,10 @@ func checkCtxFirst(pass *analysis.Pass, report func(ast.Node, []analysis.Suggest
 }
 
 // checkNoStore flags struct fields of type context.Context.
-func checkNoStore(pass *analysis.Pass, report func(ast.Node, []analysis.SuggestedFix, string, ...interface{}), st *ast.StructType) {
+func checkNoStore(pass *analysis.Pass, report func(ast.Node, string, ...interface{}), st *ast.StructType) {
 	for _, field := range st.Fields.List {
 		if t := pass.TypesInfo.Types[field.Type].Type; t != nil && isContextType(t) {
-			report(field, nil, "context.Context stored in a struct field: a stored context outlives its cancellation scope; pass it as a function argument instead (// lint:allow ctxflow to suppress)")
+			report(field, "context.Context stored in a struct field: a stored context outlives its cancellation scope; pass it as a function argument instead (// lint:allow ctxflow to suppress)")
 		}
 	}
 }
@@ -123,65 +114,19 @@ func checkNoStore(pass *analysis.Pass, report func(ast.Node, []analysis.Suggeste
 // that never polls a stop signal. Nested function literals are part of
 // the nest they appear in — a poll inside an inline closure still
 // guards the loop around it.
-func checkHotLoops(pass *analysis.Pass, report func(ast.Node, []analysis.SuggestedFix, string, ...interface{}), ftype *ast.FuncType, body *ast.BlockStmt) {
+func checkHotLoops(pass *analysis.Pass, report func(ast.Node, string, ...interface{}), body *ast.BlockStmt) {
 	var visit func(n ast.Node)
 	visit = func(n ast.Node) {
 		switch n.(type) {
 		case *ast.ForStmt, *ast.RangeStmt:
 			if !pollsStop(pass.TypesInfo, n) {
-				report(n, pollFix(pass, ftype, n), "hot loop never polls a stop signal: a cancelled run keeps burning until the loop ends; check ctx.Done()/ctx.Err() or an atomic stop flag each iteration or batch (// lint:allow ctxflow to suppress)")
+				report(n, "hot loop never polls a stop signal: a cancelled run keeps burning until the loop ends; check ctx.Done()/ctx.Err() or an atomic stop flag each iteration or batch (// lint:allow ctxflow to suppress)")
 			}
 			return // inner loops are covered by the outermost verdict
 		}
 		children(n, visit)
 	}
 	children(body, visit)
-}
-
-// pollFix builds the machine-applicable remediation for a silent hot
-// loop: insert `if ctx.Err() != nil { return }` at the top of the loop
-// body. Offered only when the enclosing function has a named
-// context.Context parameter in scope and no results, so the generated
-// bare return is always well-typed.
-func pollFix(pass *analysis.Pass, ftype *ast.FuncType, loop ast.Node) []analysis.SuggestedFix {
-	if ftype == nil || (ftype.Results != nil && len(ftype.Results.List) > 0) {
-		return nil
-	}
-	ctxName := ""
-	if ftype.Params != nil {
-		for _, f := range ftype.Params.List {
-			t := pass.TypesInfo.Types[f.Type].Type
-			if t != nil && isContextType(t) && len(f.Names) > 0 && f.Names[0].Name != "_" {
-				ctxName = f.Names[0].Name
-				break
-			}
-		}
-	}
-	if ctxName == "" {
-		return nil
-	}
-	var body *ast.BlockStmt
-	switch l := loop.(type) {
-	case *ast.ForStmt:
-		body = l.Body
-	case *ast.RangeStmt:
-		body = l.Body
-	}
-	if body == nil {
-		return nil
-	}
-	// Indentation is reconstructed from the loop's column; the tree is
-	// gofmt-formatted, so columns count tabs.
-	indent := strings.Repeat("\t", pass.Fset.Position(loop.Pos()).Column-1)
-	ins := "\n" + indent + "\tif " + ctxName + ".Err() != nil {\n" + indent + "\t\treturn\n" + indent + "\t}"
-	return []analysis.SuggestedFix{{
-		Message: "poll " + ctxName + ".Err() at the top of the loop",
-		TextEdits: []analysis.TextEdit{{
-			Pos:     body.Lbrace + 1,
-			End:     body.Lbrace + 1,
-			NewText: []byte(ins),
-		}},
-	}}
 }
 
 // children invokes visit on each direct child of n.

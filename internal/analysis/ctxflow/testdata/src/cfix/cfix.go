@@ -1,12 +1,11 @@
-// Fixture for the ctxflow -fix rewrite: a silent hot loop in a
-// function with a named context parameter and no results gains an
-// `if ctx.Err() != nil { return }` poll at the top of its body
-// (cfix.go.golden pins the result).
+// Fixture for silent hot loops in functions with a named context
+// parameter: the finding fires whether or not the function has
+// results.
 package cfix
 
 import "context"
 
-// drain is hot and never polls; the fix inserts the Err check.
+// drain is hot and never polls.
 //
 // lint:hot
 func drain(ctx context.Context, vals []int) {
@@ -15,8 +14,7 @@ func drain(ctx context.Context, vals []int) {
 	}
 }
 
-// total has results, so the bare-return fix cannot be offered; the
-// diagnostic still fires and the function is left unchanged.
+// total has results; the diagnostic fires all the same.
 //
 // lint:hot
 func total(ctx context.Context, vals []int) int {

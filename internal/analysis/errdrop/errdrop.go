@@ -23,18 +23,11 @@
 // The check is summary-aware: passing an error to a module-local
 // function whose summary (cfgutil.FuncFact) says the parameter is
 // never read does not count as a use — `discard(err)` launders nothing
-// even when discard lives two packages away. For a bare dropped call
-// whose enclosing function returns exactly one error, the diagnostic
-// carries a machine-applicable fix wrapping the call in
-// `if err := …; err != nil { return err }` (applied by ocdlint -fix).
-// Suppress a deliberate site with // lint:allow errdrop.
+// even when discard lives two packages away. Suppress a deliberate site with // lint:allow errdrop.
 package errdrop
 
 import (
-	"bytes"
-	"fmt"
 	"go/ast"
-	"go/printer"
 	"go/token"
 	"go/types"
 	"strings"
@@ -88,13 +81,9 @@ func checkFunc(pass *analysis.Pass, allow *lintutil.Allower, modPrefix string, s
 	var g *cfg.CFG // built lazily: most functions have no flagged defs
 	discarded := discardedArgs(info, sum, body)
 
-	report := func(pos token.Pos, fixes []analysis.SuggestedFix, format string, args ...interface{}) {
+	report := func(pos token.Pos, format string, args ...interface{}) {
 		if !allow.Allows(pos, "errdrop") {
-			pass.Report(analysis.Diagnostic{
-				Pos:            pos,
-				Message:        fmt.Sprintf(format, args...),
-				SuggestedFixes: fixes,
-			})
+			pass.Reportf(pos, format, args...)
 		}
 	}
 
@@ -109,7 +98,7 @@ func checkFunc(pass *analysis.Pass, allow *lintutil.Allower, modPrefix string, s
 			if !ok {
 				return true
 			}
-			report(call.Pos(), wrapFix(pass, fb.Type, n, call), "error result of %s is dropped: handle it or assign it (// lint:allow errdrop to suppress)", name)
+			report(call.Pos(), "error result of %s is dropped: handle it or assign it (// lint:allow errdrop to suppress)", name)
 			return true
 
 		case *ast.AssignStmt:
@@ -185,51 +174,16 @@ func discardedArgs(info *types.Info, sum *cfgutil.Summaries, body *ast.BlockStmt
 	return out
 }
 
-// wrapFix builds the machine-applicable rewrite of a bare dropped call
-// into `if err := call; err != nil { return err }`. It is offered only
-// when the enclosing function returns exactly one value of type error —
-// the one signature where the generated return is always well-typed.
-func wrapFix(pass *analysis.Pass, ftype *ast.FuncType, stmt *ast.ExprStmt, call *ast.CallExpr) []analysis.SuggestedFix {
-	if ftype == nil || ftype.Results == nil || len(ftype.Results.List) != 1 {
-		return nil
-	}
-	res := ftype.Results.List[0]
-	if len(res.Names) > 1 {
-		return nil
-	}
-	t := pass.TypesInfo.Types[res.Type].Type
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() != nil || named.Obj().Name() != "error" {
-		return nil
-	}
-	var buf bytes.Buffer
-	if err := printer.Fprint(&buf, pass.Fset, call); err != nil {
-		return nil
-	}
-	// Indentation is reconstructed from the statement's column; the
-	// tree is gofmt-formatted, so columns count tabs.
-	indent := strings.Repeat("\t", pass.Fset.Position(stmt.Pos()).Column-1)
-	newText := "if err := " + buf.String() + "; err != nil {\n" + indent + "\treturn err\n" + indent + "}"
-	return []analysis.SuggestedFix{{
-		Message: "check the error and return it",
-		TextEdits: []analysis.TextEdit{{
-			Pos:     stmt.Pos(),
-			End:     stmt.End(),
-			NewText: []byte(newText),
-		}},
-	}}
-}
-
 // checkBinding inspects the expression lhs that receives an error
 // result: blank discards are reported outright; plain variables get
 // the must-use dataflow.
-func checkBinding(pass *analysis.Pass, report func(token.Pos, []analysis.SuggestedFix, string, ...interface{}), info *types.Info, g **cfg.CFG, body *ast.BlockStmt, discarded map[*ast.Ident]bool, assign *ast.AssignStmt, lhs ast.Expr, pos token.Pos, name string) {
+func checkBinding(pass *analysis.Pass, report func(token.Pos, string, ...interface{}), info *types.Info, g **cfg.CFG, body *ast.BlockStmt, discarded map[*ast.Ident]bool, assign *ast.AssignStmt, lhs ast.Expr, pos token.Pos, name string) {
 	id, ok := ast.Unparen(lhs).(*ast.Ident)
 	if !ok {
 		return // stored through a selector/index: visible elsewhere, assume used
 	}
 	if id.Name == "_" {
-		report(pos, nil, "error result of %s is discarded (assigned to _): handle it or justify with // lint:allow errdrop", name)
+		report(pos, "error result of %s is discarded (assigned to _): handle it or justify with // lint:allow errdrop", name)
 		return
 	}
 	obj := info.Defs[id]
@@ -248,7 +202,7 @@ func checkBinding(pass *analysis.Pass, report func(token.Pos, []analysis.Suggest
 		if p.IsValid() {
 			where = " (path escaping at " + pass.Fset.Position(p).String() + ")"
 		}
-		report(pos, nil, "error result of %s may be ignored: %s is not checked on every path before being overwritten or going out of scope%s", name, id.Name, where)
+		report(pos, "error result of %s may be ignored: %s is not checked on every path before being overwritten or going out of scope%s", name, id.Name, where)
 	}
 }
 

@@ -1,6 +1,5 @@
-// Fixture for the errdrop -fix rewrite: a bare dropped call inside a
-// function returning exactly one error gains an if-wrap; any other
-// signature offers no machine fix (fixes.go.golden pins both).
+// Fixture for bare dropped calls: the finding fires whatever the
+// enclosing function returns.
 package fixes
 
 func compute() error { return nil }

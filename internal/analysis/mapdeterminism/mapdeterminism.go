@@ -31,14 +31,11 @@
 // taints the receiving local exactly like an inline range-append.
 // Emissions that do not mention the iteration variables (e.g. counting
 // elements, or copying into another map, whose JSON encoding sorts
-// keys) are order-insensitive and never flagged. Findings on plain
-// ordered-element slices carry a machine-applicable fix inserting a
-// slices.Sort call after the loop (applied by ocdlint -fix). Suppress
-// a deliberate site with // lint:allow mapdeterminism.
+// keys) are order-insensitive and never flagged. Suppress a deliberate
+// site with // lint:allow mapdeterminism.
 package mapdeterminism
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -74,13 +71,13 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkScope(pass, allow, sorted, sum, file, fd.Body, fd.Recv, fd.Type)
+			checkScope(pass, allow, sorted, sum, fd.Body, fd.Recv, fd.Type)
 			// Nested literals are separate scopes with their own
 			// returns; an accumulator shared with the enclosing
 			// function is judged in the literal's scope only.
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if lit, ok := n.(*ast.FuncLit); ok {
-					checkScope(pass, allow, sorted, sum, file, lit.Body, nil, lit.Type)
+					checkScope(pass, allow, sorted, sum, lit.Body, nil, lit.Type)
 				}
 				return true
 			})
@@ -111,12 +108,11 @@ type escape struct {
 	root     types.Object // accumulator root (local, result, or receiver)
 	returned bool         // root is already known to escape to the caller
 	rangeEnd token.Pos    // laundering must happen after the loop
-	loopPos  token.Pos    // start of the tainting statement, for fix indentation
 	display  string
 	via      string // callee name when the taint arrived through a call summary
 }
 
-func checkScope(pass *analysis.Pass, allow *lintutil.Allower, sorted map[types.Object]bool, sum *cfgutil.Summaries, file *ast.File, body *ast.BlockStmt, recv *ast.FieldList, ftype *ast.FuncType) {
+func checkScope(pass *analysis.Pass, allow *lintutil.Allower, sorted map[types.Object]bool, sum *cfgutil.Summaries, body *ast.BlockStmt, recv *ast.FieldList, ftype *ast.FuncType) {
 	info := pass.TypesInfo
 
 	// Roots visible to the caller: the receiver, named results, and
@@ -153,13 +149,9 @@ func checkScope(pass *analysis.Pass, allow *lintutil.Allower, sorted map[types.O
 		return true
 	})
 
-	report := func(pos token.Pos, fixes []analysis.SuggestedFix, format string, args ...interface{}) {
+	report := func(pos token.Pos, format string, args ...interface{}) {
 		if !allow.Allows(pos, "mapdeterminism") {
-			pass.Report(analysis.Diagnostic{
-				Pos:            pos,
-				Message:        fmt.Sprintf(format, args...),
-				SuggestedFixes: fixes,
-			})
+			pass.Reportf(pos, format, args...)
 		}
 	}
 
@@ -179,11 +171,11 @@ func checkScope(pass *analysis.Pass, allow *lintutil.Allower, sorted map[types.O
 				}
 			case *ast.SendStmt:
 				if mentionsAny(info, m.Value, iterVars) {
-					report(m.Pos(), nil, "map-iteration order escapes into a channel send: receivers observe a different order every run; collect and sort before sending (// lint:allow mapdeterminism to suppress)")
+					report(m.Pos(), "map-iteration order escapes into a channel send: receivers observe a different order every run; collect and sort before sending (// lint:allow mapdeterminism to suppress)")
 				}
 			case *ast.CallExpr:
 				if what, ok := emitSink(info, m); ok && callMentionsAny(info, m, iterVars) {
-					report(m.Pos(), nil, "map-iteration order escapes into %s: output differs between runs; collect the entries, sort, then emit (// lint:allow mapdeterminism to suppress)", what)
+					report(m.Pos(), "map-iteration order escapes into %s: output differs between runs; collect the entries, sort, then emit (// lint:allow mapdeterminism to suppress)", what)
 				}
 				// A summary-emitting callee is the same sink one call
 				// away: the helper prints or sends what we pass it.
@@ -193,7 +185,7 @@ func checkScope(pass *analysis.Pass, allow *lintutil.Allower, sorted map[types.O
 							break
 						}
 						if ff.EmitParams&(1<<uint(j)) != 0 && mentionsAny(info, arg, iterVars) {
-							report(m.Pos(), nil, "map-iteration order escapes into %s, which emits its argument: output differs between runs; collect the entries, sort, then emit (// lint:allow mapdeterminism to suppress)", fn.Name())
+							report(m.Pos(), "map-iteration order escapes into %s, which emits its argument: output differs between runs; collect the entries, sort, then emit (// lint:allow mapdeterminism to suppress)", fn.Name())
 							break
 						}
 					}
@@ -216,7 +208,6 @@ func checkScope(pass *analysis.Pass, allow *lintutil.Allower, sorted map[types.O
 						root:     root,
 						returned: returned[root],
 						rangeEnd: rng.End(),
-						loopPos:  rng.Pos(),
 						display:  types.ExprString(m.Lhs[i]),
 					})
 				}
@@ -264,7 +255,6 @@ func checkScope(pass *analysis.Pass, allow *lintutil.Allower, sorted map[types.O
 				root:     root,
 				returned: returned[root],
 				rangeEnd: as.End(),
-				loopPos:  as.Pos(),
 				display:  types.ExprString(lhs),
 				via:      fn.Name(),
 			})
@@ -281,83 +271,16 @@ func checkScope(pass *analysis.Pass, allow *lintutil.Allower, sorted map[types.O
 			lead = esc.display + " receives map-iteration-ordered elements from " + esc.via
 		}
 		if esc.returned {
-			report(esc.pos, sortFix(pass, file, esc), "%s and escapes to the caller: element order differs between runs; sort it after the loop or route it through a lint:sorted helper (// lint:allow mapdeterminism to suppress)", lead)
+			report(esc.pos, "%s and escapes to the caller: element order differs between runs; sort it after the loop or route it through a lint:sorted helper (// lint:allow mapdeterminism to suppress)", lead)
 			continue
 		}
 		// One hop: the accumulator is a plain local — flag only if it
 		// later reaches a return, an emitter, a channel, or a returned
 		// root.
 		if hop := localFlowsOut(info, sum, body, returned, esc); hop != "" {
-			report(esc.pos, sortFix(pass, file, esc), "%s and later %s without sorting: order differs between runs; sort it after the loop or route it through a lint:sorted helper (// lint:allow mapdeterminism to suppress)", lead, hop)
+			report(esc.pos, "%s and later %s without sorting: order differs between runs; sort it after the loop or route it through a lint:sorted helper (// lint:allow mapdeterminism to suppress)", lead, hop)
 		}
 	}
-}
-
-// sortFix builds the machine-applicable remediation: insert a
-// `slices.Sort(acc)` immediately after the tainting loop or call
-// (plus the "slices" import when missing). Offered only for a plain
-// identifier accumulator whose element type is ordered — the shape
-// where the inserted call is always well-typed.
-func sortFix(pass *analysis.Pass, file *ast.File, esc escape) []analysis.SuggestedFix {
-	if esc.display != esc.root.Name() {
-		return nil // selector/index accumulators need a hand-written sort
-	}
-	sl, ok := esc.root.Type().Underlying().(*types.Slice)
-	if !ok {
-		return nil
-	}
-	b, ok := sl.Elem().Underlying().(*types.Basic)
-	if !ok || b.Info()&types.IsOrdered == 0 {
-		return nil
-	}
-	var edits []analysis.TextEdit
-	if !hasImport(file, "slices") {
-		imp := importEdit(file, "slices")
-		if imp == nil {
-			return nil // no import block to extend
-		}
-		edits = append(edits, *imp)
-	}
-	indent := strings.Repeat("\t", pass.Fset.Position(esc.loopPos).Column-1)
-	edits = append(edits, analysis.TextEdit{
-		Pos:     esc.rangeEnd,
-		End:     esc.rangeEnd,
-		NewText: []byte("\n" + indent + "slices.Sort(" + esc.display + ")"),
-	})
-	return []analysis.SuggestedFix{{
-		Message:   "sort " + esc.display + " after the loop",
-		TextEdits: edits,
-	}}
-}
-
-func hasImport(file *ast.File, path string) bool {
-	for _, imp := range file.Imports {
-		if strings.Trim(imp.Path.Value, `"`) == path {
-			return true
-		}
-	}
-	return false
-}
-
-// importEdit returns the edit adding path to the file's first
-// parenthesized import block, in sorted position; nil when there is no
-// block to extend.
-func importEdit(file *ast.File, path string) *analysis.TextEdit {
-	for _, decl := range file.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.IMPORT || !gd.Lparen.IsValid() || len(gd.Specs) == 0 {
-			continue
-		}
-		for _, spec := range gd.Specs {
-			is := spec.(*ast.ImportSpec)
-			if strings.Trim(is.Path.Value, `"`) > path {
-				return &analysis.TextEdit{Pos: is.Pos(), End: is.Pos(), NewText: []byte(`"` + path + "\"\n\t")}
-			}
-		}
-		last := gd.Specs[len(gd.Specs)-1]
-		return &analysis.TextEdit{Pos: last.End(), End: last.End(), NewText: []byte("\n\t\"" + path + `"`)}
-	}
-	return nil
 }
 
 func isMapType(info *types.Info, e ast.Expr) bool {

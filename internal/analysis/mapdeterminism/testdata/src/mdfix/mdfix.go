@@ -1,6 +1,5 @@
-// Fixture for the mapdeterminism -fix rewrite: a returned plain-ident
-// accumulator of ordered elements gains a slices.Sort after the loop,
-// plus the missing import (mdfix.go.golden pins the result).
+// Fixture for a returned plain-ident accumulator of ordered elements in
+// a file that does not import slices.
 package mdfix
 
 import (
@@ -16,7 +15,7 @@ func Keys(m map[string]int) []string {
 	return out
 }
 
-// Count never escapes order and needs no fix.
+// Count never escapes order and is not flagged.
 func Count(m map[string]int) int {
 	n := 0
 	for range m {

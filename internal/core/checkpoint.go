@@ -122,19 +122,6 @@ func (d *discoverer) writeCheckpoint(res *Result) {
 	res.Stats.Checkpoints++
 }
 
-// checkpointDue reports whether a periodic barrier snapshot should be
-// written after the given number of completed levels this run.
-func (d *discoverer) checkpointDue(levelsDone int) bool {
-	if d.opts.CheckpointPath == "" {
-		return false
-	}
-	every := d.opts.CheckpointEvery
-	if every < 1 {
-		every = 1
-	}
-	return levelsDone%every == 0
-}
-
 // restoreFromSnapshot rebuilds the traversal state from a verified
 // snapshot: reduction outputs, validated dependencies, stats baseline and
 // the frontier. Returns the frontier and its level number.

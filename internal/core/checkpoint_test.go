@@ -136,23 +136,6 @@ func TestResumeOfCompleteRun(t *testing.T) {
 	}
 }
 
-// TestCheckpointEveryThrottlesPeriodicWrites: CheckpointEvery=N skips the
-// periodic barrier snapshots in between but never the final one.
-func TestCheckpointEveryThrottlesPeriodicWrites(t *testing.T) {
-	r := correlatedRelation(t, 60)
-	dir := t.TempDir()
-
-	everyLevel := Discover(r, Options{CheckpointPath: filepath.Join(dir, "a.ckpt")})
-	throttled := Discover(r, Options{CheckpointPath: filepath.Join(dir, "b.ckpt"), CheckpointEvery: 100})
-	if throttled.Stats.Checkpoints != 1 {
-		t.Errorf("CheckpointEvery=100 wrote %d snapshots, want only the final one", throttled.Stats.Checkpoints)
-	}
-	if everyLevel.Stats.Checkpoints <= throttled.Stats.Checkpoints {
-		t.Errorf("every-level run wrote %d snapshots, throttled wrote %d — throttle had no effect",
-			everyLevel.Stats.Checkpoints, throttled.Stats.Checkpoints)
-	}
-}
-
 // TestResumeRefusesModifiedData: resuming against a relation whose rank
 // structure changed fails fast with a fingerprint mismatch.
 func TestResumeRefusesModifiedData(t *testing.T) {

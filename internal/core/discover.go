@@ -329,7 +329,6 @@ func (d *discoverer) run(ctx context.Context) (*Result, error) {
 
 	// ---- Main BFS loop (Algorithm 1, lines 5–14) ----
 	var errs []error
-	levelsDone := 0
 	for len(level) > 0 {
 		if d.opts.MaxLevel > 0 && levelNo > d.opts.MaxLevel {
 			res.truncate(TruncateMaxLevel)
@@ -382,9 +381,8 @@ func (d *discoverer) run(ctx context.Context) (*Result, error) {
 		// Only a fully completed level advances the durable barrier; the
 		// final writeCheckpoint below persists the previous barrier
 		// otherwise, and resume re-runs the interrupted level from scratch.
-		levelsDone++
 		d.noteBarrier(level, levelNo, res)
-		if len(level) > 0 && d.checkpointDue(levelsDone) {
+		if len(level) > 0 {
 			d.writeCheckpoint(res)
 		}
 	}

@@ -99,11 +99,6 @@ type Options struct {
 	// disables checkpointing for the rest of the run and is recorded in
 	// Stats.CheckpointError.
 	CheckpointPath string
-	// CheckpointEvery writes the periodic level-barrier snapshot only every
-	// N completed levels (truncation and final snapshots are always
-	// written); values < 1 mean every level. Raising it trades durability
-	// granularity for less write amplification on shallow, wide trees.
-	CheckpointEvery int
 	// Resume restarts the traversal from a previously written snapshot
 	// instead of from the initial candidate level. The snapshot's dataset
 	// fingerprint must match the relation (DiscoverContext fails fast with

@@ -56,9 +56,6 @@ type Config struct {
 	// disk) from retrying in lockstep and re-overloading whatever felled them.
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
-	// CheckpointEvery throttles periodic snapshots to every n completed
-	// levels (default 1 = every level barrier).
-	CheckpointEvery int
 	// RetryAfter is the Retry-After hint returned with 429/503 rejections
 	// (default 2s).
 	RetryAfter time.Duration
@@ -90,9 +87,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.BackoffCap <= 0 {
 		c.BackoffCap = 30 * time.Second
-	}
-	if c.CheckpointEvery < 1 {
-		c.CheckpointEvery = 1
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = 2 * time.Second
@@ -695,16 +689,15 @@ func (m *Manager) runAttempt(ctx context.Context, j *Job, name string) (out atte
 	out.rows, out.cols = tbl.NumRows(), tbl.NumCols()
 
 	dopts := ocd.Options{
-		Workers:         opts.Workers,
-		Timeout:         opts.Timeout,
-		MaxCandidates:   opts.MaxCandidates,
-		MaxLevel:        opts.MaxLevel,
-		Columns:         opts.Columns,
-		MaxMemoryBytes:  m.cfg.MaxMemoryBytes,
-		CheckpointPath:  snapshotPath(j.dir),
-		CheckpointEvery: m.cfg.CheckpointEvery,
-		Reporter:        j,
-		Trace:           tr.Root(),
+		Workers:        opts.Workers,
+		Timeout:        opts.Timeout,
+		MaxCandidates:  opts.MaxCandidates,
+		MaxLevel:       opts.MaxLevel,
+		Columns:        opts.Columns,
+		MaxMemoryBytes: m.cfg.MaxMemoryBytes,
+		CheckpointPath: snapshotPath(j.dir),
+		Reporter:       j,
+		Trace:          tr.Root(),
 	}
 	if _, statErr := os.Stat(snapshotPath(j.dir)); statErr == nil {
 		dopts.ResumeFrom = snapshotPath(j.dir)

@@ -1,7 +1,8 @@
 // Benchmarks for the observability layer's overhead and the pipeline's
-// per-phase costs — the trajectory set scripts/bench.sh tracks over time
-// (BENCH_<date>.json). BenchmarkObsOverhead is the acceptance evidence that
-// enabling metrics + reporting costs no more than a few percent per check.
+// per-phase costs; scripts/check.sh runs each once as a smoke, and
+// bench/run.sh measures end to end. BenchmarkObsOverhead is the
+// acceptance evidence that enabling metrics + reporting costs no more
+// than a few percent per check.
 package ocd
 
 import (
@@ -16,7 +17,7 @@ import (
 
 // BenchmarkObsOverhead runs the same discovery workload with observability
 // fully disabled, with metrics only, and with metrics + tracing + reporting,
-// so trajectory comparisons can see the instrumentation cost directly.
+// so before/after comparisons can see the instrumentation cost directly.
 func BenchmarkObsOverhead(b *testing.B) {
 	load()
 	r := benchData.letter
@@ -110,7 +111,7 @@ type discard struct{}
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
 // BenchmarkDatasetTaxinfo tracks the committed examples dataset end to end
-// (load + discover), the workload scripts/bench.sh smoke-checks.
+// (load + discover), part of the set scripts/check.sh smoke-runs.
 func BenchmarkDatasetTaxinfo(b *testing.B) {
 	r := datagen.TaxTable()
 	for i := 0; i < b.N; i++ {

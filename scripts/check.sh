@@ -9,13 +9,8 @@
 #                                hotloopalloc, obshot, lockbalance,
 #                                wgcheck, errdrop, sharedwrite,
 #                                mapdeterminism, goroutineleak,
-#                                ctxflow; see
-#                                docs/LINTING.md). Runs with
-#                                -baseline-strict: error-tier findings,
-#                                un-baselined warn findings and stale
-#                                lint.baseline.json entries all fail.
-#                                Plus a -json smoke so the CI annotation
-#                                pipeline can trust the output format
+#                                ctxflow; see docs/LINTING.md); every
+#                                finding fails the gate
 #   4. go test -race ./...       unit + integration tests under the
 #                                race detector (the parallel traversal
 #                                must stay race-clean)
@@ -44,11 +39,12 @@
 #                                done bound to the result hash), fetches
 #                                the per-job Chrome trace, and parses the
 #                                structured logs
-#   9. bench smoke               scripts/bench.sh --smoke runs every
-#                                tracked benchmark once and requires the
-#                                output to parse into the trajectory
-#                                format (cmd/benchjson); full trajectory
-#                                runs stay manual (make bench)
+#   9. bench smoke               go test -bench runs the observability,
+#                                phase, taxinfo and check-primitive root
+#                                benchmarks once each (-benchtime=1x), so
+#                                they keep compiling and running;
+#                                end-to-end numbers come from
+#                                bash bench/run.sh
 #  10. bench module tests        go -C bench vet/test: bench/ is a Go
 #                                module of its own, so ./... above never
 #                                reaches it; this runs its toy-scale
@@ -79,11 +75,8 @@ go build ./...
 step "go vet ./..."
 go vet ./...
 
-step "ocdlint -baseline-strict ./..."
-go run ./cmd/ocdlint -baseline-strict ./...
-
-step "ocdlint -json ./..."
-go run ./cmd/ocdlint -json ./... >/dev/null
+step "ocdlint ./..."
+go run ./cmd/ocdlint ./...
 
 step "go test -race ./..."
 go test -race ./...
@@ -103,8 +96,8 @@ scripts/serve_chaos.sh
 step "chaos: observability gate (scripts/obs_chaos.sh)"
 scripts/obs_chaos.sh
 
-step "bench smoke (scripts/bench.sh --smoke)"
-scripts/bench.sh --smoke
+step "bench smoke: root benchmarks, one iteration each"
+go test . -run '^$' -bench 'BenchmarkObsOverhead|BenchmarkPhase_|BenchmarkProgressFormat|BenchmarkDatasetTaxinfo|BenchmarkAblation_CheckPrimitives' -benchmem -benchtime=1x -count=1
 
 step "bench module: go -C bench vet ./... && go -C bench test ./..."
 go -C bench vet ./...

@@ -62,9 +62,12 @@ diff <(strip_volatile "$tmp/fresh.json") <(strip_volatile "$tmp/resumed.json") \
     || fail "resumed output differs from the uninterrupted run"
 
 step "metrics continuity: crash+resume counters equal the uninterrupted run's"
-go run ./cmd/benchjson -metrics-diff \
-    -keys discover.checks,discover.candidates,discover.levels,discover.ocds,discover.ods,discover.prunes \
-    "$tmp/fresh_metrics.json" "$tmp/resumed_metrics.json" \
+# A counter missing from a dump reads as 0; jq -e exits 1 when the final
+# all-equal verdict is false.
+jq -n -r -e --arg keys "discover.checks discover.candidates discover.levels discover.ocds discover.ods discover.prunes" \
+    --slurpfile a "$tmp/fresh_metrics.json" --slurpfile b "$tmp/resumed_metrics.json" '
+    [$keys | split(" ")[] | {key: ., a: ($a[0].counters[.] // 0), b: ($b[0].counters[.] // 0)}]
+    | (.[] | "\(.key): \(.a) \(if .a == .b then "==" else "!=" end) \(.b)"), all(.a == .b)' \
     || fail "crash+resume metrics differ from the uninterrupted run"
 
 step "kill during the first snapshot rename: no torn file may appear"

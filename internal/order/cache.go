@@ -11,22 +11,24 @@ import (
 
 // Handle is one goroutine's view of a Checker. It owns what a check
 // mutates: a bounded FIFO cache of derived rank vectors, the check's
-// scratch arrays, and a free list of the buffers of dropped vectors, which
-// later derivations reuse. Nothing on its lookup path is shared, so it
-// takes no lock; only one goroutine may use a Handle at a time. The
-// Checker's own methods run on a built-in Handle behind a mutex.
+// scratch arrays, a free list of the buffers of dropped vectors, which
+// later derivations reuse, and a ring of recent swap witnesses. Nothing
+// on its lookup path is shared, so it takes no lock; only one goroutine
+// may use a Handle at a time. The Checker's own methods run on a built-in
+// Handle behind a mutex.
 type Handle struct {
 	c *Checker
 	fifo
 	s scratch
+	w witnesses
 
 	// free holds buffers ready for reuse. held holds the buffers dropped
 	// during the current check, which that check may still be reading;
 	// they join free when it ends.
 	free, held [][]int32
 
-	// Lookup counters, published to the Checker by Flush.
-	hits, misses, sorts int64
+	// Lookup and witness counters, published to the Checker by Flush.
+	hits, misses, sorts, witnessHits int64
 }
 
 // NewHandle returns a Handle on c whose cache holds at most cacheCap rank
@@ -40,9 +42,9 @@ func (c *Checker) NewHandle(cacheCap int) *Handle {
 	return h
 }
 
-// Flush publishes the Handle's lookup counters to the Checker: its Sorts
-// count and the order.index_cache.* counters. Call it from the goroutine
-// using the Handle, or after that goroutine is done.
+// Flush publishes the Handle's counters to the Checker: its Sorts count,
+// the order.index_cache.* counters and order.swap_witness.hits. Call it
+// from the goroutine using the Handle, or after that goroutine is done.
 func (h *Handle) Flush() {
 	c := h.c
 	if h.sorts != 0 {
@@ -50,7 +52,8 @@ func (h *Handle) Flush() {
 	}
 	c.obsHits.Add(h.hits)
 	c.obsMisses.Add(h.misses)
-	h.hits, h.misses, h.sorts = 0, 0, 0
+	c.obsWitnessHits.Add(h.witnessHits)
+	h.hits, h.misses, h.sorts, h.witnessHits = 0, 0, 0, 0
 }
 
 // buffer returns a rank buffer of n rows, recycled when one is free.
@@ -190,12 +193,13 @@ func (f *fifo) remove(i int) {
 	}
 }
 
-// SetObs attaches the rank-vector cache's hit/miss counters from the
-// registry (a nil registry resolves to no-op handles). Not safe to call
-// concurrently with checks.
+// SetObs attaches the rank-vector cache's hit/miss counters and the swap
+// witnesses' hit counter from the registry (a nil registry resolves to
+// no-op handles). Not safe to call concurrently with checks.
 func (c *Checker) SetObs(reg *obs.Registry) {
 	c.obsHits = reg.Counter("order.index_cache.hits")
 	c.obsMisses = reg.Counter("order.index_cache.misses")
+	c.obsWitnessHits = reg.Counter("order.swap_witness.hits")
 }
 
 // ReleaseMemory drops every cached entry and free buffer of every Handle,

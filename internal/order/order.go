@@ -33,6 +33,18 @@
 // XY → YX (Theorem 4.1), which no split violates and which (p, q) swaps
 // iff p_X ≺ q_X and p_Y ≻ q_Y (for p_X = q_X the XY order puts p_Y ≺ q_Y,
 // and YX cannot decrease): the swap-only grouped scan, without building XY.
+//
+// Most OCD checks of a discovery fail (124,485 of 128,890 on HEPATITIS),
+// and candidates that extend the same lists often fail on the same rows.
+// So each Handle keeps a ring of the row pairs that falsified its 16 most
+// recent failing OCD checks (witness.go). An OCD check first compares each
+// remembered pair on X and then on Y by column codes; a pair ordered
+// strictly opposite on the two is a swap, and the check fails without
+// resolving a side or scanning. Otherwise the scan runs, and when it finds
+// a swap at group g, one more pass over the two sides' rank vectors finds
+// a row of g at g's minimum Y-rank and a row of an earlier group at the
+// running maximum: that pair replaces the ring's oldest. A valid OCD, and
+// every OD check, always pays the full scan.
 package order
 
 import (
@@ -141,7 +153,7 @@ type Checker struct {
 	stop *atomic.Bool
 
 	// Pre-resolved instrumentation handles; nil (no-op) until SetObs.
-	obsHits, obsMisses *obs.Counter
+	obsHits, obsMisses, obsWitnessHits *obs.Counter
 
 	// mu serializes the Checker's own methods on own and guards handles,
 	// every Handle made on this Checker (own included).
@@ -242,11 +254,17 @@ func (h *Handle) CheckOD(x, y attr.List) bool {
 }
 
 // check runs one candidate check: exactly one Checks() increment, then the
-// grouped scan. An aborted check conservatively reports both violation
-// kinds so no pruning rule treats the candidate as verified.
+// grouped scan. An OCD check first probes the ring of recent swap
+// witnesses, and a witnessed swap answers it without the scan. An aborted
+// check conservatively reports both violation kinds so no pruning rule
+// treats the candidate as verified.
 func (h *Handle) check(x, y attr.List, mode scanMode) ODResult {
 	h.c.checks.Add(1)
 	faultinject.Point("order.checker.check")
+	if mode == scanOCD && h.swapWitnessed(x, y) {
+		h.witnessHits++
+		return ODResult{HasSwap: true}
+	}
 	res, ok := h.scan(x, y, mode)
 	h.release()
 	if !ok {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ocd/internal/datagen"
+	"ocd/internal/obs"
 )
 
 // TestOptionsWorkersNormalization pins the Workers contract: values
@@ -59,19 +60,30 @@ func TestOptionsIndexCacheDefault(t *testing.T) {
 
 // TestHepatitisDerivesOnlyPrefixes: on the HEPATITIS replica nearly every
 // check side extends a prefix by one attribute and resolves as composite
-// keys, so one worker derives fewer dense rank vectors than a tenth of its
-// checks, while the checks and OCDs stay Table 6's.
+// keys, so one worker, and two, derive fewer dense rank vectors than a
+// tenth of their checks; the workers' swap-witness rings reject failing
+// OCD checks without a scan (order.swap_witness.hits > 0, and at most the
+// failing checks, discover.prunes); and the checks, candidates and OCDs
+// stay Table 6's.
 func TestHepatitisDerivesOnlyPrefixes(t *testing.T) {
-	d := newDiscoverer(datagen.Hepatitis(), Options{Workers: 1})
-	res, err := d.run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Checks != 138080 || len(res.OCDs) != 4405 {
-		t.Fatalf("%d checks and %d OCDs, want 138080 and 4405", res.Stats.Checks, len(res.OCDs))
-	}
-	if sorts := d.chk.Sorts(); 10*sorts > res.Stats.Checks {
-		t.Errorf("%d dense derivations for %d checks, want at most a tenth", sorts, res.Stats.Checks)
+	for _, workers := range []int{1, 2} {
+		reg := obs.NewRegistry()
+		d := newDiscoverer(datagen.Hepatitis(), Options{Workers: workers, Metrics: reg})
+		res, err := d.run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Checks != 138080 || res.Stats.Candidates != 128890 || len(res.OCDs) != 4405 {
+			t.Fatalf("workers=%d: %d checks, %d candidates, %d OCDs; want 138080, 128890 and 4405",
+				workers, res.Stats.Checks, res.Stats.Candidates, len(res.OCDs))
+		}
+		if sorts := d.chk.Sorts(); 10*sorts > res.Stats.Checks {
+			t.Errorf("workers=%d: %d dense derivations for %d checks, want at most a tenth", workers, sorts, res.Stats.Checks)
+		}
+		s := reg.Snapshot()
+		if hits, failing := s.Counters["order.swap_witness.hits"], s.Counters[MetricPrunes]; hits <= 0 || hits > failing {
+			t.Errorf("workers=%d: order.swap_witness.hits = %d, want in (0, %d]", workers, hits, failing)
+		}
 	}
 }
 

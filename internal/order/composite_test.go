@@ -173,11 +173,26 @@ func TestCompositeStopCachesNothing(t *testing.T) {
 }
 
 // TestExtensionChecksDoNotAllocate: on a warm Handle, a check whose side
-// is a one-step extension of a cached prefix allocates nothing.
+// is a one-step extension of a cached prefix allocates nothing, whether
+// it scans and records the swap it finds in the emptied witness ring, or
+// the ring answers it.
 func TestExtensionChecksDoNotAllocate(t *testing.T) {
 	h, x, y := extensionHandle()
-	if n := testing.AllocsPerRun(100, func() { h.CheckOCD(x, y) }); n != 0 {
+	scanned := func() {
+		h.w = witnesses{}
+		h.CheckOCD(x, y)
+	}
+	if n := testing.AllocsPerRun(100, scanned); n != 0 {
 		t.Errorf("warm one-step extension check: %v allocations, want 0", n)
+	}
+	if h.witnessHits != 0 || h.w.n != 1 {
+		t.Fatalf("%d witnessed checks and %d remembered pairs, want every check scanned and its swap remembered", h.witnessHits, h.w.n)
+	}
+	if n := testing.AllocsPerRun(100, func() { h.CheckOCD(x, y) }); n != 0 {
+		t.Errorf("witnessed check: %v allocations, want 0", n)
+	}
+	if h.witnessHits != 101 {
+		t.Errorf("%d witnessed checks in 101, want all", h.witnessHits)
 	}
 }
 
@@ -194,26 +209,27 @@ func extensionHandle() (*Handle, attr.List, attr.List) {
 	return h, x, y
 }
 
-// FuzzCheckMatchesBruteForce decodes a tiny relation and two lists of at
-// most four attributes, and requires all three scan modes to agree with
-// the brute-force reference on a fresh and then a warm cache.
+// FuzzCheckMatchesBruteForce decodes a tiny relation and one to eight
+// pairs of lists of at most four attributes, and requires all three scan
+// modes to agree with the brute-force reference on each pair, checked in
+// order on one Handle over two passes: the first pair meets a fresh cache
+// and an empty witness ring, the later ones what the earlier ones left.
 //
-// Layout: columns, rows, cache cap, the two list lengths, the lists'
-// attributes, then the cells row by row (0 is NULL).
+// Layout: columns, rows, cache cap, pair count, then per pair the two
+// list lengths and the lists' attributes, then the cells row by row (0 is
+// NULL).
 func FuzzCheckMatchesBruteForce(f *testing.F) {
-	f.Add([]byte{2, 4, 1, 2, 1, 0, 1, 1, 1, 2, 3, 1, 2, 2, 1, 3, 3, 4})
-	f.Add([]byte{3, 6, 3, 3, 2, 2, 0, 1, 1, 2, 0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5})
-	f.Add([]byte{4, 12, 2, 4, 4, 0, 1, 2, 3, 3, 2, 1, 0, 5, 4, 3, 2, 1, 0, 5, 4, 3, 2, 1, 0, 5, 4, 3, 2, 1, 0, 5, 4, 3, 2, 1, 0, 5, 4, 3, 2, 1, 0, 5, 4, 3, 2, 1, 0, 5, 4, 3, 2, 1, 0})
+	f.Add([]byte{2, 4, 1, 0, 2, 1, 0, 1, 1, 1, 2, 3, 1, 2, 2, 1, 3, 3, 4})
+	f.Add([]byte{3, 6, 3, 0, 3, 2, 2, 0, 1, 1, 2, 0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5})
+	f.Add([]byte{4, 12, 2, 0, 4, 4, 0, 1, 2, 3, 3, 2, 1, 0, 5, 4, 3, 2, 1, 0, 5, 4, 3, 2, 1, 0, 5, 4, 3, 2, 1, 0, 5, 4, 3, 2, 1, 0, 5, 4, 3, 2, 1, 0, 5, 4, 3, 2, 1, 0, 5, 4, 3, 2, 1, 0})
+	f.Add([]byte{3, 6, 0, 3, 1, 1, 0, 1, 1, 1, 1, 0, 2, 1, 0, 2, 1, 1, 2, 2, 0, 1, 1, 2, 3, 2, 1, 4, 3, 3, 1, 4, 5, 2, 5, 4, 5, 2, 2, 2})
+	f.Add([]byte{3, 9, 0, 1, 2, 3, 1, 0, 0, 0, 0, 3, 3, 1, 0, 0, 0, 2, 0, 0, 1, 0, 0, 0, 0, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 5 {
+		if len(data) < 4 {
 			return
 		}
-		cols, rows, cacheCap := 1+int(data[0])%5, int(data[1])%13, []int{0, 1, 2, 64}[data[2]%4]
-		nx, ny := int(data[3])%5, int(data[4])%5
-		data = data[5:]
-		if len(data) < nx+ny {
-			return
-		}
+		cols, rows, cacheCap, k := 1+int(data[0])%5, int(data[1])%13, []int{0, 1, 2, 64}[data[2]%4], 1+int(data[3])%8
+		data = data[4:]
 		list := func(n int) attr.List {
 			l := make(attr.List, n)
 			for i := range l {
@@ -222,7 +238,17 @@ func FuzzCheckMatchesBruteForce(f *testing.F) {
 			data = data[n:]
 			return l
 		}
-		x, y := list(nx), list(ny)
+		pairs := make([][2]attr.List, 0, k)
+		for len(pairs) < k {
+			if len(data) < 2 {
+				return
+			}
+			nx, ny := int(data[0])%5, int(data[1])%5
+			if data = data[2:]; len(data) < nx+ny {
+				return
+			}
+			pairs = append(pairs, [2]attr.List{list(nx), list(ny)})
+		}
 		rows = min(rows, len(data)/cols)
 		cells := make([][]string, rows)
 		names := make([]string, cols)
@@ -243,8 +269,10 @@ func FuzzCheckMatchesBruteForce(f *testing.F) {
 		}
 		c := NewChecker(r, cacheCap)
 		for pass := 0; pass < 2; pass++ {
-			if msg := checkAgainstBruteForce(c.own, r, x, y); msg != "" {
-				t.Fatalf("pass %d: %v against %v: %s\nrows: %v", pass, x, y, msg, dump(r))
+			for i, p := range pairs {
+				if msg := checkAgainstBruteForce(c.own, r, p[0], p[1]); msg != "" {
+					t.Fatalf("pass %d, pair %d: %v against %v: %s\nrows: %v", pass, i, p[0], p[1], msg, dump(r))
+				}
 			}
 		}
 	})

@@ -53,6 +53,7 @@ fuzz:
 	go test -run='^$$' -fuzz='^FuzzSplitMatchesEncodingCSV$$' -fuzztime=$${FUZZTIME:-10s} ./internal/relation/
 	go test -run='^$$' -fuzz='^FuzzCheckMatchesBruteForce$$' -fuzztime=$${FUZZTIME:-10s} ./internal/order/
 	go test -run='^$$' -fuzz='^FuzzCheckpointDecode$$' -fuzztime=$${FUZZTIME:-10s} ./internal/checkpoint/
+	go test -run='^$$' -fuzz='^FuzzDiscoverMatchesTreeOracle$$' -fuzztime=$${FUZZTIME:-10s} ./internal/core/
 
 # bench-test vets and tests the repository benchmark (bench/), a Go module
 # of its own that ./... does not reach: its toy-scale workload gates and

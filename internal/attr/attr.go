@@ -239,7 +239,7 @@ func writeInt(b *strings.Builder, v int) {
 }
 
 // Set is a set of attributes backed by a bitset, sized dynamically to the
-// largest attribute added. The zero value is not usable; call NewSet.
+// largest attribute added. The zero value is an empty set.
 type Set struct {
 	words []uint64
 }

@@ -203,6 +203,17 @@ func TestSetEqualDifferentWordLengths(t *testing.T) {
 	}
 }
 
+func TestZeroSetIsEmpty(t *testing.T) {
+	var s Set
+	if s.Len() != 0 || s.Has(0) || !s.Equal(NewSet()) {
+		t.Fatal("zero Set is not empty")
+	}
+	s.Add(70)
+	if !s.Has(70) || s.Has(6) || s.Len() != 1 {
+		t.Errorf("zero Set after Add(70) = %v", s.Slice())
+	}
+}
+
 func TestFullSet(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 130} {
 		s := FullSet(n)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ocd/internal/attr"
@@ -56,36 +57,46 @@ func assertSameDiscovery(t *testing.T, fresh, resumed *Result) {
 // TestResumeAfterLevelCapMatchesFresh is the differential core of the
 // checkpoint contract: truncate a run at a level barrier, resume from its
 // snapshot, and the combined output — dependencies and counters — must be
-// indistinguishable from a run that was never interrupted.
+// indistinguishable from a run that was never interrupted. A frontier is a
+// set, so a resume from the same frontier in reverse order must match too;
+// from level 4 on a child can have two parents, and which copy the barrier
+// drops depends on the order the level lists them in.
 func TestResumeAfterLevelCapMatchesFresh(t *testing.T) {
 	r := correlatedRelation(t, 60)
 	fresh := Discover(r, Options{Workers: 2})
-	if fresh.Stats.Levels < 3 {
+	if fresh.Stats.Levels < 4 {
 		t.Fatalf("dataset too shallow for a meaningful resume: %d levels", fresh.Stats.Levels)
 	}
 
-	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	part := Discover(r, Options{Workers: 2, MaxLevel: 2, CheckpointPath: ckpt})
-	if !part.Stats.Truncated || part.Stats.Reason != TruncateMaxLevel {
-		t.Fatalf("expected level-cap truncation, got %+v", part.Stats)
-	}
-	if part.Stats.Checkpoints == 0 {
-		t.Fatal("truncated run wrote no snapshot")
-	}
+	for _, maxLevel := range []int{2, 3} {
+		ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+		part := Discover(r, Options{Workers: 2, MaxLevel: maxLevel, CheckpointPath: ckpt})
+		if !part.Stats.Truncated || part.Stats.Reason != TruncateMaxLevel {
+			t.Fatalf("MaxLevel %d: expected level-cap truncation, got %+v", maxLevel, part.Stats)
+		}
+		if part.Stats.Checkpoints == 0 {
+			t.Fatalf("MaxLevel %d: truncated run wrote no snapshot", maxLevel)
+		}
 
-	snap := loadSnapshot(t, ckpt)
-	if snap.Complete() {
-		t.Fatal("truncated run's snapshot claims completion")
+		snap := loadSnapshot(t, ckpt)
+		if snap.Complete() {
+			t.Fatalf("MaxLevel %d: truncated run's snapshot claims completion", maxLevel)
+		}
+		reversed := *snap
+		reversed.Frontier = slices.Clone(snap.Frontier)
+		slices.Reverse(reversed.Frontier)
+		for _, s := range []*checkpoint.Snapshot{snap, &reversed} {
+			resumed, err := DiscoverContext(context.Background(), r, Options{Workers: 2, Resume: s})
+			if err != nil {
+				t.Fatalf("MaxLevel %d: resume: %v", maxLevel, err)
+			}
+			if resumed.Stats.Truncated {
+				t.Fatalf("MaxLevel %d: resumed run truncated: %+v", maxLevel, resumed.Stats)
+			}
+			assertSameDiscovery(t, fresh, resumed)
+			assertWellFormed(t, r, resumed)
+		}
 	}
-	resumed, err := DiscoverContext(context.Background(), r, Options{Workers: 2, Resume: snap})
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if resumed.Stats.Truncated {
-		t.Fatalf("resumed run truncated: %+v", resumed.Stats)
-	}
-	assertSameDiscovery(t, fresh, resumed)
-	assertWellFormed(t, r, resumed)
 }
 
 // TestResumeAfterCandidateCapMatchesFresh exercises the mid-level stop: the

@@ -233,10 +233,11 @@ type workerOut struct {
 	ocds []OCD
 	ods  []OD
 	next []attr.Pair
-	// hash[i] is pairHash(next[i]); the merge sets dup[i] when an earlier
-	// output holds the same unordered pair.
-	hash []uint64
-	dup  []bool
+	// lefts (rights) locate next[from:to], the left (right) children of
+	// each valid parent (X, Y) with |Y| ≥ 2 (|X| ≥ 2); dup[i] marks a
+	// duplicate next[i].
+	lefts, rights []span
+	dup           []bool
 	// current is the candidate being processed, recorded before each check
 	// so a recovered panic can name it.
 	current attr.Pair
@@ -245,6 +246,8 @@ type workerOut struct {
 	// stopped reports that the worker bailed before finishing its range.
 	stopped bool
 }
+
+type span struct{ from, to int }
 
 func (d *discoverer) run(ctx context.Context) (*Result, error) {
 	d.start = time.Now()
@@ -428,30 +431,30 @@ func (d *discoverer) processLevel(level []attr.Pair, reduced []attr.ID, res *Res
 	outs := d.outs
 	for i := range outs {
 		o := &outs[i]
-		*o = workerOut{ocds: o.ocds[:0], ods: o.ods[:0], next: o.next[:0], hash: o.hash[:0], dup: o.dup[:0]}
+		*o = workerOut{ocds: o.ocds[:0], ods: o.ods[:0], next: o.next[:0], lefts: o.lefts[:0], rights: o.rights[:0], dup: o.dup[:0]}
 	}
 	d.parallel(func(w int) {
 		sp, t0 := d.ro.workerStart(w)
 		out := &outs[w]
 		d.runWorker(w, level, size, &cursor, chunks, reduced, out)
 		d.handles[w].Flush()
-		for _, p := range out.next {
-			out.hash = append(out.hash, pairHash(p))
-			out.dup = append(out.dup, false)
-		}
+		out.dup = append(out.dup, make([]bool, len(out.next))...)
 		d.ro.workerEnd(sp, t0, out)
 	})
-	// De-duplicate next-level candidates, which can be generated by two
-	// different parents (dropping the last attribute of either side of a
-	// candidate gives a valid parent): each worker owns the pairs whose
-	// hash falls in its shard.
-	uniq := make([]int, d.workers)
-	d.parallel(func(w int) { uniq[w] = dedupShard(outs, chunks, w, d.workers) })
+	// A child (X·a, Y·b) has two parents, (X, Y·b) and (X·a, Y), and both
+	// emit it when both are valid and neither side's OD holds. No other
+	// child has two: a mirror pair is never generated, since X starts with
+	// the first attribute of its level-2 root. So the right parent's copy
+	// is dropped whenever the left parent emitted the child.
+	dups := make([]int, d.workers)
+	if idx := leftIndex(outs); idx != nil {
+		d.parallel(func(w int) { dups[w] = markDuplicates(&outs[w], idx) })
+	}
 
 	var errs []error
 	total := 0
-	for _, n := range uniq {
-		total += n
+	for i := range outs {
+		total += len(outs[i].next) - dups[i]
 	}
 	next := make([]attr.Pair, 0, total)
 	complete := true
@@ -518,68 +521,57 @@ func (d *discoverer) parallel(fn func(w int)) {
 	}
 }
 
-// dedupShard marks as duplicates the pairs of shard s (hash mod shards)
-// that an earlier output, in chunk order, already holds, so the merged
-// level keeps each pair's first occurrence, and returns the number of
-// distinct pairs in the shard. Pairs are compared on a binary key of their
-// sides in canonical order.
-func dedupShard(outs []workerOut, chunks []chunkOut, s, shards int) int {
-	n := 0
+// leftIndex maps the grandparent of every left child the workers recorded
+// to the set of last(Y) over those children; nil when there is none.
+func leftIndex(outs []workerOut) map[string]attr.Set {
+	var idx map[string]attr.Set
 	for i := range outs {
-		n += len(outs[i].next)
-	}
-	seen := make(map[string]struct{}, n/shards+1)
-	var key []byte
-	for _, c := range chunks {
-		out := &outs[c.w]
-		for k := c.from; k < c.to; k++ {
-			if out.hash[k]%uint64(shards) != uint64(s) {
-				continue
+		for _, r := range outs[i].lefts {
+			if idx == nil {
+				idx = make(map[string]attr.Set)
 			}
-			key = appendPairKey(key[:0], out.next[k])
-			if _, dup := seen[string(key)]; dup {
+			c := outs[i].next[r.from]
+			k := string(grandparentKey(nil, c))
+			s := idx[k]
+			s.Add(c.Y[len(c.Y)-1])
+			idx[k] = s
+		}
+	}
+	return idx
+}
+
+// markDuplicates looks each right parent of out up in idx once, by its
+// children's grandparent, marks each child (X·a, Y·b) whose b is in the
+// set (its left parent emitted it too), and returns how many it marked.
+func markDuplicates(out *workerOut, idx map[string]attr.Set) int {
+	n := 0
+	var key []byte
+	for _, r := range out.rights {
+		key = grandparentKey(key[:0], out.next[r.from])
+		bs, ok := idx[string(key)]
+		if !ok {
+			continue
+		}
+		for k := r.from; k < r.to; k++ {
+			if y := out.next[k].Y; bs.Has(y[len(y)-1]) {
 				out.dup[k] = true
-			} else {
-				seen[string(key)] = struct{}{}
+				n++
 			}
 		}
 	}
-	return len(seen)
+	return n
 }
 
-// canonical returns p's sides in a fixed order, so a pair and its mirror
-// image get the same key and hash.
-func canonical(p attr.Pair) (attr.List, attr.List) {
-	if p.X.Compare(p.Y) <= 0 {
-		return p.X, p.Y
-	}
-	return p.Y, p.X
-}
-
-// appendPairKey appends the binary key of the unordered pair p: the length
-// of its first side, then every attribute, as uvarints.
-func appendPairKey(dst []byte, p attr.Pair) []byte {
-	a, b := canonical(p)
-	dst = binary.AppendUvarint(dst, uint64(len(a)))
-	for _, l := range [2]attr.List{a, b} {
+// grandparentKey appends the key of (X[:-1], Y[:-1]), which both parents
+// of c = (X, Y) extend: len(X)-1, then every attribute, as uvarints.
+func grandparentKey(dst []byte, c attr.Pair) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(c.X)-1))
+	for _, l := range [2]attr.List{c.X[:len(c.X)-1], c.Y[:len(c.Y)-1]} {
 		for _, id := range l {
 			dst = binary.AppendUvarint(dst, uint64(id))
 		}
 	}
 	return dst
-}
-
-// pairHash hashes the unordered pair p (FNV-1a over its canonical sides).
-func pairHash(p attr.Pair) uint64 {
-	a, b := canonical(p)
-	h := uint64(14695981039346656037)
-	for _, l := range [2]attr.List{a, b} {
-		for _, id := range l {
-			h = (h ^ uint64(id)) * 1099511628211
-		}
-		h = (h ^ 0xff) * 1099511628211
-	}
-	return h
 }
 
 // runWorker isolates one worker's traversal: a panic anywhere under it
@@ -660,8 +652,12 @@ func (d *discoverer) processCandidate(h *order.Handle, p attr.Pair, reduced []at
 	if odXY {
 		out.ods = append(out.ods, OD{X: p.X, Y: p.Y})
 	} else if !d.hardStop.Load() {
+		from := len(out.next)
 		for _, a := range free {
 			out.next = append(out.next, attr.NewPair(p.X.Append(a), p.Y))
+		}
+		if len(p.Y) >= 2 && len(free) > 0 {
+			out.lefts = append(out.lefts, span{from, len(out.next)})
 		}
 	}
 
@@ -672,8 +668,12 @@ func (d *discoverer) processCandidate(h *order.Handle, p attr.Pair, reduced []at
 	if odYX {
 		out.ods = append(out.ods, OD{X: p.Y, Y: p.X})
 	} else if !d.hardStop.Load() {
+		from := len(out.next)
 		for _, a := range free {
 			out.next = append(out.next, attr.NewPair(p.X, p.Y.Append(a)))
+		}
+		if len(p.X) >= 2 && len(free) > 0 {
+			out.rights = append(out.rights, span{from, len(out.next)})
 		}
 	}
 }

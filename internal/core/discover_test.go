@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -342,38 +343,89 @@ func (o *treeOracle) visit(p attr.Pair) {
 	}
 }
 
-func TestAgainstTreeOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 30; trial++ {
-		r := randomRelation(rng, 2+rng.Intn(20), 2+rng.Intn(4), 1+rng.Intn(4))
-		oracle, _ := newTreeOracle(r)
-		res := Discover(r, Options{Workers: 3})
-		got := map[string]bool{}
-		for _, d := range res.OCDs {
-			got[attr.NewPair(d.X, d.Y).UnorderedKey()] = true
-		}
-		if len(got) != len(oracle.valid) {
-			t.Fatalf("trial %d: OCD count %d, oracle %d\ngot %v\noracle %v",
-				trial, len(got), len(oracle.valid), got, oracle.valid)
-		}
-		for k := range oracle.valid {
-			if !got[k] {
-				t.Fatalf("trial %d: oracle OCD %q missing", trial, k)
-			}
-		}
-		gotOD := map[string]bool{}
-		for _, d := range res.ODs {
-			gotOD[attr.NewPair(d.X, d.Y).Key()] = true
-		}
-		if len(gotOD) != len(oracle.ods) {
-			t.Fatalf("trial %d: OD sets differ: %v vs %v", trial, gotOD, oracle.ods)
-		}
-		for k := range oracle.ods {
-			if !gotOD[k] {
-				t.Fatalf("trial %d: oracle OD %q missing", trial, k)
-			}
+// assertMatchesTreeOracle runs Discover on r at the given worker count and
+// requires the oracle's OCDs, ODs and number of reached candidates. From
+// level 4 on a child can have two parents, so the candidate count pins that
+// the level barrier keeps exactly one copy of each.
+func assertMatchesTreeOracle(t testing.TB, r *relation.Relation, oracle *treeOracle, workers int) {
+	t.Helper()
+	res := Discover(r, Options{Workers: workers})
+	got := map[string]bool{}
+	for _, d := range res.OCDs {
+		got[attr.NewPair(d.X, d.Y).UnorderedKey()] = true
+	}
+	if len(got) != len(oracle.valid) {
+		t.Fatalf("workers %d: OCD count %d, oracle %d\ngot %v\noracle %v",
+			workers, len(got), len(oracle.valid), got, oracle.valid)
+	}
+	for k := range oracle.valid {
+		if !got[k] {
+			t.Fatalf("workers %d: oracle OCD %q missing", workers, k)
 		}
 	}
+	gotOD := map[string]bool{}
+	for _, d := range res.ODs {
+		gotOD[attr.NewPair(d.X, d.Y).Key()] = true
+	}
+	if len(gotOD) != len(oracle.ods) {
+		t.Fatalf("workers %d: OD sets differ: %v vs %v", workers, gotOD, oracle.ods)
+	}
+	for k := range oracle.ods {
+		if !gotOD[k] {
+			t.Fatalf("workers %d: oracle OD %q missing", workers, k)
+		}
+	}
+	if res.Stats.Candidates != int64(len(oracle.reached)) {
+		t.Fatalf("workers %d: %d candidates, oracle reached %d", workers, res.Stats.Candidates, len(oracle.reached))
+	}
+}
+
+func TestAgainstTreeOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 30; trial++ {
+		r := randomRelation(rng, 2+rng.Intn(20), 4+rng.Intn(4), 2+rng.Intn(3))
+		oracle, _ := newTreeOracle(r)
+		for _, workers := range []int{1, 2, 3} {
+			t.Run(fmt.Sprintf("trial%d/workers%d", trial, workers), func(t *testing.T) {
+				assertMatchesTreeOracle(t, r, oracle, workers)
+			})
+		}
+	}
+}
+
+// FuzzDiscoverMatchesTreeOracle decodes a relation of 1–7 columns, at most
+// 16 rows and domains of 2–4 values, and requires Discover at 1 and 2
+// workers to reach exactly the tree oracle's candidates, OCDs and ODs.
+func FuzzDiscoverMatchesTreeOracle(f *testing.F) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 8; i++ {
+		seed := make([]byte, 2+16*7)
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		cols, domain := 1+int(data[0])%7, 2+int(data[1])%3
+		cells := data[2:]
+		rows := min(16, len(cells)/cols)
+		table := make([][]int, rows)
+		for i := range table {
+			table[i] = make([]int, cols)
+			for j := range table[i] {
+				table[i][j] = int(cells[i*cols+j]) % domain
+			}
+		}
+		r, err := relation.FromIntsErr("fuzz", nil, table)
+		if err != nil {
+			t.Skip(err)
+		}
+		oracle, _ := newTreeOracle(r)
+		for _, workers := range []int{1, 2} {
+			assertMatchesTreeOracle(t, r, oracle, workers)
+		}
+	})
 }
 
 func TestMaxLevelTruncates(t *testing.T) {

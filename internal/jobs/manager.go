@@ -739,10 +739,12 @@ func (m *Manager) finishAttempt(j *Job, out attemptOutcome) {
 	switch {
 	case cause == causeDelete:
 		j.publishDone(StateDeleted, false)
-		m.forget(j)
+		// Remove the directory before the job leaves the table, so a job
+		// the API no longer lists has nothing left on disk.
 		if err := os.RemoveAll(j.dir); err != nil {
 			m.cfg.Logger.Error("delete failed", "job_id", j.id, "error", err)
 		}
+		m.forget(j)
 		m.cfg.Logger.Info("job deleted mid-run", "job_id", j.id, "name", name)
 		return
 

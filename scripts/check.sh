@@ -53,9 +53,10 @@
 #  11. fuzz smokes               FuzzCSVParse, FuzzRankEncode,
 #                                FuzzReadCSVMatchesReference,
 #                                FuzzSplitMatchesEncodingCSV,
-#                                FuzzCheckMatchesBruteForce and
-#                                FuzzCheckpointDecode for FUZZTIME each
-#                                (default 10s)
+#                                FuzzCheckMatchesBruteForce,
+#                                FuzzCheckpointDecode and
+#                                FuzzDiscoverMatchesTreeOracle for
+#                                FUZZTIME each (default 10s)
 #
 # Usage:
 #   scripts/check.sh             full gate
@@ -112,6 +113,8 @@ if [ "$FUZZTIME" != "0" ]; then
     go test -run='^$' -fuzz='^FuzzCheckMatchesBruteForce$' -fuzztime="$FUZZTIME" ./internal/order/
     step "fuzz FuzzCheckpointDecode ($FUZZTIME)"
     go test -run='^$' -fuzz='^FuzzCheckpointDecode$' -fuzztime="$FUZZTIME" ./internal/checkpoint/
+    step "fuzz FuzzDiscoverMatchesTreeOracle ($FUZZTIME)"
+    go test -run='^$' -fuzz='^FuzzDiscoverMatchesTreeOracle$' -fuzztime="$FUZZTIME" ./internal/core/
 fi
 
 step "all checks passed"

@@ -368,8 +368,10 @@ func itoa(n int) string {
 // ------------------------------------------------------------- Extensions
 
 // BenchmarkExtension_Bidirectional measures the bidirectional variant
-// against the unidirectional core on the same relation; its candidate space
-// is larger by the per-attribute polarity choices.
+// against the unidirectional core on the same relation. Both run core's
+// level loop, the bidirectional one over the columns and their reversed
+// twins, so its candidate space is larger by the per-attribute polarity
+// choices.
 func BenchmarkExtension_Bidirectional(b *testing.B) {
 	load()
 	b.Run("unidirectional", func(b *testing.B) {

@@ -216,9 +216,9 @@ func RootObject(info *types.Info, e ast.Expr) types.Object {
 // each FuncLit body, outermost first.
 type FuncBody struct {
 	Body *ast.BlockStmt
-	Name string             // declared name, or "func literal"
-	Type *ast.FuncType      // signature, for parameter-order checks
-	Doc  *ast.CommentGroup  // declaration doc comment; nil for literals
+	Name string            // declared name, or "func literal"
+	Type *ast.FuncType     // signature, for parameter-order checks
+	Doc  *ast.CommentGroup // declaration doc comment; nil for literals
 }
 
 // Bodies collects the function bodies of file.

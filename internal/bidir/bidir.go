@@ -16,18 +16,20 @@
 // both directions: NULL compares equal to NULL and precedes every value
 // regardless of polarity.
 //
-// Discovery (DiscoverOCDs) runs the same candidate tree as OCDDISCOVER over
-// directed singletons; because flipping *every* direction in a dependency
+// Both checking and discovery run on the relation's reversed twins
+// (relation.WithReversedTwins): [a DESC] orders rows exactly as the twin
+// column of a read ascending, so a directed list is a plain attribute list
+// over the twin relation, checked by order.Checker and searched by core's
+// candidate tree. Because flipping *every* direction in a dependency
 // preserves validity (a global reversal of the tuple order), candidates are
-// canonicalized to have their first attribute ascending, halving the space.
+// rooted at an ascending first attribute, halving the space.
 package bidir
 
 import (
-	"sort"
 	"strings"
-	"sync"
 
 	"ocd/internal/attr"
+	"ocd/internal/order"
 	"ocd/internal/relation"
 )
 
@@ -66,32 +68,6 @@ func NewAsc(l attr.List) DList {
 		out[i] = DAttr{ID: a, Dir: Asc}
 	}
 	return out
-}
-
-// Append returns the list extended by one directed attribute.
-func (l DList) Append(a DAttr) DList {
-	out := make(DList, 0, len(l)+1)
-	out = append(out, l...)
-	out = append(out, a)
-	return out
-}
-
-// Concat returns l ∘ m.
-func (l DList) Concat(m DList) DList {
-	out := make(DList, 0, len(l)+len(m))
-	out = append(out, l...)
-	out = append(out, m...)
-	return out
-}
-
-// Contains reports whether the attribute occurs (any direction).
-func (l DList) Contains(a attr.ID) bool {
-	for _, x := range l {
-		if x.ID == a {
-			return true
-		}
-	}
-	return false
 }
 
 // IDs returns the underlying attribute list without directions.
@@ -215,80 +191,52 @@ func CompareRows(r *relation.Relation, p, q int, l DList) int {
 	return 0
 }
 
-// Checker performs bidirectional order checks with a sorted-index cache,
-// mirroring order.Checker for directed lists.
+// Checker performs bidirectional order checks through order.Checker over
+// the relation's reversed twins.
 type Checker struct {
-	r     *relation.Relation
-	mu    sync.Mutex
-	cache map[string][]int32
-	fifo  []string
-	cap   int
+	r   *relation.Relation // the relation with reversed twins
+	chk *order.Checker
 }
 
-// NewChecker returns a checker with the given index-cache capacity.
+// NewChecker returns a checker whose rank-vector cache holds at most
+// cacheCap vectors.
 func NewChecker(r *relation.Relation, cacheCap int) *Checker {
-	return &Checker{r: r, cache: make(map[string][]int32), cap: cacheCap}
+	tw := r.WithReversedTwins()
+	return &Checker{r: tw, chk: order.NewChecker(tw, cacheCap)}
 }
 
-// SortedIndex returns row positions sorted by the directed list.
-func (c *Checker) SortedIndex(l DList) []int32 {
-	key := l.Key()
-	if c.cap > 0 {
-		c.mu.Lock()
-		if idx, ok := c.cache[key]; ok {
-			c.mu.Unlock()
-			return idx
+// list maps a directed list to its attribute list over the twin relation.
+func (c *Checker) list(l DList) attr.List {
+	out := make(attr.List, len(l))
+	for i, x := range l {
+		out[i] = x.ID
+		if x.Dir == Desc {
+			out[i] = c.r.Twin(x.ID)
 		}
-		c.mu.Unlock()
 	}
-	idx := make([]int32, c.r.NumRows())
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	r := c.r
-	sort.Slice(idx, func(a, b int) bool {
-		ia, ib := int(idx[a]), int(idx[b])
-		if cmp := CompareRows(r, ia, ib, l); cmp != 0 {
-			return cmp < 0
+	return out
+}
+
+// directed maps an attribute list over the twin relation back to a
+// directed list.
+func (c *Checker) directed(l attr.List) DList {
+	out := make(DList, len(l))
+	for i, a := range l {
+		out[i] = DAttr{ID: a, Dir: Asc}
+		if t := c.r.Twin(a); t < a {
+			out[i] = DAttr{ID: t, Dir: Desc}
 		}
-		return ia < ib
-	})
-	if c.cap > 0 {
-		c.mu.Lock()
-		if _, ok := c.cache[key]; !ok {
-			if len(c.fifo) >= c.cap {
-				delete(c.cache, c.fifo[0])
-				c.fifo = c.fifo[1:]
-			}
-			c.cache[key] = idx
-			c.fifo = append(c.fifo, key)
-		}
-		c.mu.Unlock()
 	}
-	return idx
+	return out
 }
 
 // CheckOD reports whether the bidirectional OD X → Y holds.
 func (c *Checker) CheckOD(x, y DList) bool {
-	idx := c.SortedIndex(x.Concat(y))
-	r := c.r
-	for i := 0; i+1 < len(idx); i++ {
-		p, q := int(idx[i]), int(idx[i+1])
-		cx := CompareRows(r, p, q, x)
-		cy := CompareRows(r, p, q, y)
-		if cx == 0 {
-			if cy != 0 {
-				return false // split
-			}
-		} else if cy > 0 {
-			return false // swap
-		}
-	}
-	return true
+	return c.chk.CheckOD(c.list(x), c.list(y))
 }
 
 // CheckOCD reports whether X ~ Y holds, via the single check XY → YX
 // (Theorem 4.1, direction-agnostic).
 func (c *Checker) CheckOCD(x, y DList) bool {
-	return c.CheckOD(x.Concat(y), y.Concat(x))
+	return c.chk.CheckOCD(c.list(x), c.list(y))
 }

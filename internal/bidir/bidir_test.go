@@ -2,10 +2,13 @@ package bidir
 
 import (
 	"math/rand"
+	"reflect"
+	"strconv"
 	"testing"
 
 	"ocd/internal/attr"
 	"ocd/internal/core"
+	"ocd/internal/datagen"
 	"ocd/internal/relation"
 )
 
@@ -123,6 +126,105 @@ func TestQuickAgainstBruteForce(t *testing.T) {
 		x, y := mk(), mk()
 		if got, want := chk.CheckOD(x, y), bruteOD(r, x, y); got != want {
 			t.Fatalf("trial %d: CheckOD(%v,%v) = %v, brute %v on %v", trial, x, y, got, want, rows)
+		}
+	}
+}
+
+// randomNullRel draws a four-column relation with NULLs over small domains
+// and returns a row slice of it, whose codes keep the parent's code space.
+func randomNullRel(rng *rand.Rand) *relation.Relation {
+	nr := 2 + rng.Intn(14)
+	rows := make([][]string, nr)
+	for i := range rows {
+		rows[i] = make([]string, 4)
+		for c := range rows[i] {
+			if v := rng.Intn(5); v > 0 {
+				rows[i][c] = strconv.Itoa(v)
+			}
+		}
+	}
+	r, err := relation.FromStrings("t", []string{"A", "B", "C", "D"}, rows, relation.Options{})
+	if err != nil {
+		panic(err)
+	}
+	if rng.Intn(2) == 0 {
+		return r.HeadRows(1 + rng.Intn(nr))
+	}
+	return r.SelectRows(rng.Perm(nr)[:1+rng.Intn(nr)])
+}
+
+// TestTwinChecksMatchBruteForce compares the checker with bruteOD on list
+// pairs that DiscoverOCDs emitted, most of them valid, and on random pairs,
+// most of them invalid.
+func TestTwinChecksMatchBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(163))
+	concat := func(x, y DList) DList { return append(append(DList{}, x...), y...) }
+	var pairs, valid int
+	for trial := 0; trial < 150; trial++ {
+		r := randomNullRel(rng)
+		chk := NewChecker(r, 8)
+		type pair struct{ x, y DList }
+		var cases []pair
+		res := DiscoverOCDs(r, Options{Workers: 1})
+		for _, d := range res.OCDs {
+			cases = append(cases, pair{d.X, d.Y}, pair{d.Y, d.X}, pair{d.X.Flip(), d.Y})
+		}
+		for _, d := range res.ODs {
+			cases = append(cases, pair{d.X, d.Y}, pair{d.Y, d.X})
+		}
+		for i := 0; i < 10; i++ {
+			perm := rng.Perm(4)
+			nx := 1 + rng.Intn(2)
+			l := make(DList, nx+1+rng.Intn(2))
+			for k := range l {
+				l[k] = DAttr{ID: attr.ID(perm[k]), Dir: dirOf(rng)}
+			}
+			cases = append(cases, pair{l[:nx], l[nx:]})
+		}
+		for _, c := range cases {
+			od, ocd := bruteOD(r, c.x, c.y), bruteOD(r, concat(c.x, c.y), concat(c.y, c.x))
+			if got := chk.CheckOD(c.x, c.y); got != od {
+				t.Fatalf("trial %d: CheckOD(%v, %v) = %v, brute %v", trial, c.x, c.y, got, od)
+			}
+			if got := chk.CheckOCD(c.x, c.y); got != ocd {
+				t.Fatalf("trial %d: CheckOCD(%v, %v) = %v, brute %v", trial, c.x, c.y, got, ocd)
+			}
+			pairs++
+			if ocd {
+				valid++
+			}
+		}
+	}
+	if valid < pairs/4 || pairs-valid < pairs/4 {
+		t.Fatalf("%d of %d pairs are valid OCDs; want both kinds", valid, pairs)
+	}
+}
+
+// TestReplicaCounts pins bidirectional discovery on the HORSE and HEPATITIS
+// replicas: the result is the same at 1 and 2 workers, with the counts the
+// sorted-index checker and its own level loop produced.
+func TestReplicaCounts(t *testing.T) {
+	cases := []struct {
+		name               string
+		r                  *relation.Relation
+		checks, candidates int64
+		ocds, ods          int
+	}{
+		{"HORSE", datagen.Horse(), 6_256, 4_504, 64, 55},
+		{"HEPATITIS", datagen.Hepatitis(), 726_708, 701_806, 12_071, 0},
+	}
+	for _, c := range cases {
+		one := DiscoverOCDs(c.r, Options{Workers: 1})
+		two := DiscoverOCDs(c.r, Options{Workers: 2})
+		one.Elapsed, two.Elapsed = 0, 0
+		if !reflect.DeepEqual(one, two) {
+			t.Errorf("%s: result at 2 workers differs from 1 worker", c.name)
+		}
+		if one.Truncated || one.Checks != c.checks || one.Candidates != c.candidates ||
+			len(one.OCDs) != c.ocds || len(one.ODs) != c.ods {
+			t.Errorf("%s: truncated %v, %d checks, %d candidates, %d OCDs, %d ODs; want %d, %d, %d, %d",
+				c.name, one.Truncated, one.Checks, one.Candidates, len(one.OCDs), len(one.ODs),
+				c.checks, c.candidates, c.ocds, c.ods)
 		}
 	}
 }
@@ -252,6 +354,24 @@ func TestParallelMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// canonicalKey collapses the four symmetric variants of a candidate —
+// (X,Y), (Y,X), (flip X, flip Y), (flip Y, flip X) — to one key.
+func canonicalKey(x, y DList) string {
+	keys := []string{
+		x.Key() + "|" + y.Key(),
+		y.Key() + "|" + x.Key(),
+		x.Flip().Key() + "|" + y.Flip().Key(),
+		y.Flip().Key() + "|" + x.Flip().Key(),
+	}
+	best := keys[0]
+	for _, k := range keys[1:] {
+		if k < best {
+			best = k
+		}
+	}
+	return best
 }
 
 func TestFormatAndKeys(t *testing.T) {

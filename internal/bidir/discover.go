@@ -1,13 +1,11 @@
 package bidir
 
 import (
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ocd/internal/attr"
+	"ocd/internal/core"
 	"ocd/internal/relation"
 )
 
@@ -33,7 +31,7 @@ type EquivMember struct {
 type Options struct {
 	// Workers is the number of parallel goroutines (<1 = GOMAXPROCS).
 	Workers int
-	// Timeout bounds wall-clock time (0 = none).
+	// Timeout bounds the traversal's wall-clock time (0 = none).
 	Timeout time.Duration
 	// MaxCandidates bounds the number of generated candidates (0 = none).
 	MaxCandidates int64
@@ -54,26 +52,15 @@ type Result struct {
 	Truncated    bool
 }
 
-// DiscoverOCDs runs the bidirectional variant of OCDDISCOVER. The candidate
-// tree is the same as the unidirectional one except that every attribute
-// joins a side with either polarity; candidates are canonicalized under the
-// global-flip symmetry (X ~ Y ⇔ flip(X) ~ flip(Y)).
+// DiscoverOCDs runs the bidirectional variant of OCDDISCOVER: after the
+// directed column reduction, core's traversal over the reduced columns and
+// their reversed twins. There every attribute joins a side with either
+// polarity, never both, and candidates are canonical under the global-flip
+// symmetry (X ~ Y ⇔ flip(X) ~ flip(Y)).
 func DiscoverOCDs(r *relation.Relation, opts Options) *Result {
 	start := time.Now()
 	res := &Result{}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var deadline time.Time
-	if opts.Timeout > 0 {
-		deadline = start.Add(opts.Timeout)
-	}
-	expired := func() bool { return !deadline.IsZero() && time.Now().After(deadline) }
-
 	chk := NewChecker(r, 64)
-	var checks atomic.Int64
-	var generated atomic.Int64
 
 	// ---- reduction: constants, then directed equivalence classes ----
 	var varying []attr.ID
@@ -84,131 +71,41 @@ func DiscoverOCDs(r *relation.Relation, opts Options) *Result {
 			varying = append(varying, a)
 		}
 	}
+	var checks int64
 	reduced, classes := reduceDirected(chk, varying, &checks)
 	res.EquivClasses = classes
 
-	// ---- initial candidates: (A asc, B asc) and (A asc, B desc) ----
-	type pair struct{ x, y DList }
-	var level []pair
-	for i := 0; i < len(reduced); i++ {
-		for j := i + 1; j < len(reduced); j++ {
-			a := DAttr{ID: reduced[i], Dir: Asc}
-			level = append(level,
-				pair{DList{a}, DList{{ID: reduced[j], Dir: Asc}}},
-				pair{DList{a}, DList{{ID: reduced[j], Dir: Desc}}})
-		}
+	// Columns is never nil: a nil slice would mean every column.
+	cols := make([]attr.ID, 0, 2*len(reduced))
+	cols = append(cols, reduced...)
+	for _, a := range reduced {
+		cols = append(cols, chk.r.Twin(a))
 	}
-	res.Candidates = int64(len(level))
-	generated.Store(int64(len(level)))
-	overBudget := func() bool {
-		return opts.MaxCandidates > 0 && generated.Load() > opts.MaxCandidates
+	cr := core.Discover(chk.r, core.Options{
+		Workers:                opts.Workers,
+		Timeout:                opts.Timeout,
+		MaxCandidates:          opts.MaxCandidates,
+		DisableColumnReduction: true,
+		Columns:                cols,
+	})
+	for _, d := range cr.OCDs {
+		res.OCDs = append(res.OCDs, OCD{X: chk.directed(d.X), Y: chk.directed(d.Y)})
 	}
-
-	type out struct {
-		ocds []OCD
-		ods  []OD
-		next []pair
+	for _, d := range cr.ODs {
+		res.ODs = append(res.ODs, OD{X: chk.directed(d.X), Y: chk.directed(d.Y)})
 	}
-
-	for len(level) > 0 {
-		if expired() || overBudget() {
-			res.Truncated = true
-			break
-		}
-		outs := make([]out, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				o := &outs[w]
-				for i := w; i < len(level); i += workers {
-					if expired() || overBudget() {
-						return
-					}
-					p := level[i]
-					checks.Add(1)
-					if !chk.CheckOCD(p.x, p.y) {
-						continue
-					}
-					o.ocds = append(o.ocds, OCD{X: p.x, Y: p.y})
-					var free []attr.ID
-					for _, a := range reduced {
-						if !p.x.Contains(a) && !p.y.Contains(a) {
-							free = append(free, a)
-						}
-					}
-					checks.Add(2)
-					before := len(o.next)
-					if chk.CheckOD(p.x, p.y) {
-						o.ods = append(o.ods, OD{X: p.x, Y: p.y})
-					} else {
-						for _, a := range free {
-							o.next = append(o.next,
-								pair{p.x.Append(DAttr{a, Asc}), p.y},
-								pair{p.x.Append(DAttr{a, Desc}), p.y})
-						}
-					}
-					if chk.CheckOD(p.y, p.x) {
-						o.ods = append(o.ods, OD{X: p.y, Y: p.x})
-					} else {
-						for _, a := range free {
-							o.next = append(o.next,
-								pair{p.x, p.y.Append(DAttr{a, Asc})},
-								pair{p.x, p.y.Append(DAttr{a, Desc})})
-						}
-					}
-					generated.Add(int64(len(o.next) - before))
-				}
-			}(w)
-		}
-		wg.Wait()
-
-		seen := make(map[string]struct{})
-		var next []pair
-		for i := range outs {
-			res.OCDs = append(res.OCDs, outs[i].ocds...)
-			res.ODs = append(res.ODs, outs[i].ods...)
-			for _, p := range outs[i].next {
-				k := canonicalKey(p.x, p.y)
-				if _, dup := seen[k]; !dup {
-					seen[k] = struct{}{}
-					next = append(next, p)
-				}
-			}
-		}
-		res.Candidates += int64(len(next))
-		level = next
-	}
-
-	res.Checks = checks.Load()
+	res.Checks = checks + cr.Stats.Checks
+	res.Candidates = cr.Stats.Candidates
+	res.Truncated = cr.Stats.Truncated
 	res.Elapsed = time.Since(start)
 	sortResult(res)
 	return res
 }
 
-// canonicalKey collapses the four symmetric variants of a candidate —
-// (X,Y), (Y,X), (flip X, flip Y), (flip Y, flip X) — to one key.
-func canonicalKey(x, y DList) string {
-	keys := []string{
-		x.Key() + "|" + y.Key(),
-		y.Key() + "|" + x.Key(),
-		x.Flip().Key() + "|" + y.Flip().Key(),
-		y.Flip().Key() + "|" + x.Flip().Key(),
-	}
-	best := keys[0]
-	for _, k := range keys[1:] {
-		if k < best {
-			best = k
-		}
-	}
-	return best
-}
-
 // reduceDirected collapses directed order-equivalent columns using a
 // union-find with polarity: A joins B's class with parity Desc when
 // [A ASC] ↔ [B DESC].
-func reduceDirected(chk *Checker, varying []attr.ID, checks *atomic.Int64) ([]attr.ID, [][]EquivMember) {
+func reduceDirected(chk *Checker, varying []attr.ID, checks *int64) ([]attr.ID, [][]EquivMember) {
 	n := len(varying)
 	parent := make([]int, n)
 	parity := make([]Direction, n)
@@ -237,7 +134,7 @@ func reduceDirected(chk *Checker, varying []attr.ID, checks *atomic.Int64) ([]at
 		parity[rj] = pi * rel * pj
 	}
 	equivalent := func(a, b attr.ID, dir Direction) bool {
-		checks.Add(2)
+		*checks += 2
 		x := DList{{ID: a, Dir: Asc}}
 		y := DList{{ID: b, Dir: dir}}
 		return chk.CheckOD(x, y) && chk.CheckOD(y, x)

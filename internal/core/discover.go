@@ -312,10 +312,20 @@ func (d *discoverer) run(ctx context.Context) (*Result, error) {
 		}
 
 		// ---- Initial candidates: all unordered single-attribute pairs ----
-		for i := 0; i < len(d.reduced); i++ {
-			for j := i + 1; j < len(d.reduced); j++ {
-				level = append(level, attr.NewPair(
-					attr.Singleton(d.reduced[i]), attr.Singleton(d.reduced[j])))
+		// On a relation with reversed twins (relation.WithReversedTwins),
+		// X starts with an original column x and Y with a later column or
+		// the twin of one, so no candidate is the mirror or the global flip
+		// of another. Without twins, Twin is the identity and every pair
+		// stays.
+		for i, x := range d.reduced {
+			if d.r.Twin(x) < x {
+				continue
+			}
+			for _, y := range d.reduced[i+1:] {
+				if t := d.r.Twin(y); t < y && t <= x {
+					continue
+				}
+				level = append(level, attr.NewPair(attr.Singleton(x), attr.Singleton(y)))
 			}
 		}
 		res.Stats.Candidates = int64(len(level))
@@ -443,9 +453,10 @@ func (d *discoverer) processLevel(level []attr.Pair, reduced []attr.ID, res *Res
 	})
 	// A child (X·a, Y·b) has two parents, (X, Y·b) and (X·a, Y), and both
 	// emit it when both are valid and neither side's OD holds. No other
-	// child has two: a mirror pair is never generated, since X starts with
-	// the first attribute of its level-2 root. So the right parent's copy
-	// is dropped whenever the left parent emitted the child.
+	// child has two: a mirror pair, or over reversed twins a global flip,
+	// is never generated, since X starts with the first attribute of its
+	// level-2 root. So the right parent's copy is dropped whenever the
+	// left parent emitted the child.
 	dups := make([]int, d.workers)
 	if idx := leftIndex(outs); idx != nil {
 		d.parallel(func(w int) { dups[w] = markDuplicates(&outs[w], idx) })
@@ -633,11 +644,12 @@ func (d *discoverer) processCandidate(h *order.Handle, p attr.Pair, reduced []at
 	}
 	out.ocds = append(out.ocds, OCD{X: p.X, Y: p.Y})
 
-	// free = U' \ (set(X) ∪ set(Y)) — Algorithm 3, line 2.
+	// free = U' \ (set(X) ∪ set(Y)) — Algorithm 3, line 2 — less the
+	// reversed twins of used columns: a column never meets its own twin.
 	used := p.X.Set().Union(p.Y.Set())
 	var free []attr.ID
 	for _, a := range reduced {
-		if !used.Has(a) {
+		if !used.Has(a) && !used.Has(d.r.Twin(a)) {
 			free = append(free, a)
 		}
 	}

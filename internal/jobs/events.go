@@ -55,8 +55,8 @@ type doneEvent struct {
 type eventHub struct {
 	mu     sync.Mutex
 	seq    int64
-	ring   []Event // at most eventRingSize, oldest first
-	done   []byte  // sticky terminal payload; non-nil once closed
+	ring   []Event       // at most eventRingSize, oldest first
+	done   []byte        // sticky terminal payload; non-nil once closed
 	notify chan struct{} // closed and replaced on every publish
 }
 

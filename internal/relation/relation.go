@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"ocd/internal/attr"
@@ -115,6 +116,9 @@ type Relation struct {
 	// hasNull records, per column, whether any NULL occurs.
 	hasNull []bool
 	rows    int
+	// twins is the number of original columns when the relation carries
+	// reversed twins (column twins+a reverses column a), else 0.
+	twins int
 }
 
 // NumRows returns the number of tuples.
@@ -143,6 +147,59 @@ func (r *Relation) Col(c attr.ID) []int32 { return r.Codes[c] }
 func (r *Relation) Value(row int, c attr.ID) string {
 	code := r.Codes[c][row]
 	return r.display[c][code]
+}
+
+// Twin returns the reversed twin of column c, or c's original when c is a
+// twin; on a relation without twins it returns c.
+func (r *Relation) Twin(c attr.ID) attr.ID {
+	switch n := attr.ID(r.twins); {
+	case n == 0:
+		return c
+	case c < n:
+		return c + n
+	default:
+		return c - n
+	}
+}
+
+// WithReversedTwins returns the relation with, after its n columns, a
+// reversed twin per column: column n+a, named "a DESC", orders the rows as
+// column a read descending with NULLS FIRST. A non-NULL code v of column a
+// becomes max+1−v, where max is a's largest code, NULL keeps code 0, and
+// every row displays the same value in both. Row slices keep the twins.
+func (r *Relation) WithReversedTwins() *Relation {
+	out := &Relation{
+		Name:     r.Name,
+		ColNames: slices.Clone(r.ColNames),
+		Kinds:    slices.Concat(r.Kinds, r.Kinds),
+		Codes:    slices.Clone(r.Codes),
+		display:  slices.Clone(r.display),
+		distinct: slices.Concat(r.distinct, r.distinct),
+		hasNull:  slices.Concat(r.hasNull, r.hasNull),
+		rows:     r.rows,
+		twins:    r.NumCols(),
+	}
+	for c, codes := range r.Codes {
+		hi := NullCode
+		for _, v := range codes {
+			hi = max(hi, v)
+		}
+		twin := make([]int32, len(codes))
+		for i, v := range codes {
+			if v != NullCode {
+				twin[i] = hi + 1 - v
+			}
+		}
+		disp := make([]string, hi+1)
+		disp[0] = r.display[c][0]
+		for v := int32(1); v <= hi; v++ {
+			disp[v] = r.display[c][hi+1-v]
+		}
+		out.ColNames = append(out.ColNames, r.ColNames[c]+" DESC")
+		out.Codes = append(out.Codes, twin)
+		out.display = append(out.display, disp)
+	}
+	return out
 }
 
 // ColName returns the name of column c.
@@ -364,6 +421,7 @@ func (r *Relation) HeadRows(n int) *Relation {
 		distinct: make([]int, r.NumCols()),
 		hasNull:  make([]bool, r.NumCols()),
 		rows:     n,
+		twins:    r.twins,
 	}
 	for c := range r.Codes {
 		out.Codes[c] = r.Codes[c][:n]
@@ -384,6 +442,7 @@ func (r *Relation) SelectRows(idx []int) *Relation {
 		distinct: make([]int, r.NumCols()),
 		hasNull:  make([]bool, r.NumCols()),
 		rows:     len(idx),
+		twins:    r.twins,
 	}
 	for c := range r.Codes {
 		col := make([]int32, len(idx))

@@ -212,6 +212,68 @@ func TestSelectRows(t *testing.T) {
 	}
 }
 
+// TestReversedTwins checks every twin against its column on row slices
+// whose codes are sparse: the slices keep their parent's code space.
+func TestReversedTwins(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 50; trial++ {
+		nc, nr := 1+rng.Intn(4), 2+rng.Intn(20)
+		rows := make([][]string, nr)
+		for i := range rows {
+			rows[i] = make([]string, nc)
+			for c := range rows[i] {
+				if v := rng.Intn(9); v > 0 {
+					rows[i][c] = "v" + strconv.Itoa(v)
+				}
+			}
+		}
+		full, err := FromStrings("t", []string{"A", "B", "C", "D"}[:nc], rows, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := full.HeadRows(1 + rng.Intn(nr))
+		if trial%2 == 1 {
+			r = full.SelectRows(rng.Perm(nr)[:1+rng.Intn(nr)])
+		}
+		for a := range attr.ID(nc) {
+			if r.Twin(a) != a {
+				t.Fatalf("trial %d: Twin(%d) = %d without twins", trial, a, r.Twin(a))
+			}
+		}
+		tw := r.WithReversedTwins()
+		if tw.NumCols() != 2*nc || tw.NumRows() != r.NumRows() {
+			t.Fatalf("trial %d: twin relation has %d cols, %d rows", trial, tw.NumCols(), tw.NumRows())
+		}
+		if got := tw.HeadRows(1).Twin(0); got != attr.ID(nc) {
+			t.Fatalf("trial %d: a row slice lost its twins: Twin(0) = %d", trial, got)
+		}
+		for c := range attr.ID(2 * nc) {
+			a, b := c%attr.ID(nc), tw.Twin(c)
+			if b == c || tw.Twin(b) != c || min(b, c) != a {
+				t.Fatalf("trial %d: Twin(%d) = %d, Twin of that = %d", trial, c, b, tw.Twin(b))
+			}
+			if tw.Distinct(c) != r.Distinct(a) || tw.HasNull(c) != r.HasNull(a) {
+				t.Fatalf("trial %d: column %d counts %d/%v, original %d/%v",
+					trial, c, tw.Distinct(c), tw.HasNull(c), r.Distinct(a), r.HasNull(a))
+			}
+			for p := 0; p < r.NumRows(); p++ {
+				if tw.Value(p, c) != r.Value(p, a) {
+					t.Fatalf("trial %d: row %d column %d shows %q, original %q", trial, p, c, tw.Value(p, c), r.Value(p, a))
+				}
+				if (tw.Code(p, b) == NullCode) != (tw.Code(p, c) == NullCode) {
+					t.Fatalf("trial %d: row %d: NULL code not kept in column %d", trial, p, b)
+				}
+				for q := 0; q < r.NumRows(); q++ {
+					u, v := tw.Code(p, c), tw.Code(q, c)
+					if u != NullCode && v != NullCode && (u < v) != (tw.Code(p, b) > tw.Code(q, b)) {
+						t.Fatalf("trial %d: rows %d, %d keep their order in columns %d and %d", trial, p, q, c, b)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestDefaultColNames(t *testing.T) {
 	cases := []struct {
 		i    int

@@ -4,34 +4,36 @@
 # Runs, in order:
 #   1. go build ./...            compile everything, including cmd/
 #   2. go vet ./...              stdlib static checks
-#   3. ocdlint                   the repo's own go/analysis suite
+#   3. gofmt -l                  every Go file outside testdata/
+#                                directories is gofmt-formatted
+#   4. ocdlint                   the repo's own go/analysis suite
 #                                (nopanic, atomicfield, listalias,
 #                                hotloopalloc, obshot, lockbalance,
 #                                wgcheck, errdrop, sharedwrite,
 #                                mapdeterminism, goroutineleak,
 #                                ctxflow; see docs/LINTING.md); every
 #                                finding fails the gate
-#   4. go test -race ./...       unit + integration tests under the
+#   5. go test -race ./...       unit + integration tests under the
 #                                race detector (the parallel traversal
 #                                must stay race-clean)
-#   5. chaos tests               go test -tags=faultinject ./... drives
+#   6. chaos tests               go test -tags=faultinject ./... drives
 #                                the engine's failure paths (worker
 #                                panics, injected cancels, delays)
 #                                through the fault-injection points, plus
 #                                a -race pass of the cancellation and
 #                                chaos tests (docs/ROBUSTNESS.md)
-#   6. resume chaos              scripts/resume_chaos.sh kills a
+#   7. resume chaos              scripts/resume_chaos.sh kills a
 #                                faultinject ocddiscover mid-level and
 #                                mid-snapshot-rename, resumes from the
 #                                checkpoint, and diffs the output against
 #                                an uninterrupted run
-#   7. serve chaos               scripts/serve_chaos.sh crashes a
+#   8. serve chaos               scripts/serve_chaos.sh crashes a
 #                                faultinject ocdserve mid-job, restarts
 #                                it on the same data directory, and
 #                                requires byte-identical resumed results,
 #                                a poisoned crash-looping job, and a
 #                                clean SIGTERM drain
-#   8. obs chaos                 scripts/obs_chaos.sh scrapes the job
+#   9. obs chaos                 scripts/obs_chaos.sh scrapes the job
 #                                server in both metrics formats and
 #                                requires them to agree, streams SSE
 #                                through a mid-stream server kill with a
@@ -39,18 +41,18 @@
 #                                done bound to the result hash), fetches
 #                                the per-job Chrome trace, and parses the
 #                                structured logs
-#   9. bench smoke               go test -bench runs the observability,
+#  10. bench smoke               go test -bench runs the observability,
 #                                phase, taxinfo and check-primitive root
 #                                benchmarks once each (-benchtime=1x), so
 #                                they keep compiling and running;
 #                                end-to-end numbers come from
 #                                bash bench/run.sh
-#  10. bench module tests        go -C bench vet/test: bench/ is a Go
+#  11. bench module tests        go -C bench vet/test: bench/ is a Go
 #                                module of its own, so ./... above never
 #                                reaches it; this runs its toy-scale
 #                                workload gates and its catalogue-vs-
 #                                BENCHMARK.json test (~2 s)
-#  11. fuzz smokes               FuzzCSVParse, FuzzRankEncode,
+#  12. fuzz smokes               FuzzCSVParse, FuzzRankEncode,
 #                                FuzzReadCSVMatchesReference,
 #                                FuzzSplitMatchesEncodingCSV,
 #                                FuzzCheckMatchesBruteForce,
@@ -62,7 +64,7 @@
 #   scripts/check.sh             full gate
 #   FUZZTIME=30s scripts/check.sh
 #   FUZZTIME=0 scripts/check.sh  skip the fuzz smokes (corpus seeds
-#                                still run as regular tests in step 4)
+#                                still run as regular tests in step 5)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -75,6 +77,13 @@ go build ./...
 
 step "go vet ./..."
 go vet ./...
+
+step "gofmt -l . (outside testdata/)"
+unformatted="$(gofmt -l . | grep -v '/testdata/' || true)"
+if [ -n "$unformatted" ]; then
+    printf 'not gofmt-formatted:\n%s\n' "$unformatted" >&2
+    exit 1
+fi
 
 step "ocdlint ./..."
 go run ./cmd/ocdlint ./...

@@ -113,8 +113,8 @@ func BenchmarkTable6(b *testing.B) {
 // BenchmarkTable6_Flight runs the 109-column FLIGHT_1K under a guard of 5 s
 // and 200,000 candidates, which truncates it early in the traversal, so it
 // times the first levels only. The paper's run timed out; an uncapped run
-// on 2 workers now finishes, in 8–12 s on a 2-core x86-64 VM
-// (EXPERIMENTS.md, Table 6 claim 2).
+// on 2 workers now finishes, in 7–8 s with under 0.75 GB of heap on a
+// 2-core x86-64 VM (EXPERIMENTS.md, Table 6 claim 2).
 func BenchmarkTable6_Flight(b *testing.B) {
 	load()
 	opts := core.Options{Timeout: 5 * time.Second, MaxCandidates: 200_000}

@@ -9,7 +9,7 @@
 //	left := append(p.X, a)
 //
 // can corrupt every other candidate holding p.X. The attr package
-// provides Append/Concat/Prepend helpers that always copy; this
+// provides Append/Concat helpers that always copy; this
 // analyzer steers callers to them by reporting any append whose first
 // argument is an attr.List (including a slice field of a struct) that
 // is not reassigned to the very same expression. Appending to a value

@@ -59,14 +59,6 @@ func (l List) Append(a ID) List {
 	return out
 }
 
-// Prepend returns the list [a] ∘ l as a fresh list.
-func (l List) Prepend(a ID) List {
-	out := make(List, 0, len(l)+1)
-	out = append(out, a)
-	out = append(out, l...)
-	return out
-}
-
 // Clone returns a copy of the list.
 func (l List) Clone() List {
 	out := make(List, len(l))

@@ -9,9 +9,6 @@ type Pair struct {
 // NewPair returns the pair (x, y).
 func NewPair(x, y List) Pair { return Pair{X: x, Y: y} }
 
-// Swapped returns the pair with its sides exchanged.
-func (p Pair) Swapped() Pair { return Pair{X: p.Y, Y: p.X} }
-
 // Key returns a canonical key distinguishing ordered pairs: (X,Y) and (Y,X)
 // get different keys. Use UnorderedKey for OCD candidates, which are
 // commutative (X ~ Y ⇔ Y ~ X).
@@ -30,13 +27,6 @@ func (p Pair) UnorderedKey() string {
 }
 
 func cmpListKey(x, y List) int { return x.Compare(y) }
-
-// Level returns |X| + |Y|, the level of the candidate in the search tree of
-// Section 4.2 (the initial candidates of single attributes sit at level 2).
-func (p Pair) Level() int { return len(p.X) + len(p.Y) }
-
-// Disjoint reports whether the two sides share no attribute.
-func (p Pair) Disjoint() bool { return p.X.Disjoint(p.Y) }
 
 // Format renders the pair as "X ~ Y" with the given separator.
 func (p Pair) Format(names func(ID) string, sep string) string {

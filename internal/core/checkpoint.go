@@ -27,7 +27,7 @@ type barrier struct {
 	// consistent cut to persist (a stop during column reduction can leave
 	// degraded reduction output that must never be baked into a snapshot).
 	valid      bool
-	frontier   []attr.Pair
+	frontier   level
 	levelNo    int
 	nOCD, nOD  int
 	candidates int64
@@ -47,11 +47,11 @@ type barrier struct {
 // noteBarrier records the current state as the latest consistent cut.
 // Called with the frontier that is about to be processed (or the empty
 // final frontier), after the preceding level fully completed.
-func (d *discoverer) noteBarrier(level []attr.Pair, levelNo int, res *Result) {
+func (d *discoverer) noteBarrier(lv *level, levelNo int, res *Result) {
 	d.ro.syncTotals(d, res)
 	d.barrier = barrier{
 		valid:      true,
-		frontier:   level,
+		frontier:   *lv,
 		levelNo:    levelNo,
 		nOCD:       len(res.OCDs),
 		nOD:        len(res.ODs),
@@ -92,10 +92,26 @@ func (d *discoverer) snapshotAtBarrier(res *Result) *checkpoint.Snapshot {
 	for _, od := range res.ODs[:b.nOD] {
 		s.ODs = append(s.ODs, pairRec(od.X, od.Y))
 	}
-	for _, p := range b.frontier {
-		s.Frontier = append(s.Frontier, pairRec(p.X, p.Y))
-	}
+	s.Frontier = frontierRecs(&b.frontier)
 	return s
+}
+
+// frontierRecs converts lv's rows to records whose sides share one
+// backing array, so a level of millions of pairs costs two allocations.
+func frontierRecs(lv *level) []checkpoint.PairRec {
+	if lv.len() == 0 {
+		return nil
+	}
+	ints := make([]int, len(lv.ids))
+	for i, a := range lv.ids {
+		ints[i] = int(a)
+	}
+	recs := make([]checkpoint.PairRec, lv.len())
+	for i := range recs {
+		o, s := lv.k*i, int(lv.split[i])
+		recs[i] = checkpoint.PairRec{X: ints[o : o+s : o+s], Y: ints[o+s : o+lv.k : o+lv.k]}
+	}
+	return recs
 }
 
 // fingerprint computes (once) the dataset fingerprint of the run's input.
@@ -125,7 +141,7 @@ func (d *discoverer) writeCheckpoint(res *Result) {
 // restoreFromSnapshot rebuilds the traversal state from a verified
 // snapshot: reduction outputs, validated dependencies, stats baseline and
 // the frontier. Returns the frontier and its level number.
-func (d *discoverer) restoreFromSnapshot(s *checkpoint.Snapshot, res *Result) ([]attr.Pair, int) {
+func (d *discoverer) restoreFromSnapshot(s *checkpoint.Snapshot, res *Result) (level, int) {
 	d.universe = intsToIDs(s.Universe)
 	d.reduced = intsToIDs(s.Reduced)
 	res.Constants = intsToIDs(s.Constants)
@@ -137,10 +153,6 @@ func (d *discoverer) restoreFromSnapshot(s *checkpoint.Snapshot, res *Result) ([
 	}
 	for _, p := range s.ODs {
 		res.ODs = append(res.ODs, OD{X: intsToIDs(p.X), Y: intsToIDs(p.Y)})
-	}
-	level := make([]attr.Pair, len(s.Frontier))
-	for i, p := range s.Frontier {
-		level[i] = attr.NewPair(intsToIDs(p.X), intsToIDs(p.Y))
 	}
 	d.checksBase = s.Stats.Checks
 	res.Stats.Candidates = s.Stats.Candidates
@@ -159,11 +171,15 @@ func (d *discoverer) restoreFromSnapshot(s *checkpoint.Snapshot, res *Result) ([
 	if s.Metrics != nil {
 		d.opts.Metrics.Restore(*s.Metrics)
 	}
-	levelNo := s.NextLevel
-	if levelNo < 2 {
-		levelNo = 2
+	levelNo := max(2, s.NextLevel)
+	// Snapshot validation bounds every frontier id by the relation's width
+	// and gives every frontier pair the level NextLevel.
+	var lv level
+	lv.reset(levelNo)
+	for _, p := range s.Frontier {
+		lv.appendPair(p.X, p.Y)
 	}
-	return level, levelNo
+	return lv, levelNo
 }
 
 // verifyResume checks that the snapshot belongs to this relation instance

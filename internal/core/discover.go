@@ -2,10 +2,10 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,6 +27,7 @@ import (
 // dependencies (constant columns and order-equivalence classes). It is the
 // error-free wrapper around DiscoverContext: worker panics still degrade to
 // a partial Result (marked TruncateWorkerPanic), only the error is dropped.
+// A relation too wide to discover over gives an empty Result.
 func Discover(r *relation.Relation, opts Options) *Result {
 	res, _ := DiscoverContext(context.Background(), r, opts) // lint:allow errdrop — error-free compat wrapper; Stats.Reason carries the cause
 	return res
@@ -43,8 +44,12 @@ func Discover(r *relation.Relation, opts Options) *Result {
 // when the caller's context ended (ctx.Err()) or a worker panicked (a
 // *PanicError, possibly wrapped in a joined error); in both cases the
 // partial Result is still returned, mirroring the paper's
-// partial-results-under-threshold reporting (Table 6).
+// partial-results-under-threshold reporting (Table 6). A relation wider
+// than 65,535 columns fails at once with a *WidthError and an empty Result.
 func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) (res *Result, err error) {
+	if r.NumCols() > maxWidth {
+		return &Result{RelationName: r.Name}, &WidthError{Columns: r.NumCols()}
+	}
 	d := newDiscoverer(r, opts)
 	// Last-resort isolation: a panic outside the level workers (reduction,
 	// merging, a checker bug on the caller's goroutine) still converts to a
@@ -228,19 +233,25 @@ func (d *discoverer) overMemoryBudget() bool {
 	return ms.HeapAlloc > uint64(d.opts.MaxMemoryBytes)
 }
 
-// workerOut accumulates one worker's emissions for a level.
+// workerOut accumulates one worker's emissions for a level, in buffers
+// the worker keeps from level to level.
 type workerOut struct {
 	ocds []OCD
 	ods  []OD
-	next []attr.Pair
-	// lefts (rights) locate next[from:to], the left (right) children of
-	// each valid parent (X, Y) with |Y| ≥ 2 (|X| ≥ 2); dup[i] marks a
-	// duplicate next[i].
+	next level
+	// lefts (rights) locate next's rows from through to-1, the left
+	// (right) children of each valid parent (X, Y) with |Y| ≥ 2 (|X| ≥ 2);
+	// dup[i] marks a duplicate row i.
 	lefts, rights []span
 	dup           []bool
-	// current is the candidate being processed, recorded before each check
-	// so a recovered panic can name it.
-	current attr.Pair
+	// x and y hold the candidate being checked; used and free are scratch
+	// for its attributes and the free ones (Algorithm 3, line 2).
+	x, y attr.List
+	used attr.Set
+	free []uint16
+	// current is the index of the candidate being processed, -1 before
+	// the first, so a recovered panic can name it.
+	current int
 	// err is the worker's recovered panic, if any.
 	err error
 	// stopped reports that the worker bailed before finishing its range.
@@ -289,11 +300,13 @@ func (d *discoverer) run(ctx context.Context) (*Result, error) {
 		d.requestStop(reason, true)
 	}
 
-	var level []attr.Pair
+	// lv is the level being processed; the next one is built in spare, and
+	// the two swap at each barrier, so their buffers serve every level.
+	var lv, spare level
 	levelNo := 2
 	if d.opts.Resume != nil {
 		// ---- Resume: rebuild state from the verified snapshot ----
-		level, levelNo = d.restoreFromSnapshot(d.opts.Resume, res)
+		lv, levelNo = d.restoreFromSnapshot(d.opts.Resume, res)
 	} else {
 		// ---- Column reduction (Section 4.1) ----
 		if d.opts.DisableColumnReduction {
@@ -317,6 +330,7 @@ func (d *discoverer) run(ctx context.Context) (*Result, error) {
 		// the twin of one, so no candidate is the mirror or the global flip
 		// of another. Without twins, Twin is the identity and every pair
 		// stays.
+		lv.reset(2)
 		for i, x := range d.reduced {
 			if d.r.Twin(x) < x {
 				continue
@@ -325,11 +339,11 @@ func (d *discoverer) run(ctx context.Context) (*Result, error) {
 				if t := d.r.Twin(y); t < y && t <= x {
 					continue
 				}
-				level = append(level, attr.NewPair(attr.Singleton(x), attr.Singleton(y)))
+				lv.appendPair([]int{int(x)}, []int{int(y)})
 			}
 		}
-		res.Stats.Candidates = int64(len(level))
-		d.generated.Store(int64(len(level)))
+		res.Stats.Candidates = int64(lv.len())
+		d.generated.Store(int64(lv.len()))
 	}
 	// The initial frontier is itself a consistent cut — a run killed during
 	// its first level resumes from here rather than re-running reduction.
@@ -337,12 +351,12 @@ func (d *discoverer) run(ctx context.Context) (*Result, error) {
 	// aborted mid-sort then, leaving degraded reduction output that must not
 	// become durable, so the barrier stays invalid and nothing is snapshotted.
 	if d.reason() == TruncateNone || d.opts.Resume != nil {
-		d.noteBarrier(level, levelNo, res)
+		d.noteBarrier(&lv, levelNo, res)
 	}
 
 	// ---- Main BFS loop (Algorithm 1, lines 5–14) ----
 	var errs []error
-	for len(level) > 0 {
+	for lv.len() > 0 {
 		if d.opts.MaxLevel > 0 && levelNo > d.opts.MaxLevel {
 			res.truncate(TruncateMaxLevel)
 			break
@@ -360,11 +374,11 @@ func (d *discoverer) run(ctx context.Context) (*Result, error) {
 			break
 		}
 		faultinject.Point("core.level.start")
-		d.ro.levelStart(d, res, levelNo, len(level))
-		next, complete, lerr := d.processLevel(level, d.reduced, res)
+		d.ro.levelStart(d, res, levelNo, lv.len())
+		complete, lerr := d.processLevel(&lv, d.reduced, res, &spare)
 		res.Stats.Levels++
-		res.Stats.Candidates += int64(len(next))
-		d.ro.levelEnd(d, res, len(next))
+		res.Stats.Candidates += int64(spare.len())
+		d.ro.levelEnd(d, res, spare.len())
 		if lerr != nil {
 			errs = append(errs, lerr)
 			res.truncate(TruncateWorkerPanic)
@@ -389,13 +403,13 @@ func (d *discoverer) run(ctx context.Context) (*Result, error) {
 			}
 			break
 		}
-		level = next
+		lv, spare = spare, lv
 		levelNo++
 		// Only a fully completed level advances the durable barrier; the
 		// final writeCheckpoint below persists the previous barrier
 		// otherwise, and resume re-runs the interrupted level from scratch.
-		d.noteBarrier(level, levelNo, res)
-		if len(level) > 0 {
+		d.noteBarrier(&lv, levelNo, res)
+		if lv.len() > 0 {
 			d.writeCheckpoint(res)
 		}
 	}
@@ -421,34 +435,37 @@ func (d *discoverer) run(ctx context.Context) (*Result, error) {
 	return res, err
 }
 
-// processLevel checks every candidate of the current level, in parallel when
-// d.workers > 1, and returns the deduplicated next level, whether every
-// worker processed its full range (the level is *complete* — a precondition
-// for advancing the checkpoint barrier), and any worker panics (joined). A
-// panicking worker never breaks the level barrier: its recover runs before
-// wg.Done, the remaining workers drain normally, and their completed output
-// is still merged.
+// processLevel checks every candidate of lv, in parallel when d.workers > 1,
+// and builds the deduplicated next level in next. It returns whether every
+// worker processed its full range (the level is *complete* — a
+// precondition for advancing the checkpoint barrier), and any worker panics
+// (joined). A panicking worker never breaks the level barrier: its recover
+// runs before wg.Done, the remaining workers drain normally, and their
+// completed output is still merged.
 //
 // Workers claim consecutive chunks of the level, so siblings — which share
 // their sides' prefixes — mostly meet the same worker's cache. The merged
 // next level lists each chunk's output in chunk order: the generation
 // order of a single worker, whatever the worker count.
-func (d *discoverer) processLevel(level []attr.Pair, reduced []attr.ID, res *Result) ([]attr.Pair, bool, error) {
-	size := max(1, min(maxChunk, len(level)/(8*d.workers)))
-	chunks := make([]chunkOut, (len(level)+size-1)/size)
+func (d *discoverer) processLevel(lv *level, reduced []attr.ID, res *Result, next *level) (bool, error) {
+	size := max(1, min(maxChunk, lv.len()/(8*d.workers)))
+	chunks := make([]chunkOut, (lv.len()+size-1)/size)
 	var cursor atomic.Int64
 	// The previous level's outputs were copied out; reuse their buffers.
 	outs := d.outs
 	for i := range outs {
 		o := &outs[i]
-		*o = workerOut{ocds: o.ocds[:0], ods: o.ods[:0], next: o.next[:0], lefts: o.lefts[:0], rights: o.rights[:0], dup: o.dup[:0]}
+		o.ocds, o.ods = o.ocds[:0], o.ods[:0]
+		o.next.reset(lv.k + 1)
+		o.lefts, o.rights, o.dup = o.lefts[:0], o.rights[:0], o.dup[:0]
+		o.current, o.err, o.stopped = -1, nil, false
 	}
 	d.parallel(func(w int) {
 		sp, t0 := d.ro.workerStart(w)
 		out := &outs[w]
-		d.runWorker(w, level, size, &cursor, chunks, reduced, out)
+		d.runWorker(w, lv, size, &cursor, chunks, reduced, out)
 		d.handles[w].Flush()
-		out.dup = append(out.dup, make([]bool, len(out.next))...)
+		out.dup = append(out.dup, make([]bool, out.next.len())...)
 		d.ro.workerEnd(sp, t0, out)
 	})
 	// A child (X·a, Y·b) has two parents, (X, Y·b) and (X·a, Y), and both
@@ -464,12 +481,9 @@ func (d *discoverer) processLevel(level []attr.Pair, reduced []attr.ID, res *Res
 
 	var errs []error
 	total := 0
-	for i := range outs {
-		total += len(outs[i].next) - dups[i]
-	}
-	next := make([]attr.Pair, 0, total)
 	complete := true
 	for i := range outs {
+		total += outs[i].next.len() - dups[i]
 		res.OCDs = append(res.OCDs, outs[i].ocds...)
 		res.ODs = append(res.ODs, outs[i].ods...)
 		if outs[i].err != nil {
@@ -479,12 +493,22 @@ func (d *discoverer) processLevel(level []attr.Pair, reduced []attr.ID, res *Res
 			complete = false
 		}
 	}
+	next.reset(lv.k + 1)
+	next.ids = slices.Grow(next.ids, total*next.k)
+	next.split = slices.Grow(next.split, total)
 	for _, c := range chunks {
 		out := &outs[c.w]
-		for k := c.from; k < c.to; k++ {
-			if !out.dup[k] {
-				next = append(next, out.next[k])
+		for k := c.from; k < c.to; {
+			if out.dup[k] {
+				k++
+				continue
 			}
+			run := k + 1
+			for run < c.to && !out.dup[run] {
+				run++
+			}
+			next.appendRows(&out.next, k, run)
+			k = run
 		}
 	}
 	// A stop request that landed after the last per-candidate poll can still
@@ -493,14 +517,15 @@ func (d *discoverer) processLevel(level []attr.Pair, reduced []attr.ID, res *Res
 	if d.reason() != TruncateNone {
 		complete = false
 	}
-	return next, complete, errors.Join(errs...)
+	return complete, errors.Join(errs...)
 }
 
 // maxChunk bounds the candidates a worker claims at once; smaller levels
 // use chunks of an eighth of a worker's share, so load still balances.
 const maxChunk = 64
 
-// chunkOut locates one chunk's next-level candidates: outs[w].next[from:to].
+// chunkOut locates one chunk's next-level candidates: rows from through
+// to-1 of outs[w].next.
 type chunkOut struct {
 	w, from, to int
 }
@@ -536,16 +561,17 @@ func (d *discoverer) parallel(fn func(w int)) {
 // to the set of last(Y) over those children; nil when there is none.
 func leftIndex(outs []workerOut) map[string]attr.Set {
 	var idx map[string]attr.Set
+	var key []byte
 	for i := range outs {
+		next := &outs[i].next
 		for _, r := range outs[i].lefts {
 			if idx == nil {
 				idx = make(map[string]attr.Set)
 			}
-			c := outs[i].next[r.from]
-			k := string(grandparentKey(nil, c))
-			s := idx[k]
-			s.Add(c.Y[len(c.Y)-1])
-			idx[k] = s
+			key = next.grandparent(key[:0], r.from)
+			s := idx[string(key)]
+			s.Add(attr.ID(next.last(r.from)))
+			idx[string(key)] = s
 		}
 	}
 	return idx
@@ -557,14 +583,15 @@ func leftIndex(outs []workerOut) map[string]attr.Set {
 func markDuplicates(out *workerOut, idx map[string]attr.Set) int {
 	n := 0
 	var key []byte
+	next := &out.next
 	for _, r := range out.rights {
-		key = grandparentKey(key[:0], out.next[r.from])
+		key = next.grandparent(key[:0], r.from)
 		bs, ok := idx[string(key)]
 		if !ok {
 			continue
 		}
 		for k := r.from; k < r.to; k++ {
-			if y := out.next[k].Y; bs.Has(y[len(y)-1]) {
+			if bs.Has(attr.ID(next.last(k))) {
 				out.dup[k] = true
 				n++
 			}
@@ -573,55 +600,48 @@ func markDuplicates(out *workerOut, idx map[string]attr.Set) int {
 	return n
 }
 
-// grandparentKey appends the key of (X[:-1], Y[:-1]), which both parents
-// of c = (X, Y) extend: len(X)-1, then every attribute, as uvarints.
-func grandparentKey(dst []byte, c attr.Pair) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(c.X)-1))
-	for _, l := range [2]attr.List{c.X[:len(c.X)-1], c.Y[:len(c.Y)-1]} {
-		for _, id := range l {
-			dst = binary.AppendUvarint(dst, uint64(id))
-		}
-	}
-	return dst
-}
-
 // runWorker isolates one worker's traversal: a panic anywhere under it
 // (candidate processing, the checker, its cache) converts into a
 // *PanicError naming the candidate, requests a hard stop so sibling workers
 // bail quickly, and leaves the worker's completed output intact.
-func (d *discoverer) runWorker(w int, level []attr.Pair, size int, cursor *atomic.Int64, chunks []chunkOut, reduced []attr.ID, out *workerOut) {
+func (d *discoverer) runWorker(w int, lv *level, size int, cursor *atomic.Int64, chunks []chunkOut, reduced []attr.ID, out *workerOut) {
 	defer func() {
 		if v := recover(); v != nil {
-			out.err = &PanicError{Candidate: out.current, Value: v, Stack: debug.Stack()}
+			pe := &PanicError{Value: v, Stack: debug.Stack()}
+			if out.current >= 0 {
+				pe.Candidate = lv.pair(out.current)
+			}
+			out.err = pe
 			out.stopped = true
 			d.requestStop(TruncateWorkerPanic, true)
 		}
 	}()
-	d.processChunks(w, level, size, cursor, chunks, reduced, out)
+	d.processChunks(w, lv, size, cursor, chunks, reduced, out)
 }
 
 // processChunks claims chunks of size candidates from cursor until the
 // level is exhausted, recording where each chunk's output lies in chunks.
-func (d *discoverer) processChunks(w int, level []attr.Pair, size int, cursor *atomic.Int64, chunks []chunkOut, reduced []attr.ID, out *workerOut) {
+func (d *discoverer) processChunks(w int, lv *level, size int, cursor *atomic.Int64, chunks []chunkOut, reduced []attr.ID, out *workerOut) {
 	h := d.handles[w]
 	for {
 		from := int(cursor.Add(int64(size))) - size
-		if from >= len(level) {
+		if from >= lv.len() {
 			return
 		}
 		c := &chunks[from/size]
-		*c = chunkOut{w: w, from: len(out.next), to: len(out.next)}
-		for _, p := range level[from:min(from+size, len(level))] {
+		*c = chunkOut{w: w, from: out.next.len(), to: out.next.len()}
+		for i := from; i < min(from+size, lv.len()); i++ {
 			if d.reason() != TruncateNone || d.overBudget() {
 				out.stopped = true
 				return
 			}
-			out.current = p
+			out.current = i
 			faultinject.Point("core.worker.candidate")
-			d.processCandidate(h, p, reduced, out)
-			if n := len(out.next) - c.to; n > 0 {
+			row, s := lv.row(i)
+			d.processCandidate(h, row, s, reduced, out)
+			if n := out.next.len() - c.to; n > 0 {
 				d.generated.Add(int64(n))
-				c.to = len(out.next)
+				c.to = out.next.len()
 			}
 			d.ro.candidateDone(d)
 		}
@@ -629,11 +649,14 @@ func (d *discoverer) processChunks(w int, level []attr.Pair, size int, cursor *a
 }
 
 // processCandidate implements the per-candidate work of Algorithm 1 line 8
-// plus generateNextLevel (Algorithm 3).
-func (d *discoverer) processCandidate(h *order.Handle, p attr.Pair, reduced []attr.ID, out *workerOut) {
+// plus generateNextLevel (Algorithm 3) for the pair row with |X| = s.
+func (d *discoverer) processCandidate(h *order.Handle, row []uint16, s int, reduced []attr.ID, out *workerOut) {
+	x := decode(out.x[:0], row[:s])
+	y := decode(out.y[:0], row[s:])
+	out.x, out.y = x, y
 	// Single check of Theorem 4.1: X ~ Y iff the OD XY → YX holds.
 	t0 := d.ro.checkStart()
-	ok := h.CheckOCD(p.X, p.Y)
+	ok := h.CheckOCD(x, y)
 	d.ro.checkDone(t0)
 	if !ok {
 		// Invalid candidate: Theorem 3.7 prunes the whole subtree. (A
@@ -642,50 +665,60 @@ func (d *discoverer) processCandidate(h *order.Handle, p attr.Pair, reduced []at
 		d.ro.prune()
 		return
 	}
-	out.ocds = append(out.ocds, OCD{X: p.X, Y: p.Y})
+	// The result owns its lists; x and y are reused for the next candidate.
+	xy := decode(make(attr.List, 0, len(row)), row)
+	ocd := OCD{X: xy[:s:s], Y: xy[s:]}
+	out.ocds = append(out.ocds, ocd)
 
 	// free = U' \ (set(X) ∪ set(Y)) — Algorithm 3, line 2 — less the
 	// reversed twins of used columns: a column never meets its own twin.
-	used := p.X.Set().Union(p.Y.Set())
-	var free []attr.ID
+	for _, a := range xy {
+		out.used.Add(a)
+	}
+	free := out.free[:0]
 	for _, a := range reduced {
-		if !used.Has(a) && !used.Has(d.r.Twin(a)) {
-			free = append(free, a)
+		if !out.used.Has(a) && !out.used.Has(d.r.Twin(a)) {
+			free = append(free, uint16(a))
 		}
 	}
+	for _, a := range xy {
+		out.used.Remove(a)
+	}
+	out.free = free
 
 	// Left side: extend X only when the OD X → Y does not hold; when it
 	// holds, XA ~ Y is derivable (X → Y gives XA → Y by Reflexivity +
 	// Transitivity, and an OD implies the OCD), so the subtree is
 	// redundant and the OD itself is emitted instead.
+	next := &out.next
 	t0 = d.ro.checkStart()
-	odXY := h.CheckOD(p.X, p.Y)
+	odXY := h.CheckOD(x, y)
 	d.ro.checkDone(t0)
 	if odXY {
-		out.ods = append(out.ods, OD{X: p.X, Y: p.Y})
+		out.ods = append(out.ods, OD{X: ocd.X, Y: ocd.Y})
 	} else if !d.hardStop.Load() {
-		from := len(out.next)
+		from := next.len()
 		for _, a := range free {
-			out.next = append(out.next, attr.NewPair(p.X.Append(a), p.Y))
+			next.appendLeft(row, s, a)
 		}
-		if len(p.Y) >= 2 && len(free) > 0 {
-			out.lefts = append(out.lefts, span{from, len(out.next)})
+		if len(y) >= 2 && len(free) > 0 {
+			out.lefts = append(out.lefts, span{from, next.len()})
 		}
 	}
 
 	// Right side, symmetric.
 	t0 = d.ro.checkStart()
-	odYX := h.CheckOD(p.Y, p.X)
+	odYX := h.CheckOD(y, x)
 	d.ro.checkDone(t0)
 	if odYX {
-		out.ods = append(out.ods, OD{X: p.Y, Y: p.X})
+		out.ods = append(out.ods, OD{X: ocd.Y, Y: ocd.X})
 	} else if !d.hardStop.Load() {
-		from := len(out.next)
+		from := next.len()
 		for _, a := range free {
-			out.next = append(out.next, attr.NewPair(p.X, p.Y.Append(a)))
+			next.appendRight(row, s, a)
 		}
-		if len(p.X) >= 2 && len(free) > 0 {
-			out.rights = append(out.rights, span{from, len(out.next)})
+		if len(x) >= 2 && len(free) > 0 {
+			out.rights = append(out.rights, span{from, next.len()})
 		}
 	}
 }

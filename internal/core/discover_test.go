@@ -1,12 +1,17 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"ocd/internal/attr"
+	"ocd/internal/datagen"
 	"ocd/internal/order"
 	"ocd/internal/relation"
 )
@@ -343,11 +348,11 @@ func (o *treeOracle) visit(p attr.Pair) {
 	}
 }
 
-// assertMatchesTreeOracle runs Discover on r at the given worker count and
-// requires the oracle's OCDs, ODs and number of reached candidates. From
-// level 4 on a child can have two parents, so the candidate count pins that
-// the level barrier keeps exactly one copy of each.
-func assertMatchesTreeOracle(t testing.TB, r *relation.Relation, oracle *treeOracle, workers int) {
+// assertMatchesTreeOracle runs Discover on r at the given worker count,
+// requires the oracle's OCDs, ODs and number of reached candidates, and
+// returns the result. From level 4 on a child can have two parents, so the
+// candidate count pins that the level barrier keeps exactly one copy of each.
+func assertMatchesTreeOracle(t testing.TB, r *relation.Relation, oracle *treeOracle, workers int) *Result {
 	t.Helper()
 	res := Discover(r, Options{Workers: workers})
 	got := map[string]bool{}
@@ -378,6 +383,7 @@ func assertMatchesTreeOracle(t testing.TB, r *relation.Relation, oracle *treeOra
 	if res.Stats.Candidates != int64(len(oracle.reached)) {
 		t.Fatalf("workers %d: %d candidates, oracle reached %d", workers, res.Stats.Candidates, len(oracle.reached))
 	}
+	return res
 }
 
 func TestAgainstTreeOracle(t *testing.T) {
@@ -395,7 +401,9 @@ func TestAgainstTreeOracle(t *testing.T) {
 
 // FuzzDiscoverMatchesTreeOracle decodes a relation of 1–7 columns, at most
 // 16 rows and domains of 2–4 values, and requires Discover at 1 and 2
-// workers to reach exactly the tree oracle's candidates, OCDs and ODs.
+// workers to reach exactly the tree oracle's candidates, OCDs and ODs. A
+// run capped at level 3 must then resume from its snapshot to the fresh
+// result, so the frontier goes through the snapshot and back.
 func FuzzDiscoverMatchesTreeOracle(f *testing.F) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 8; i++ {
@@ -422,10 +430,57 @@ func FuzzDiscoverMatchesTreeOracle(f *testing.F) {
 			t.Skip(err)
 		}
 		oracle, _ := newTreeOracle(r)
-		for _, workers := range []int{1, 2} {
-			assertMatchesTreeOracle(t, r, oracle, workers)
+		fresh := assertMatchesTreeOracle(t, r, oracle, 1)
+		assertMatchesTreeOracle(t, r, oracle, 2)
+
+		ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+		Discover(r, Options{Workers: 2, MaxLevel: 3, CheckpointPath: ckpt})
+		resumed, err := DiscoverContext(context.Background(), r, Options{Workers: 1, Resume: loadSnapshot(t, ckpt)})
+		if err != nil {
+			t.Fatalf("resume: %v", err)
 		}
+		assertSameDiscovery(t, fresh, resumed)
 	})
+}
+
+// TestTooWideRelation: attribute ids are 16 bits wide, so a relation of
+// 65,536 columns fails at once with a *WidthError, before reduction runs
+// a check or a snapshot is written.
+func TestTooWideRelation(t *testing.T) {
+	const cols = 1 << 16
+	table := [][]int{make([]int, cols), make([]int, cols)}
+	for j := range table[1] {
+		table[1][j] = j % 2
+	}
+	r, err := relation.FromIntsErr("wide", nil, table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	res, err := DiscoverContext(context.Background(), r, Options{Workers: 1, CheckpointPath: ckpt})
+	var we *WidthError
+	if !errors.As(err, &we) || we.Columns != cols {
+		t.Fatalf("err = %v, want a *WidthError for %d columns", err, cols)
+	}
+	if res == nil || res.Stats.Checks != 0 || len(res.Constants) != 0 || res.Stats.Checkpoints != 0 {
+		t.Fatalf("result = %+v, want an empty one", res)
+	}
+	if _, statErr := os.Stat(ckpt); !os.IsNotExist(statErr) {
+		t.Errorf("the refused run left a snapshot (stat err: %v)", statErr)
+	}
+}
+
+// TestDiscoverAllocsPerCandidate: a level is flat rows of ids, so a child
+// costs no allocation of its own. On the HEPATITIS replica at one worker a
+// run allocates fewer times than a quarter of its candidates.
+func TestDiscoverAllocsPerCandidate(t *testing.T) {
+	r := datagen.Hepatitis()
+	var res *Result
+	allocs := testing.AllocsPerRun(2, func() { res = Discover(r, Options{Workers: 1}) })
+	if limit := float64(res.Stats.Candidates) / 4; allocs >= limit {
+		t.Errorf("%.0f allocations for %d candidates, want fewer than %.0f", allocs, res.Stats.Candidates, limit)
+	}
+	t.Logf("%.0f allocations for %d candidates", allocs, res.Stats.Candidates)
 }
 
 func TestMaxLevelTruncates(t *testing.T) {

@@ -280,3 +280,16 @@ func (e *PanicError) Error() string {
 	}
 	return fmt.Sprintf("ocd: panic during discovery: %v", e.Value)
 }
+
+// WidthError reports a relation too wide to discover over: a candidate
+// stores each attribute id in 16 bits, so a relation may have at most
+// 65,535 columns, reversed twins included.
+type WidthError struct {
+	// Columns is the relation's width.
+	Columns int
+}
+
+// Error names the width and the limit.
+func (e *WidthError) Error() string {
+	return fmt.Sprintf("ocd: relation has %d columns, at most %d are supported", e.Columns, maxWidth)
+}

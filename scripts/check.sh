@@ -43,8 +43,9 @@
 #                                structured logs
 #  10. bench smoke               go test -bench runs the observability,
 #                                phase, taxinfo and check-primitive root
-#                                benchmarks once each (-benchtime=1x), so
-#                                they keep compiling and running;
+#                                benchmarks and OCDDISCOVER on HEPATITIS
+#                                once each (-benchtime=1x), so they keep
+#                                compiling and running;
 #                                end-to-end numbers come from
 #                                bash bench/run.sh
 #  11. bench module tests        go -C bench vet/test: bench/ is a Go
@@ -108,6 +109,7 @@ scripts/obs_chaos.sh
 
 step "bench smoke: root benchmarks, one iteration each"
 go test . -run '^$' -bench 'BenchmarkObsOverhead|BenchmarkPhase_|BenchmarkProgressFormat|BenchmarkDatasetTaxinfo|BenchmarkAblation_CheckPrimitives' -benchmem -benchtime=1x -count=1
+go test . -run '^$' -bench '^BenchmarkTable6$/^ocddiscover$/^HEPATITIS$' -benchmem -benchtime=1x -count=1
 
 step "bench module: go -C bench vet ./... && go -C bench test ./..."
 go -C bench vet ./...

@@ -382,7 +382,9 @@ func BenchmarkExtension_Bidirectional(b *testing.B) {
 	b.Run("bidirectional", func(b *testing.B) {
 		opts := bidir.Options{Timeout: 10 * time.Second, MaxCandidates: 500_000}
 		for i := 0; i < b.N; i++ {
-			bidir.DiscoverOCDs(benchData.ncvoter, opts)
+			if _, err := bidir.DiscoverOCDs(benchData.ncvoter, opts); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

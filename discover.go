@@ -114,6 +114,11 @@ var ErrCheckpointMismatch = checkpoint.ErrMismatch
 // partially accepted.
 var ErrCheckpointCorrupt = checkpoint.ErrCorrupt
 
+// ErrCheckpointVersion is the sentinel wrapped into snapshot-load errors
+// for snapshot files of another format version, which this build cannot
+// resume from.
+var ErrCheckpointVersion = checkpoint.ErrVersion
+
 func reasonOf(r core.TruncateReason) TruncateReason {
 	switch r {
 	case core.TruncateTimeout:

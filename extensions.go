@@ -60,16 +60,21 @@ type BidirResult struct {
 
 // DiscoverBidirectional runs the bidirectional variant of OCDDISCOVER,
 // where every attribute may join a dependency ascending or descending
-// (SQL's ORDER BY income ASC, age DESC).
+// (SQL's ORDER BY income ASC, age DESC). The engine runs over each column
+// and its descending twin, so a table of more than 32,767 columns fails
+// with the engine's width error.
 func (t *Table) DiscoverBidirectional(opts Options) (*BidirResult, error) {
 	if t == nil || t.rel == nil {
 		return nil, errNilTable
 	}
-	inner := bidir.DiscoverOCDs(t.rel, bidir.Options{
+	inner, err := bidir.DiscoverOCDs(t.rel, bidir.Options{
 		Workers:       opts.Workers,
 		Timeout:       opts.Timeout,
 		MaxCandidates: opts.MaxCandidates,
 	})
+	if err != nil {
+		return nil, err
+	}
 	res := &BidirResult{
 		Checks:     inner.Checks,
 		Candidates: inner.Candidates,

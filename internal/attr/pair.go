@@ -3,7 +3,8 @@ package attr
 // Pair is an ordered pair of attribute lists (X, Y): the two sides of an OD
 // candidate X → Y or an OCD candidate X ~ Y.
 type Pair struct {
-	X, Y List
+	X List `json:"x"`
+	Y List `json:"y"`
 }
 
 // NewPair returns the pair (x, y).

@@ -1,6 +1,7 @@
 package bidir
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"strconv"
@@ -165,7 +166,7 @@ func TestTwinChecksMatchBruteForce(t *testing.T) {
 		chk := NewChecker(r, 8)
 		type pair struct{ x, y DList }
 		var cases []pair
-		res := DiscoverOCDs(r, Options{Workers: 1})
+		res := mustDiscover(t, r, Options{Workers: 1})
 		for _, d := range res.OCDs {
 			cases = append(cases, pair{d.X, d.Y}, pair{d.Y, d.X}, pair{d.X.Flip(), d.Y})
 		}
@@ -214,8 +215,8 @@ func TestReplicaCounts(t *testing.T) {
 		{"HEPATITIS", datagen.Hepatitis(), 726_708, 701_806, 12_071, 0},
 	}
 	for _, c := range cases {
-		one := DiscoverOCDs(c.r, Options{Workers: 1})
-		two := DiscoverOCDs(c.r, Options{Workers: 2})
+		one := mustDiscover(t, c.r, Options{Workers: 1})
+		two := mustDiscover(t, c.r, Options{Workers: 2})
 		one.Elapsed, two.Elapsed = 0, 0
 		if !reflect.DeepEqual(one, two) {
 			t.Errorf("%s: result at 2 workers differs from 1 worker", c.name)
@@ -234,7 +235,7 @@ func TestDiscoverReversedEquivalence(t *testing.T) {
 	// into one class with opposite polarity, and the unidirectional core
 	// must find nothing at all.
 	r := rel([][]int{{1, -1, 5}, {2, -2, 9}, {3, -3, 2}})
-	res := DiscoverOCDs(r, Options{Workers: 1})
+	res := mustDiscover(t, r, Options{Workers: 1})
 	if len(res.EquivClasses) != 1 {
 		t.Fatalf("EquivClasses = %v", res.EquivClasses)
 	}
@@ -255,7 +256,7 @@ func TestDiscoverFindsDescOCD(t *testing.T) {
 	// A and B are order compatible only when B is read descending:
 	// as A increases, B never increases (with ties breaking strictness).
 	r := rel([][]int{{1, 9}, {1, 8}, {2, 7}, {3, 7}, {4, 1}})
-	res := DiscoverOCDs(r, Options{Workers: 1})
+	res := mustDiscover(t, r, Options{Workers: 1})
 	found := false
 	for _, d := range res.OCDs {
 		if d.X.Equal(DList{asc(0)}) && d.Y.Equal(DList{desc(1)}) {
@@ -285,7 +286,7 @@ func TestSupersetOfUnidirectional(t *testing.T) {
 		}
 		r := rel(rows)
 		uni := core.Discover(r, core.Options{Workers: 1})
-		bi := DiscoverOCDs(r, Options{Workers: 1})
+		bi := mustDiscover(t, r, Options{Workers: 1})
 		if len(uni.EquivClasses) != len(bi.EquivClasses) {
 			continue // reduction differs; skip this sample
 		}
@@ -310,7 +311,7 @@ func TestSoundnessOfEmissions(t *testing.T) {
 			rows[i] = []int{rng.Intn(3), rng.Intn(3), rng.Intn(3)}
 		}
 		r := rel(rows)
-		res := DiscoverOCDs(r, Options{Workers: 2})
+		res := mustDiscover(t, r, Options{Workers: 2})
 		chk := NewChecker(r, 8)
 		for _, d := range res.OCDs {
 			if !chk.CheckOCD(d.X, d.Y) {
@@ -342,8 +343,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 			rows[i] = []int{rng.Intn(3), rng.Intn(3), rng.Intn(3), rng.Intn(3)}
 		}
 		r := rel(rows)
-		a := DiscoverOCDs(r, Options{Workers: 1})
-		b := DiscoverOCDs(r, Options{Workers: 4})
+		a := mustDiscover(t, r, Options{Workers: 1})
+		b := mustDiscover(t, r, Options{Workers: 4})
 		if len(a.OCDs) != len(b.OCDs) || len(a.ODs) != len(b.ODs) {
 			t.Fatalf("trial %d: parallel output differs: %d/%d vs %d/%d",
 				trial, len(a.OCDs), len(a.ODs), len(b.OCDs), len(b.ODs))
@@ -399,7 +400,7 @@ func TestFormatAndKeys(t *testing.T) {
 
 func TestConstantsRemoved(t *testing.T) {
 	r := rel([][]int{{1, 7}, {2, 7}})
-	res := DiscoverOCDs(r, Options{Workers: 1})
+	res := mustDiscover(t, r, Options{Workers: 1})
 	if len(res.Constants) != 1 || res.Constants[0] != 1 {
 		t.Errorf("Constants = %v", res.Constants)
 	}
@@ -415,8 +416,34 @@ func TestTruncation(t *testing.T) {
 		rows[i] = []int{rng.Intn(2), rng.Intn(2), rng.Intn(2), rng.Intn(2), rng.Intn(2), rng.Intn(2)}
 	}
 	r := rel(rows)
-	res := DiscoverOCDs(r, Options{Workers: 1, MaxCandidates: 10})
+	res := mustDiscover(t, r, Options{Workers: 1, MaxCandidates: 10})
 	if !res.Truncated {
 		t.Error("MaxCandidates should truncate")
+	}
+}
+
+// mustDiscover runs DiscoverOCDs and fails the test on its error.
+func mustDiscover(t testing.TB, r *relation.Relation, opts Options) *Result {
+	t.Helper()
+	res, err := DiscoverOCDs(r, opts)
+	if err != nil {
+		t.Fatalf("DiscoverOCDs: %v", err)
+	}
+	return res
+}
+
+// TestTooWideWithTwins: core runs over the columns and their reversed
+// twins, so 32,768 columns make a 65,536-column relation, and DiscoverOCDs
+// returns core's *WidthError.
+func TestTooWideWithTwins(t *testing.T) {
+	const cols = 1 << 15
+	r, err := relation.FromIntsErr("wide", nil, [][]int{make([]int, cols), make([]int, cols)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = DiscoverOCDs(r, Options{Workers: 1})
+	var we *core.WidthError
+	if !errors.As(err, &we) || we.Columns != 2*cols {
+		t.Fatalf("err = %v, want a *core.WidthError for %d columns", err, 2*cols)
 	}
 }

@@ -1,6 +1,7 @@
 package bidir
 
 import (
+	"context"
 	"sort"
 	"time"
 
@@ -56,8 +57,10 @@ type Result struct {
 // directed column reduction, core's traversal over the reduced columns and
 // their reversed twins. There every attribute joins a side with either
 // polarity, never both, and candidates are canonical under the global-flip
-// symmetry (X ~ Y ⇔ flip(X) ~ flip(Y)).
-func DiscoverOCDs(r *relation.Relation, opts Options) *Result {
+// symmetry (X ~ Y ⇔ flip(X) ~ flip(Y)). The error is core's: a recovered
+// worker panic alongside a partial result, or a *core.WidthError with an
+// empty one when the relation and its twins exceed core's width.
+func DiscoverOCDs(r *relation.Relation, opts Options) (*Result, error) {
 	start := time.Now()
 	res := &Result{}
 	chk := NewChecker(r, 64)
@@ -81,7 +84,7 @@ func DiscoverOCDs(r *relation.Relation, opts Options) *Result {
 	for _, a := range reduced {
 		cols = append(cols, chk.r.Twin(a))
 	}
-	cr := core.Discover(chk.r, core.Options{
+	cr, err := core.DiscoverContext(context.Background(), chk.r, core.Options{
 		Workers:                opts.Workers,
 		Timeout:                opts.Timeout,
 		MaxCandidates:          opts.MaxCandidates,
@@ -99,7 +102,7 @@ func DiscoverOCDs(r *relation.Relation, opts Options) *Result {
 	res.Truncated = cr.Stats.Truncated
 	res.Elapsed = time.Since(start)
 	sortResult(res)
-	return res
+	return res, err
 }
 
 // reduceDirected collapses directed order-equivalent columns using a

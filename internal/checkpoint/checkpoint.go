@@ -15,6 +15,10 @@
 //	OCDCKPT <version> <payload-bytes> <sha256-hex>\n
 //	{ ... }
 //
+// The payload holds the engine's state in the engine's own types:
+// attribute ids as JSON numbers, and the frontier as the flat Rows a level
+// is built in, written as base64.
+//
 // The header carries the payload length and checksum, so a torn write —
 // truncated payload, bit rot, a concatenated double write — is always
 // detected: Decode either returns a fully verified snapshot or an error,
@@ -25,7 +29,6 @@
 package checkpoint
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
@@ -45,13 +48,13 @@ import (
 // FormatVersion is the current snapshot format version. Decode refuses
 // snapshots written by a different version; resumability is not promised
 // across format changes.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // magic is the first header field; it doubles as a file-type sniff.
 const magic = "OCDCKPT"
 
-// maxPayload bounds the payload length accepted by Decode, so a corrupt
-// header cannot make the loader allocate unbounded memory.
+// maxPayload bounds the payload length accepted by Decode, and with
+// maxHeader the size of a file Load reads into memory.
 const maxPayload = 1 << 30
 
 // maxHeader bounds the header line: magic + version + length + sha256 hex
@@ -145,13 +148,6 @@ func (f Fingerprint) Verify(r *relation.Relation) error {
 	return nil
 }
 
-// PairRec is a serialized pair of attribute lists: an OCD/OD, or a frontier
-// candidate. Attribute ids index the relation's schema.
-type PairRec struct {
-	X []int `json:"x"`
-	Y []int `json:"y"`
-}
-
 // Stats carries the execution counters accumulated up to the snapshot's
 // level barrier; a resumed run adds its own counters on top so the totals
 // match an uninterrupted run.
@@ -163,7 +159,7 @@ type Stats struct {
 }
 
 // Snapshot is a consistent cut of a discovery run at a completed level
-// barrier: everything needed to restart the BFS at NextLevel.
+// barrier: everything needed to restart the BFS at the frontier's level.
 type Snapshot struct {
 	// Fingerprint pins the snapshot to one relation instance.
 	Fingerprint Fingerprint `json:"fingerprint"`
@@ -172,25 +168,23 @@ type Snapshot struct {
 	DisableColumnReduction bool `json:"disable_column_reduction,omitempty"`
 	// Universe is the pre-reduction attribute set the run considered (all
 	// columns, or the Options.Columns restriction).
-	Universe []int `json:"universe"`
+	Universe []attr.ID `json:"universe"`
 	// Reduced is the post-reduction working set: constants removed, one
 	// representative per order-equivalence class.
-	Reduced []int `json:"reduced"`
+	Reduced []attr.ID `json:"reduced"`
 	// Constants and EquivClasses are the reduction-phase outputs.
-	Constants    []int   `json:"constants,omitempty"`
-	EquivClasses [][]int `json:"equiv_classes,omitempty"`
+	Constants    []attr.ID   `json:"constants,omitempty"`
+	EquivClasses [][]attr.ID `json:"equiv_classes,omitempty"`
 	// OCDs and ODs are the dependencies validated on completed levels. The
 	// ODs double as the OD-valid prunes of Algorithm 3: their subtrees were
 	// not expanded and will not be re-expanded after a resume.
-	OCDs []PairRec `json:"ocds,omitempty"`
-	ODs  []PairRec `json:"ods,omitempty"`
-	// NextLevel is the tree level (|X|+|Y|) of the frontier candidates; the
-	// initial level of singleton pairs is 2.
-	NextLevel int `json:"next_level"`
-	// Frontier holds the deduplicated candidates of the next level. An
-	// empty frontier means the run completed; resuming it re-emits the full
-	// result without performing any checks.
-	Frontier []PairRec `json:"frontier,omitempty"`
+	OCDs []attr.Pair `json:"ocds,omitempty"`
+	ODs  []attr.Pair `json:"ods,omitempty"`
+	// Frontier holds the deduplicated candidates of the next level, whose
+	// tree level |X|+|Y| is Frontier.K(); the initial level of singleton
+	// pairs is 2. An empty frontier means the run completed; resuming it
+	// re-emits the full result without performing any checks.
+	Frontier Rows `json:"-"`
 	// Stats are the counters at the barrier.
 	Stats Stats `json:"stats"`
 	// ElapsedNanos is the cumulative wall-clock time at the barrier,
@@ -206,13 +200,28 @@ type Snapshot struct {
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
 }
 
+// wire is a Snapshot's JSON form: its fields, with the frontier's slices
+// as little-endian bytes, which encoding/json writes as base64. Decoding
+// them as plain fields, not through an Unmarshaler, keeps encoding/json
+// to one scan of them.
+type wire struct {
+	*Snapshot
+	Frontier struct {
+		Level int    `json:"level"`
+		IDs   []byte `json:"ids,omitempty"`
+		Split []byte `json:"split,omitempty"`
+	} `json:"frontier"`
+}
+
 // Complete reports whether the snapshot captures a finished traversal
 // (empty frontier): resuming it re-emits the final result directly.
-func (s *Snapshot) Complete() bool { return len(s.Frontier) == 0 }
+func (s *Snapshot) Complete() bool { return s.Frontier.Len() == 0 }
 
 // Encode writes the snapshot to w in the versioned, checksummed format.
 func (s *Snapshot) Encode(w io.Writer) error {
-	payload, err := json.Marshal(s)
+	j := wire{Snapshot: s}
+	j.Frontier.Level, j.Frontier.IDs, j.Frontier.Split = s.Frontier.k, toBytes(s.Frontier.ids), toBytes(s.Frontier.split)
+	payload, err := json.Marshal(j)
 	if err != nil {
 		return fmt.Errorf("checkpoint: encode: %w", err)
 	}
@@ -224,27 +233,24 @@ func (s *Snapshot) Encode(w io.Writer) error {
 	return err
 }
 
-// Decode reads and fully verifies a snapshot: header shape, version,
+// Decode fully verifies the snapshot file data: header shape, version,
 // payload length, SHA-256 checksum, absence of trailing bytes, JSON
 // structure, and structural validity of the state (attribute ids in range,
-// well-formed pairs). Damaged input of any kind returns an error wrapping
-// ErrCorrupt (or ErrVersion); Decode never panics and never returns a
-// partially filled snapshot.
-func Decode(r io.Reader) (*Snapshot, error) {
-	br := bufio.NewReader(io.LimitReader(r, maxHeader+maxPayload+1))
-	header, err := br.ReadString('\n')
-	if err != nil {
-		return nil, fmt.Errorf("%w: missing header: %v", ErrCorrupt, err)
+// well-formed pairs and rows). Damaged input of any kind returns an error
+// wrapping ErrCorrupt (or ErrVersion); Decode never panics and never
+// returns a partially filled snapshot. Its allocations do not grow with
+// the frontier: each of the frontier's slices is decoded in one.
+func Decode(data []byte) (*Snapshot, error) {
+	nl := bytes.IndexByte(data, '\n')
+	if nl < 0 {
+		return nil, fmt.Errorf("%w: missing header", ErrCorrupt)
 	}
-	if len(header) > maxHeader {
+	if nl+1 > maxHeader {
 		return nil, fmt.Errorf("%w: header too long", ErrCorrupt)
 	}
-	var (
-		gotMagic string
-		version  int
-		length   int
-		sumHex   string
-	)
+	header, payload := string(data[:nl+1]), data[nl+1:]
+	var gotMagic, sumHex string
+	var version, length int
 	if n, err := fmt.Sscanf(header, "%s %d %d %s\n", &gotMagic, &version, &length, &sumHex); n != 4 || err != nil {
 		return nil, fmt.Errorf("%w: malformed header %q", ErrCorrupt, trim(header))
 	}
@@ -264,27 +270,28 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	if err != nil || len(want) != sha256.Size {
 		return nil, fmt.Errorf("%w: malformed checksum", ErrCorrupt)
 	}
-	// Copy rather than pre-allocate `length` bytes: a corrupt header can
-	// claim a huge payload, and the allocation should track the bytes that
-	// actually exist, not the claim.
-	var payloadBuf bytes.Buffer
-	if n, err := io.CopyN(&payloadBuf, br, int64(length)); err != nil {
-		return nil, fmt.Errorf("%w: payload truncated (%d of %d bytes)", ErrCorrupt, n, length)
+	if len(payload) < length {
+		return nil, fmt.Errorf("%w: payload truncated (%d of %d bytes)", ErrCorrupt, len(payload), length)
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
+	if len(payload) > length {
 		return nil, fmt.Errorf("%w: trailing bytes after payload", ErrCorrupt)
 	}
-	payload := payloadBuf.Bytes()
 	sum := sha256.Sum256(payload)
 	if !bytes.Equal(sum[:], want) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
+	// json.Unmarshal rather than a Decoder: a Decoder copies the payload
+	// into a buffer it grows by doubling, one allocation per doubling.
 	var s Snapshot
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	w := wire{Snapshot: &s}
+	if err := json.Unmarshal(payload, &w); err != nil {
 		return nil, fmt.Errorf("%w: payload: %v", ErrCorrupt, err)
 	}
+	f := &w.Frontier
+	if len(f.IDs)%2 != 0 || len(f.Split)%2 != 0 {
+		return nil, fmt.Errorf("%w: frontier has an odd byte count", ErrCorrupt)
+	}
+	s.Frontier = Rows{k: f.Level, ids: fromBytes(f.IDs), split: fromBytes(f.Split)}
 	if err := s.validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -330,9 +337,9 @@ func (s *Snapshot) validate() error {
 			return fmt.Errorf("column digest %q is not 16 lowercase hex chars", trim(d))
 		}
 	}
-	checkIDs := func(field string, ids []int) error {
+	checkIDs := func(field string, ids []attr.ID) error {
 		for _, id := range ids {
-			if id < 0 || id >= cols {
+			if id < 0 || int(id) >= cols {
 				return fmt.Errorf("%s: attribute id %d out of range [0,%d)", field, id, cols)
 			}
 		}
@@ -355,36 +362,26 @@ func (s *Snapshot) validate() error {
 			return err
 		}
 	}
-	checkPairs := func(field string, recs []PairRec, wantLevel int) error {
-		for i, p := range recs {
+	// One set serves every pair and row: each check leaves it empty.
+	var seen attr.Set
+	checkPairs := func(field string, pairs []attr.Pair) error {
+		for i, p := range pairs {
 			if len(p.X) == 0 || len(p.Y) == 0 {
 				return fmt.Errorf("%s %d: empty side", field, i)
 			}
-			if err := checkIDs(field, p.X); err != nil {
-				return err
-			}
-			if err := checkIDs(field, p.Y); err != nil {
-				return err
-			}
-			if dupOrOverlap(p.X, p.Y) {
-				return fmt.Errorf("%s %d: sides overlap or repeat attributes", field, i)
-			}
-			if wantLevel > 0 && len(p.X)+len(p.Y) != wantLevel {
-				return fmt.Errorf("%s %d: level %d, frontier is level %d", field, i, len(p.X)+len(p.Y), wantLevel)
+			if err := distinct(&seen, cols, p.X, p.Y); err != nil {
+				return fmt.Errorf("%s %d: %v", field, i, err)
 			}
 		}
 		return nil
 	}
-	if err := checkPairs("ocd", s.OCDs, 0); err != nil {
+	if err := checkPairs("ocd", s.OCDs); err != nil {
 		return err
 	}
-	if err := checkPairs("od", s.ODs, 0); err != nil {
+	if err := checkPairs("od", s.ODs); err != nil {
 		return err
 	}
-	if len(s.Frontier) > 0 && s.NextLevel < 2 {
-		return fmt.Errorf("next_level %d with a non-empty frontier, want >= 2", s.NextLevel)
-	}
-	if err := checkPairs("frontier", s.Frontier, s.NextLevel); err != nil {
+	if err := s.Frontier.validate(cols, &seen); err != nil {
 		return err
 	}
 	if s.Stats.Checks < 0 || s.Stats.Candidates < 0 || s.Stats.Levels < 0 || s.Stats.MemoryReleases < 0 {
@@ -397,26 +394,6 @@ func (s *Snapshot) validate() error {
 	// checks histogram shapes itself, and counter values never index
 	// anything in the engine.
 	return nil
-}
-
-// dupOrOverlap reports whether the two sides of a pair share an attribute
-// or repeat one within a side — either would violate the minimal-OCD shape
-// and could loop the candidate generator.
-func dupOrOverlap(x, y []int) bool {
-	seen := make(map[int]struct{}, len(x)+len(y))
-	for _, id := range x {
-		if _, dup := seen[id]; dup {
-			return true
-		}
-		seen[id] = struct{}{}
-	}
-	for _, id := range y {
-		if _, dup := seen[id]; dup {
-			return true
-		}
-		seen[id] = struct{}{}
-	}
-	return false
 }
 
 // Write atomically persists the snapshot at path: encode into a temp file
@@ -468,12 +445,18 @@ func Write(path string, s *Snapshot) error {
 // missing file (os.IsNotExist), damaged bytes (errors.Is ErrCorrupt /
 // ErrVersion) and plain I/O failures.
 func Load(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
+	st, err := os.Stat(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	s, err := Decode(f)
+	if st.Size() > maxHeader+maxPayload {
+		return nil, fmt.Errorf("load checkpoint %s: %w: %d bytes is larger than any snapshot", path, ErrCorrupt, st.Size())
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	s, err := Decode(data)
 	if err != nil {
 		return nil, fmt.Errorf("load checkpoint %s: %w", path, err)
 	}

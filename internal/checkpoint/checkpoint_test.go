@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 
+	"ocd/internal/attr"
 	"ocd/internal/obs"
 	"ocd/internal/relation"
 )
@@ -28,14 +31,13 @@ func randomSnapshot(rng *rand.Rand) *Snapshot {
 			Cols: cols,
 		},
 		DisableColumnReduction: rng.Intn(4) == 0,
-		NextLevel:              2 + rng.Intn(4),
 	}
 	s.Fingerprint.ColDigests = make([]string, cols)
 	for c := range s.Fingerprint.ColDigests {
 		s.Fingerprint.ColDigests[c] = fmt.Sprintf("%016x", rng.Uint64())
 	}
 	for c := 0; c < cols; c++ {
-		s.Universe = append(s.Universe, c)
+		s.Universe = append(s.Universe, attr.ID(c))
 	}
 	// Partition a few columns off as constants; the rest stay reduced.
 	for _, c := range s.Universe {
@@ -46,16 +48,16 @@ func randomSnapshot(rng *rand.Rand) *Snapshot {
 		}
 	}
 	if len(s.Reduced) >= 2 && rng.Intn(2) == 0 {
-		s.EquivClasses = append(s.EquivClasses, []int{s.Reduced[0], s.Reduced[1]})
+		s.EquivClasses = append(s.EquivClasses, []attr.ID{s.Reduced[0], s.Reduced[1]})
 	}
 	// randomPair picks disjoint, duplicate-free sides over the reduced set.
-	randomPair := func(level int) (PairRec, bool) {
+	randomPair := func(level int) (attr.Pair, bool) {
 		if len(s.Reduced) < level {
-			return PairRec{}, false
+			return attr.Pair{}, false
 		}
 		perm := rng.Perm(len(s.Reduced))
 		nx := 1 + rng.Intn(level-1)
-		var p PairRec
+		var p attr.Pair
 		for i := 0; i < level; i++ {
 			id := s.Reduced[perm[i]]
 			if i < nx {
@@ -76,11 +78,7 @@ func randomSnapshot(rng *rand.Rand) *Snapshot {
 			s.ODs = append(s.ODs, p)
 		}
 	}
-	for i := rng.Intn(30); i > 0; i-- {
-		if p, ok := randomPair(s.NextLevel); ok {
-			s.Frontier = append(s.Frontier, p)
-		}
-	}
+	s.Frontier = randomRows(rng, s.Reduced, 2+rng.Intn(4), 1+rng.Intn(30))
 	s.Stats = Stats{
 		Checks:         rng.Int63n(1 << 40),
 		Candidates:     rng.Int63n(1 << 30),
@@ -105,6 +103,23 @@ func randomSnapshot(rng *rand.Rand) *Snapshot {
 	return s
 }
 
+// randomRows builds up to n rows of level k over attrs, each a random
+// duplicate-free permutation prefix split at a random |X|; none when
+// attrs has fewer than k attributes.
+func randomRows(rng *rand.Rand, attrs []attr.ID, k, n int) Rows {
+	r := Rows{k: k}
+	if len(attrs) < k {
+		return r
+	}
+	for ; n > 0; n-- {
+		for _, i := range rng.Perm(len(attrs))[:k] {
+			r.ids = append(r.ids, uint16(attrs[i]))
+		}
+		r.split = append(r.split, uint16(1+rng.Intn(k-1)))
+	}
+	return r
+}
+
 // TestValidateRejectsNegativeElapsed: hostile elapsed times never load.
 func TestValidateRejectsNegativeElapsed(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -114,7 +129,7 @@ func TestValidateRejectsNegativeElapsed(t *testing.T) {
 	if err := s.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
+	if _, err := Decode(buf.Bytes()); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("negative elapsed decoded: %v", err)
 	}
 }
@@ -129,13 +144,47 @@ func TestRoundTripProperty(t *testing.T) {
 		if err := want.Encode(&buf); err != nil {
 			t.Fatalf("seed %d: encode: %v", seed, err)
 		}
-		got, err := Decode(bytes.NewReader(buf.Bytes()))
+		got, err := Decode(buf.Bytes())
 		if err != nil {
 			t.Fatalf("seed %d: decode: %v", seed, err)
 		}
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("seed %d: round trip changed the snapshot:\nwant %+v\ngot  %+v", seed, want, got)
 		}
+	}
+}
+
+// TestDecodeAllocsIndependentOfFrontier: Decode allocates as often for a
+// frontier of 100,000 pairs as for one of 1,000, since each of the
+// frontier's slices is decoded in one allocation. A sync.Pool refill (fmt
+// keeps its scan state in one) only adds allocations, so the test keeps
+// the collector, which empties pools, off and takes the least of ten
+// single runs, since the race detector makes pools drop items at random.
+func TestDecodeAllocsIndependentOfFrontier(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(pairs int) float64 {
+		rng := rand.New(rand.NewSource(5))
+		s := randomSnapshot(rng)
+		s.Frontier = randomRows(rng, s.Reduced, 3, pairs)
+		if s.Frontier.Len() != pairs {
+			t.Fatalf("snapshot has %d reduced columns, too few for level 3", len(s.Reduced))
+		}
+		var buf bytes.Buffer
+		if err := s.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		least := math.Inf(1)
+		for range 10 {
+			least = min(least, testing.AllocsPerRun(1, func() {
+				if _, err := Decode(buf.Bytes()); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		return least
+	}
+	if small, large := allocs(1000), allocs(100000); small != large {
+		t.Fatalf("Decode allocates %v times for 1,000 frontier pairs, %v for 100,000", small, large)
 	}
 }
 
@@ -150,7 +199,7 @@ func TestTornSnapshotsNeverLoad(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := Decode(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := Decode(full[:cut]); err == nil {
 			t.Fatalf("truncation at %d/%d bytes decoded successfully", cut, len(full))
 		} else if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("truncation at %d: error %v does not wrap ErrCorrupt", cut, err)
@@ -172,7 +221,7 @@ func TestBitFlipsNeverLoad(t *testing.T) {
 	for i := 0; i < len(full); i += 1 + i/16 { // sample positions, denser early
 		mut := append([]byte(nil), full...)
 		mut[i] ^= 0x20
-		got, err := Decode(bytes.NewReader(mut))
+		got, err := Decode(mut)
 		if err == nil {
 			t.Fatalf("bit flip at byte %d decoded successfully: %+v", i, got)
 		}
@@ -191,22 +240,28 @@ func TestTrailingGarbageRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf.WriteString("junk")
-	if _, err := Decode(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
+	if _, err := Decode(buf.Bytes()); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailing garbage: err = %v, want ErrCorrupt", err)
 	}
 }
 
-// TestVersionRefused: a snapshot from a future format version is refused
-// with ErrVersion, not misparsed.
+// v1Snapshot is a snapshot file of format version 1, whose frontier was a
+// JSON list of pair records; its checksum is the SHA-256 of "{}".
+const v1Snapshot = "OCDCKPT 1 2 44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a\n{}"
+
+// TestVersionRefused: snapshots of an older or a future format version are
+// refused with ErrVersion, not misparsed.
 func TestVersionRefused(t *testing.T) {
 	s := randomSnapshot(rand.New(rand.NewSource(9)))
 	var buf bytes.Buffer
 	if err := s.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	bumped := strings.Replace(buf.String(), "OCDCKPT 1 ", "OCDCKPT 2 ", 1)
-	if _, err := Decode(strings.NewReader(bumped)); !errors.Is(err, ErrVersion) {
-		t.Fatalf("future version: err = %v, want ErrVersion", err)
+	bumped := strings.Replace(buf.String(), "OCDCKPT 2 ", "OCDCKPT 3 ", 1)
+	for name, data := range map[string]string{"version 1": v1Snapshot, "version 3": bumped} {
+		if _, err := Decode([]byte(data)); !errors.Is(err, ErrVersion) {
+			t.Errorf("%s: err = %v, want ErrVersion", name, err)
+		}
 	}
 }
 
@@ -214,27 +269,46 @@ func TestVersionRefused(t *testing.T) {
 // describe dangerous states (out-of-range attribute ids, overlapping pair
 // sides, wrong frontier level) are refused by the structural validator.
 func TestValidationRejectsHostileState(t *testing.T) {
+	// base is a valid snapshot of at least 4 columns, room for every
+	// frontier case below.
 	base := func() *Snapshot {
-		s := randomSnapshot(rand.New(rand.NewSource(11)))
-		return s
+		for seed := int64(11); ; seed++ {
+			if s := randomSnapshot(rand.New(rand.NewSource(seed))); s.Fingerprint.Cols >= 4 {
+				return s
+			}
+		}
 	}
 	cases := []struct {
 		name   string
 		mutate func(*Snapshot)
+		want   string // in the error, so each case fails for its own reason
 	}{
-		{"id out of range", func(s *Snapshot) { s.Universe = append(s.Universe, s.Fingerprint.Cols) }},
-		{"negative id", func(s *Snapshot) { s.Reduced = append(s.Reduced, -1) }},
-		{"digest count mismatch", func(s *Snapshot) { s.Fingerprint.ColDigests = s.Fingerprint.ColDigests[:1] }},
-		{"non-hex digest", func(s *Snapshot) { s.Fingerprint.ColDigests[0] = "zzzzzzzzzzzzzzzz" }},
-		{"empty pair side", func(s *Snapshot) { s.OCDs = append(s.OCDs, PairRec{X: nil, Y: []int{0}}) }},
-		{"overlapping sides", func(s *Snapshot) { s.OCDs = append(s.OCDs, PairRec{X: []int{0}, Y: []int{0}}) }},
-		{"repeated attribute", func(s *Snapshot) { s.ODs = append(s.ODs, PairRec{X: []int{0, 0}, Y: []int{1}}) }},
-		{"frontier level mismatch", func(s *Snapshot) {
-			s.NextLevel = 4
-			s.Frontier = []PairRec{{X: []int{0}, Y: []int{1}}}
-		}},
-		{"tiny equivalence class", func(s *Snapshot) { s.EquivClasses = append(s.EquivClasses, []int{0}) }},
-		{"negative stats", func(s *Snapshot) { s.Stats.Checks = -1 }},
+		{"id out of range", func(s *Snapshot) { s.Universe = append(s.Universe, attr.ID(s.Fingerprint.Cols)) }, "universe: attribute id"},
+		{"negative id", func(s *Snapshot) { s.Reduced = append(s.Reduced, -1) }, "reduced: attribute id -1"},
+		{"digest count mismatch", func(s *Snapshot) { s.Fingerprint.ColDigests = s.Fingerprint.ColDigests[:1] }, "column digests"},
+		{"non-hex digest", func(s *Snapshot) { s.Fingerprint.ColDigests[0] = "zzzzzzzzzzzzzzzz" }, "not 16 lowercase hex"},
+		{"empty pair side", func(s *Snapshot) { s.OCDs = append(s.OCDs, attr.Pair{X: nil, Y: attr.List{0}}) }, "empty side"},
+		{"overlapping sides", func(s *Snapshot) { s.OCDs = append(s.OCDs, attr.Pair{X: attr.List{0}, Y: attr.List{0}}) }, "occurs twice"},
+		{"repeated attribute", func(s *Snapshot) { s.ODs = append(s.ODs, attr.Pair{X: attr.List{0, 0}, Y: attr.List{1}}) }, "occurs twice"},
+		{"tiny equivalence class", func(s *Snapshot) { s.EquivClasses = append(s.EquivClasses, []attr.ID{0}) }, "members"},
+		{"frontier level below 2", func(s *Snapshot) { s.Frontier = Rows{k: 1} }, "frontier level 1"},
+		{"frontier level above cols", func(s *Snapshot) {
+			s.Frontier = Rows{k: s.Fingerprint.Cols + 1, split: []uint16{1}}
+			for a := 0; a <= s.Fingerprint.Cols; a++ {
+				s.Frontier.ids = append(s.Frontier.ids, uint16(a))
+			}
+		}, "exceeds"},
+		{"frontier id >= cols", func(s *Snapshot) {
+			s.Frontier = Rows{k: 2, ids: []uint16{0, uint16(s.Fingerprint.Cols)}, split: []uint16{1}}
+		}, "out of range"},
+		{"frontier split 0", func(s *Snapshot) { s.Frontier = Rows{k: 2, ids: []uint16{0, 1}, split: []uint16{0}} }, "|X| = 0"},
+		{"frontier split k", func(s *Snapshot) { s.Frontier = Rows{k: 2, ids: []uint16{0, 1}, split: []uint16{2}} }, "|X| = 2"},
+		{"frontier length not k per pair", func(s *Snapshot) {
+			s.Frontier = Rows{k: 2, ids: []uint16{0, 1, 0}, split: []uint16{1}}
+		}, "3 ids for 1 pairs"},
+		{"frontier repeated id", func(s *Snapshot) { s.Frontier = Rows{k: 3, ids: []uint16{0, 1, 1}, split: []uint16{1}} }, "occurs twice"},
+		{"frontier X/Y overlap", func(s *Snapshot) { s.Frontier = Rows{k: 2, ids: []uint16{1, 1}, split: []uint16{1}} }, "occurs twice"},
+		{"negative stats", func(s *Snapshot) { s.Stats.Checks = -1 }, "negative stats"},
 	}
 	for _, tc := range cases {
 		s := base()
@@ -243,8 +317,9 @@ func TestValidationRejectsHostileState(t *testing.T) {
 		if err := s.Encode(&buf); err != nil {
 			t.Fatalf("%s: encode: %v", tc.name, err)
 		}
-		if _, err := Decode(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: err = %v, want ErrCorrupt", tc.name, err)
+		_, err := Decode(buf.Bytes())
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want ErrCorrupt naming %q", tc.name, err, tc.want)
 		}
 	}
 }
@@ -338,7 +413,7 @@ func TestCompleteFlag(t *testing.T) {
 	if !s.Complete() {
 		t.Error("empty frontier should be complete")
 	}
-	s.Frontier = []PairRec{{X: []int{0}, Y: []int{1}}}
+	s.Frontier = Rows{k: 2, ids: []uint16{0, 1}, split: []uint16{1}}
 	if s.Complete() {
 		t.Error("non-empty frontier should not be complete")
 	}

@@ -24,12 +24,13 @@ func FuzzCheckpointDecode(f *testing.F) {
 		f.Add(full[:len(full)/2])
 		f.Add(append(append([]byte(nil), full...), full...))
 	}
-	f.Add([]byte("OCDCKPT 1 2 0000000000000000000000000000000000000000000000000000000000000000\n{}"))
+	f.Add([]byte("OCDCKPT 2 2 0000000000000000000000000000000000000000000000000000000000000000\n{}"))
+	f.Add([]byte(v1Snapshot))
 	f.Add([]byte("OCDCKPT 99 0 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855\n"))
 	f.Add([]byte("not a checkpoint at all"))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Decode(bytes.NewReader(data))
+		s, err := Decode(data)
 		if err != nil {
 			return // rejecting hostile bytes is the job; panicking is the bug
 		}
@@ -37,7 +38,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 		if err := s.Encode(&buf); err != nil {
 			t.Fatalf("decoded snapshot failed to re-encode: %v", err)
 		}
-		s2, err := Decode(bytes.NewReader(buf.Bytes()))
+		s2, err := Decode(buf.Bytes())
 		if err != nil {
 			t.Fatalf("re-encoded snapshot failed to decode: %v", err)
 		}

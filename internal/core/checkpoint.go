@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"ocd/internal/attr"
 	"ocd/internal/checkpoint"
-	"ocd/internal/obs"
 )
 
 // This file is the bridge between the BFS traversal and the durable
@@ -26,92 +26,57 @@ type barrier struct {
 	// valid is set by the first noteBarrier call; until then there is no
 	// consistent cut to persist (a stop during column reduction can leave
 	// degraded reduction output that must never be baked into a snapshot).
-	valid      bool
-	frontier   level
-	levelNo    int
-	nOCD, nOD  int
-	candidates int64
-	levels     int
-	memRel     int
-	checks     int64
-	// elapsedNS is the cumulative wall-clock time at the barrier,
-	// including a resumed run's prior elapsed time.
-	elapsedNS int64
-	// metrics is the registry snapshot at the barrier (nil when no
-	// registry is attached). Captured here — with no workers running —
-	// rather than at write time, so a snapshot written after a truncated
-	// level never leaks that level's partial counter increments.
-	metrics *obs.Snapshot
+	valid     bool
+	nOCD, nOD int
+	// snap holds the cut's frontier, counters, cumulative elapsed time and
+	// registry snapshot; snapshotAtBarrier adds the rest. The metrics are
+	// captured here — with no workers running — rather than at write time,
+	// so a snapshot written after a truncated level never leaks that
+	// level's partial counter increments.
+	snap checkpoint.Snapshot
 }
 
 // noteBarrier records the current state as the latest consistent cut.
 // Called with the frontier that is about to be processed (or the empty
 // final frontier), after the preceding level fully completed.
-func (d *discoverer) noteBarrier(lv *level, levelNo int, res *Result) {
+func (d *discoverer) noteBarrier(lv *level, res *Result) {
 	d.ro.syncTotals(d, res)
 	d.barrier = barrier{
-		valid:      true,
-		frontier:   *lv,
-		levelNo:    levelNo,
-		nOCD:       len(res.OCDs),
-		nOD:        len(res.ODs),
-		candidates: res.Stats.Candidates,
-		levels:     res.Stats.Levels,
-		memRel:     res.Stats.MemoryReleases,
-		checks:     d.checksBase + d.chk.Checks(),
-		elapsedNS:  int64(d.priorElapsed + time.Since(d.start)),
-		metrics:    d.ro.barrierMetrics(),
-	}
-}
-
-// snapshotAtBarrier materializes the latest barrier as a Snapshot.
-func (d *discoverer) snapshotAtBarrier(res *Result) *checkpoint.Snapshot {
-	b := &d.barrier
-	s := &checkpoint.Snapshot{
-		Fingerprint:            d.fingerprint(),
-		DisableColumnReduction: d.opts.DisableColumnReduction,
-		Universe:               idsToInts(d.universe),
-		Reduced:                idsToInts(d.reduced),
-		Constants:              idsToInts(res.Constants),
-		NextLevel:              b.levelNo,
-		ElapsedNanos:           b.elapsedNS,
-		Metrics:                b.metrics,
-		Stats: checkpoint.Stats{
-			Checks:         b.checks,
-			Candidates:     b.candidates,
-			Levels:         b.levels,
-			MemoryReleases: b.memRel,
+		valid: true,
+		nOCD:  len(res.OCDs),
+		nOD:   len(res.ODs),
+		snap: checkpoint.Snapshot{
+			Frontier: lv.Rows,
+			Stats: checkpoint.Stats{
+				Checks:         d.checksBase + d.chk.Checks(),
+				Candidates:     res.Stats.Candidates,
+				Levels:         res.Stats.Levels,
+				MemoryReleases: res.Stats.MemoryReleases,
+			},
+			ElapsedNanos: int64(d.priorElapsed + time.Since(d.start)),
+			Metrics:      d.ro.barrierMetrics(),
 		},
 	}
-	for _, class := range res.EquivClasses {
-		s.EquivClasses = append(s.EquivClasses, idsToInts(class))
-	}
-	for _, ocd := range res.OCDs[:b.nOCD] {
-		s.OCDs = append(s.OCDs, pairRec(ocd.X, ocd.Y))
-	}
-	for _, od := range res.ODs[:b.nOD] {
-		s.ODs = append(s.ODs, pairRec(od.X, od.Y))
-	}
-	s.Frontier = frontierRecs(&b.frontier)
-	return s
 }
 
-// frontierRecs converts lv's rows to records whose sides share one
-// backing array, so a level of millions of pairs costs two allocations.
-func frontierRecs(lv *level) []checkpoint.PairRec {
-	if lv.len() == 0 {
-		return nil
+// snapshotAtBarrier materializes the latest barrier as a Snapshot. The
+// snapshot shares the run's slices, so it allocates nothing per pair; it
+// is encoded at once, while no worker runs.
+func (d *discoverer) snapshotAtBarrier(res *Result) *checkpoint.Snapshot {
+	s := d.barrier.snap
+	s.Fingerprint = d.fingerprint()
+	s.DisableColumnReduction = d.opts.DisableColumnReduction
+	s.Universe, s.Reduced = d.universe, d.reduced
+	s.Constants, s.EquivClasses = res.Constants, res.EquivClasses
+	s.OCDs = make([]attr.Pair, d.barrier.nOCD)
+	for i, ocd := range res.OCDs[:d.barrier.nOCD] {
+		s.OCDs[i] = attr.Pair(ocd)
 	}
-	ints := make([]int, len(lv.ids))
-	for i, a := range lv.ids {
-		ints[i] = int(a)
+	s.ODs = make([]attr.Pair, d.barrier.nOD)
+	for i, od := range res.ODs[:d.barrier.nOD] {
+		s.ODs[i] = attr.Pair(od)
 	}
-	recs := make([]checkpoint.PairRec, lv.len())
-	for i := range recs {
-		o, s := lv.k*i, int(lv.split[i])
-		recs[i] = checkpoint.PairRec{X: ints[o : o+s : o+s], Y: ints[o+s : o+lv.k : o+lv.k]}
-	}
-	return recs
+	return &s
 }
 
 // fingerprint computes (once) the dataset fingerprint of the run's input.
@@ -140,19 +105,20 @@ func (d *discoverer) writeCheckpoint(res *Result) {
 
 // restoreFromSnapshot rebuilds the traversal state from a verified
 // snapshot: reduction outputs, validated dependencies, stats baseline and
-// the frontier. Returns the frontier and its level number.
-func (d *discoverer) restoreFromSnapshot(s *checkpoint.Snapshot, res *Result) (level, int) {
-	d.universe = intsToIDs(s.Universe)
-	d.reduced = intsToIDs(s.Reduced)
-	res.Constants = intsToIDs(s.Constants)
-	for _, class := range s.EquivClasses {
-		res.EquivClasses = append(res.EquivClasses, intsToIDs(class))
-	}
+// the frontier, which it returns.
+func (d *discoverer) restoreFromSnapshot(s *checkpoint.Snapshot, res *Result) level {
+	// The run copies the slices it modifies in place (sortResult sorts
+	// Constants, the level loop reuses its buffers) and shares the
+	// attribute lists, which nothing modifies.
+	d.universe, d.reduced = s.Universe, s.Reduced
+	res.Constants, res.EquivClasses = slices.Clone(s.Constants), slices.Clone(s.EquivClasses)
+	res.OCDs = slices.Grow(res.OCDs, len(s.OCDs))
 	for _, p := range s.OCDs {
-		res.OCDs = append(res.OCDs, OCD{X: intsToIDs(p.X), Y: intsToIDs(p.Y)})
+		res.OCDs = append(res.OCDs, OCD(p))
 	}
+	res.ODs = slices.Grow(res.ODs, len(s.ODs))
 	for _, p := range s.ODs {
-		res.ODs = append(res.ODs, OD{X: intsToIDs(p.X), Y: intsToIDs(p.Y)})
+		res.ODs = append(res.ODs, OD(p))
 	}
 	d.checksBase = s.Stats.Checks
 	res.Stats.Candidates = s.Stats.Candidates
@@ -171,15 +137,10 @@ func (d *discoverer) restoreFromSnapshot(s *checkpoint.Snapshot, res *Result) (l
 	if s.Metrics != nil {
 		d.opts.Metrics.Restore(*s.Metrics)
 	}
-	levelNo := max(2, s.NextLevel)
-	// Snapshot validation bounds every frontier id by the relation's width
-	// and gives every frontier pair the level NextLevel.
 	var lv level
-	lv.reset(levelNo)
-	for _, p := range s.Frontier {
-		lv.appendPair(p.X, p.Y)
-	}
-	return lv, levelNo
+	lv.Reset(s.Frontier.K())
+	lv.AppendRows(&s.Frontier, 0, s.Frontier.Len())
+	return lv
 }
 
 // verifyResume checks that the snapshot belongs to this relation instance
@@ -194,16 +155,9 @@ func (d *discoverer) verifyResume(s *checkpoint.Snapshot) error {
 		return fmt.Errorf("%w: snapshot was taken with column reduction %s, this run has it %s",
 			checkpoint.ErrMismatch, onOff(!s.DisableColumnReduction), onOff(!d.opts.DisableColumnReduction))
 	}
-	want := intsToIDs(s.Universe)
-	if len(want) != len(d.universe) {
-		return fmt.Errorf("%w: snapshot covers %d columns, this run requests %d — resume with the original column selection",
-			checkpoint.ErrMismatch, len(want), len(d.universe))
-	}
-	for i, a := range want {
-		if d.universe[i] != a {
-			return fmt.Errorf("%w: snapshot column set differs at position %d — resume with the original column selection",
-				checkpoint.ErrMismatch, i)
-		}
+	if !slices.Equal(s.Universe, d.universe) {
+		return fmt.Errorf("%w: snapshot covers another column selection (%d columns, this run %d) — resume with the original one",
+			checkpoint.ErrMismatch, len(s.Universe), len(d.universe))
 	}
 	return nil
 }
@@ -213,30 +167,4 @@ func onOff(b bool) string {
 		return "on"
 	}
 	return "off"
-}
-
-func idsToInts(ids []attr.ID) []int {
-	if ids == nil {
-		return nil
-	}
-	out := make([]int, len(ids))
-	for i, a := range ids {
-		out[i] = int(a)
-	}
-	return out
-}
-
-func intsToIDs(ints []int) []attr.ID {
-	if ints == nil {
-		return nil
-	}
-	out := make([]attr.ID, len(ints))
-	for i, v := range ints {
-		out[i] = attr.ID(v)
-	}
-	return out
-}
-
-func pairRec(x, y attr.List) checkpoint.PairRec {
-	return checkpoint.PairRec{X: idsToInts(x), Y: idsToInts(y)}
 }

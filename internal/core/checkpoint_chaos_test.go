@@ -47,8 +47,8 @@ func TestResumeAfterWorkerPanicMatchesFresh(t *testing.T) {
 	if lerr != nil {
 		t.Fatalf("Load: %v", lerr)
 	}
-	if snap.NextLevel != 3 {
-		t.Fatalf("snapshot NextLevel = %d, want 3 (barrier after the initial level)", snap.NextLevel)
+	if snap.Frontier.K() != 3 {
+		t.Fatalf("snapshot frontier level = %d, want 3 (barrier after the initial level)", snap.Frontier.K())
 	}
 	resumed, rerr := DiscoverContext(context.Background(), r, Options{Workers: 4, Resume: snap})
 	if rerr != nil {

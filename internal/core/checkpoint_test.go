@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"testing"
 
 	"ocd/internal/attr"
@@ -83,8 +82,11 @@ func TestResumeAfterLevelCapMatchesFresh(t *testing.T) {
 			t.Fatalf("MaxLevel %d: truncated run's snapshot claims completion", maxLevel)
 		}
 		reversed := *snap
-		reversed.Frontier = slices.Clone(snap.Frontier)
-		slices.Reverse(reversed.Frontier)
+		reversed.Frontier = checkpoint.Rows{}
+		reversed.Frontier.Reset(snap.Frontier.K())
+		for i := snap.Frontier.Len() - 1; i >= 0; i-- {
+			reversed.Frontier.AppendRows(&snap.Frontier, i, i+1)
+		}
 		for _, s := range []*checkpoint.Snapshot{snap, &reversed} {
 			resumed, err := DiscoverContext(context.Background(), r, Options{Workers: 2, Resume: s})
 			if err != nil {
@@ -135,7 +137,7 @@ func TestResumeOfCompleteRun(t *testing.T) {
 
 	snap := loadSnapshot(t, ckpt)
 	if !snap.Complete() {
-		t.Fatalf("final snapshot of a complete run has frontier %d", len(snap.Frontier))
+		t.Fatalf("final snapshot of a complete run has frontier %d", snap.Frontier.Len())
 	}
 	resumed, err := DiscoverContext(context.Background(), r, Options{Resume: snap})
 	if err != nil {
@@ -236,5 +238,32 @@ func TestNoSnapshotBeforeFirstBarrier(t *testing.T) {
 	}
 	if _, statErr := os.Stat(ckpt); !os.IsNotExist(statErr) {
 		t.Errorf("pre-cancelled run left a snapshot on disk (stat err: %v)", statErr)
+	}
+}
+
+// TestSnapshotAllocsIndependentOfFrontier: a barrier becomes a snapshot,
+// and a snapshot a level, in as many allocations for a frontier of 100,000
+// pairs as for one of 1,000: the frontier's rows are shared or copied
+// whole, never converted pair by pair.
+func TestSnapshotAllocsIndependentOfFrontier(t *testing.T) {
+	r := correlatedRelation(t, 40)
+	allocs := func(pairs int) (snap, restore float64) {
+		d := newDiscoverer(r, Options{Workers: 1})
+		var lv level
+		lv.Reset(3)
+		for i := 0; i < pairs; i++ {
+			lv.AppendRight([]uint16{0, 1}, 1, 2)
+		}
+		d.noteBarrier(&lv, d.res)
+		s := d.snapshotAtBarrier(d.res) // computes the fingerprint once
+		snap = testing.AllocsPerRun(3, func() { d.snapshotAtBarrier(d.res) })
+		restore = testing.AllocsPerRun(3, func() { d.restoreFromSnapshot(s, &Result{}) })
+		return snap, restore
+	}
+	snapSmall, restoreSmall := allocs(1000)
+	snapLarge, restoreLarge := allocs(100000)
+	if snapSmall != snapLarge || restoreSmall != restoreLarge {
+		t.Fatalf("allocations for 1,000 / 100,000 frontier pairs: snapshot %v / %v, restore %v / %v",
+			snapSmall, snapLarge, restoreSmall, restoreLarge)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"runtime"
 	"runtime/debug"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -47,7 +46,7 @@ func Discover(r *relation.Relation, opts Options) *Result {
 // partial-results-under-threshold reporting (Table 6). A relation wider
 // than 65,535 columns fails at once with a *WidthError and an empty Result.
 func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) (res *Result, err error) {
-	if r.NumCols() > maxWidth {
+	if r.NumCols() > checkpoint.MaxWidth {
 		return &Result{RelationName: r.Name}, &WidthError{Columns: r.NumCols()}
 	}
 	d := newDiscoverer(r, opts)
@@ -303,10 +302,9 @@ func (d *discoverer) run(ctx context.Context) (*Result, error) {
 	// lv is the level being processed; the next one is built in spare, and
 	// the two swap at each barrier, so their buffers serve every level.
 	var lv, spare level
-	levelNo := 2
 	if d.opts.Resume != nil {
 		// ---- Resume: rebuild state from the verified snapshot ----
-		lv, levelNo = d.restoreFromSnapshot(d.opts.Resume, res)
+		lv = d.restoreFromSnapshot(d.opts.Resume, res)
 	} else {
 		// ---- Column reduction (Section 4.1) ----
 		if d.opts.DisableColumnReduction {
@@ -330,7 +328,7 @@ func (d *discoverer) run(ctx context.Context) (*Result, error) {
 		// the twin of one, so no candidate is the mirror or the global flip
 		// of another. Without twins, Twin is the identity and every pair
 		// stays.
-		lv.reset(2)
+		lv.Reset(2)
 		for i, x := range d.reduced {
 			if d.r.Twin(x) < x {
 				continue
@@ -339,11 +337,11 @@ func (d *discoverer) run(ctx context.Context) (*Result, error) {
 				if t := d.r.Twin(y); t < y && t <= x {
 					continue
 				}
-				lv.appendPair([]int{int(x)}, []int{int(y)})
+				lv.AppendRight([]uint16{uint16(x)}, 1, uint16(y))
 			}
 		}
-		res.Stats.Candidates = int64(lv.len())
-		d.generated.Store(int64(lv.len()))
+		res.Stats.Candidates = int64(lv.Len())
+		d.generated.Store(int64(lv.Len()))
 	}
 	// The initial frontier is itself a consistent cut — a run killed during
 	// its first level resumes from here rather than re-running reduction.
@@ -351,13 +349,13 @@ func (d *discoverer) run(ctx context.Context) (*Result, error) {
 	// aborted mid-sort then, leaving degraded reduction output that must not
 	// become durable, so the barrier stays invalid and nothing is snapshotted.
 	if d.reason() == TruncateNone || d.opts.Resume != nil {
-		d.noteBarrier(&lv, levelNo, res)
+		d.noteBarrier(&lv, res)
 	}
 
 	// ---- Main BFS loop (Algorithm 1, lines 5–14) ----
 	var errs []error
-	for lv.len() > 0 {
-		if d.opts.MaxLevel > 0 && levelNo > d.opts.MaxLevel {
+	for lv.Len() > 0 {
+		if d.opts.MaxLevel > 0 && lv.K() > d.opts.MaxLevel {
 			res.truncate(TruncateMaxLevel)
 			break
 		}
@@ -374,11 +372,11 @@ func (d *discoverer) run(ctx context.Context) (*Result, error) {
 			break
 		}
 		faultinject.Point("core.level.start")
-		d.ro.levelStart(d, res, levelNo, lv.len())
+		d.ro.levelStart(d, res, lv.K(), lv.Len())
 		complete, lerr := d.processLevel(&lv, d.reduced, res, &spare)
 		res.Stats.Levels++
-		res.Stats.Candidates += int64(spare.len())
-		d.ro.levelEnd(d, res, spare.len())
+		res.Stats.Candidates += int64(spare.Len())
+		d.ro.levelEnd(d, res, spare.Len())
 		if lerr != nil {
 			errs = append(errs, lerr)
 			res.truncate(TruncateWorkerPanic)
@@ -404,12 +402,11 @@ func (d *discoverer) run(ctx context.Context) (*Result, error) {
 			break
 		}
 		lv, spare = spare, lv
-		levelNo++
 		// Only a fully completed level advances the durable barrier; the
 		// final writeCheckpoint below persists the previous barrier
 		// otherwise, and resume re-runs the interrupted level from scratch.
-		d.noteBarrier(&lv, levelNo, res)
-		if lv.len() > 0 {
+		d.noteBarrier(&lv, res)
+		if lv.Len() > 0 {
 			d.writeCheckpoint(res)
 		}
 	}
@@ -448,15 +445,15 @@ func (d *discoverer) run(ctx context.Context) (*Result, error) {
 // next level lists each chunk's output in chunk order: the generation
 // order of a single worker, whatever the worker count.
 func (d *discoverer) processLevel(lv *level, reduced []attr.ID, res *Result, next *level) (bool, error) {
-	size := max(1, min(maxChunk, lv.len()/(8*d.workers)))
-	chunks := make([]chunkOut, (lv.len()+size-1)/size)
+	size := max(1, min(maxChunk, lv.Len()/(8*d.workers)))
+	chunks := make([]chunkOut, (lv.Len()+size-1)/size)
 	var cursor atomic.Int64
 	// The previous level's outputs were copied out; reuse their buffers.
 	outs := d.outs
 	for i := range outs {
 		o := &outs[i]
 		o.ocds, o.ods = o.ocds[:0], o.ods[:0]
-		o.next.reset(lv.k + 1)
+		o.next.Reset(lv.K() + 1)
 		o.lefts, o.rights, o.dup = o.lefts[:0], o.rights[:0], o.dup[:0]
 		o.current, o.err, o.stopped = -1, nil, false
 	}
@@ -465,7 +462,7 @@ func (d *discoverer) processLevel(lv *level, reduced []attr.ID, res *Result, nex
 		out := &outs[w]
 		d.runWorker(w, lv, size, &cursor, chunks, reduced, out)
 		d.handles[w].Flush()
-		out.dup = append(out.dup, make([]bool, out.next.len())...)
+		out.dup = append(out.dup, make([]bool, out.next.Len())...)
 		d.ro.workerEnd(sp, t0, out)
 	})
 	// A child (X·a, Y·b) has two parents, (X, Y·b) and (X·a, Y), and both
@@ -483,7 +480,7 @@ func (d *discoverer) processLevel(lv *level, reduced []attr.ID, res *Result, nex
 	total := 0
 	complete := true
 	for i := range outs {
-		total += outs[i].next.len() - dups[i]
+		total += outs[i].next.Len() - dups[i]
 		res.OCDs = append(res.OCDs, outs[i].ocds...)
 		res.ODs = append(res.ODs, outs[i].ods...)
 		if outs[i].err != nil {
@@ -493,9 +490,8 @@ func (d *discoverer) processLevel(lv *level, reduced []attr.ID, res *Result, nex
 			complete = false
 		}
 	}
-	next.reset(lv.k + 1)
-	next.ids = slices.Grow(next.ids, total*next.k)
-	next.split = slices.Grow(next.split, total)
+	next.Reset(lv.K() + 1)
+	next.Grow(total)
 	for _, c := range chunks {
 		out := &outs[c.w]
 		for k := c.from; k < c.to; {
@@ -507,7 +503,7 @@ func (d *discoverer) processLevel(lv *level, reduced []attr.ID, res *Result, nex
 			for run < c.to && !out.dup[run] {
 				run++
 			}
-			next.appendRows(&out.next, k, run)
+			next.AppendRows(&out.next.Rows, k, run)
 			k = run
 		}
 	}
@@ -570,7 +566,7 @@ func leftIndex(outs []workerOut) map[string]attr.Set {
 			}
 			key = next.grandparent(key[:0], r.from)
 			s := idx[string(key)]
-			s.Add(attr.ID(next.last(r.from)))
+			s.Add(attr.ID(next.Last(r.from)))
 			idx[string(key)] = s
 		}
 	}
@@ -591,7 +587,7 @@ func markDuplicates(out *workerOut, idx map[string]attr.Set) int {
 			continue
 		}
 		for k := r.from; k < r.to; k++ {
-			if bs.Has(attr.ID(next.last(k))) {
+			if bs.Has(attr.ID(next.Last(k))) {
 				out.dup[k] = true
 				n++
 			}
@@ -625,23 +621,23 @@ func (d *discoverer) processChunks(w int, lv *level, size int, cursor *atomic.In
 	h := d.handles[w]
 	for {
 		from := int(cursor.Add(int64(size))) - size
-		if from >= lv.len() {
+		if from >= lv.Len() {
 			return
 		}
 		c := &chunks[from/size]
-		*c = chunkOut{w: w, from: out.next.len(), to: out.next.len()}
-		for i := from; i < min(from+size, lv.len()); i++ {
+		*c = chunkOut{w: w, from: out.next.Len(), to: out.next.Len()}
+		for i := from; i < min(from+size, lv.Len()); i++ {
 			if d.reason() != TruncateNone || d.overBudget() {
 				out.stopped = true
 				return
 			}
 			out.current = i
 			faultinject.Point("core.worker.candidate")
-			row, s := lv.row(i)
+			row, s := lv.Row(i)
 			d.processCandidate(h, row, s, reduced, out)
-			if n := out.next.len() - c.to; n > 0 {
+			if n := out.next.Len() - c.to; n > 0 {
 				d.generated.Add(int64(n))
-				c.to = out.next.len()
+				c.to = out.next.Len()
 			}
 			d.ro.candidateDone(d)
 		}
@@ -697,12 +693,12 @@ func (d *discoverer) processCandidate(h *order.Handle, row []uint16, s int, redu
 	if odXY {
 		out.ods = append(out.ods, OD{X: ocd.X, Y: ocd.Y})
 	} else if !d.hardStop.Load() {
-		from := next.len()
+		from := next.Len()
 		for _, a := range free {
-			next.appendLeft(row, s, a)
+			next.AppendLeft(row, s, a)
 		}
 		if len(y) >= 2 && len(free) > 0 {
-			out.lefts = append(out.lefts, span{from, next.len()})
+			out.lefts = append(out.lefts, span{from, next.Len()})
 		}
 	}
 
@@ -713,12 +709,12 @@ func (d *discoverer) processCandidate(h *order.Handle, row []uint16, s int, redu
 	if odYX {
 		out.ods = append(out.ods, OD{X: ocd.Y, Y: ocd.X})
 	} else if !d.hardStop.Load() {
-		from := next.len()
+		from := next.Len()
 		for _, a := range free {
-			next.appendRight(row, s, a)
+			next.AppendRight(row, s, a)
 		}
 		if len(x) >= 2 && len(free) > 0 {
-			out.rights = append(out.rights, span{from, next.len()})
+			out.rights = append(out.rights, span{from, next.Len()})
 		}
 	}
 }

@@ -253,7 +253,7 @@ func (ro *runObs) workerEnd(sp *obs.Span, t0 time.Time, out *workerOut) {
 	if sp != nil {
 		sp.SetAttr("ocds", int64(len(out.ocds)))
 		sp.SetAttr("ods", int64(len(out.ods)))
-		sp.SetAttr("generated", int64(out.next.len()))
+		sp.SetAttr("generated", int64(out.next.Len()))
 		sp.End()
 	}
 }

@@ -291,5 +291,5 @@ type WidthError struct {
 
 // Error names the width and the limit.
 func (e *WidthError) Error() string {
-	return fmt.Sprintf("ocd: relation has %d columns, at most %d are supported", e.Columns, maxWidth)
+	return fmt.Sprintf("ocd: relation has %d columns, at most %d are supported", e.Columns, checkpoint.MaxWidth)
 }

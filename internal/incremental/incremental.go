@@ -16,6 +16,7 @@
 package incremental
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
@@ -77,7 +78,9 @@ func New(name string, colNames []string, rows [][]string, relOpts relation.Optio
 	if err := m.rebuild(); err != nil {
 		return nil, err
 	}
-	m.rediscover()
+	if _, err := m.rediscover(); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
@@ -91,14 +94,18 @@ func (m *Maintainer) rebuild() error {
 }
 
 // rediscover replaces the tracked set with a fresh discovery and returns
-// the checks it used.
-func (m *Maintainer) rediscover() int64 {
-	res := core.Discover(m.rel, m.discOpts)
+// the checks it used, or core's error (a *core.WidthError, a recovered
+// panic) with the set untouched.
+func (m *Maintainer) rediscover() (int64, error) {
+	res, err := core.DiscoverContext(context.Background(), m.rel, m.discOpts)
+	if err != nil {
+		return 0, err
+	}
 	m.ocds = res.OCDs
 	m.ods = res.ODs
 	m.constants = res.Constants
 	m.classes = res.EquivClasses
-	return res.Stats.Checks
+	return res.Stats.Checks, nil
 }
 
 // NumRows returns the current row count.
@@ -196,7 +203,11 @@ func (m *Maintainer) AppendRows(rows [][]string) (*Report, error) {
 	if len(rep.DiedOCDs)+len(rep.DiedODs)+len(rep.BrokenConstants)+len(rep.BrokenClasses) > 0 ||
 		!slices.Equal(kinds, m.rel.Kinds) {
 		rep.Rediscovered = true
-		rep.Checks += m.rediscover()
+		checks, err := m.rediscover()
+		if err != nil {
+			return nil, err
+		}
+		rep.Checks += checks
 	}
 	m.revalidations += rep.Checks
 	return rep, nil
@@ -220,13 +231,13 @@ func (m *Maintainer) AddColumn(name string, values []string) error {
 	if err := m.rebuild(); err != nil {
 		return err
 	}
-	m.rediscover()
-	return nil
+	_, err := m.rediscover()
+	return err
 }
 
 // RediscoveryCost estimates what a full discovery would cost right now
 // (candidate checks), for comparing against Revalidations in reports.
-func (m *Maintainer) RediscoveryCost() int64 {
-	res := core.Discover(m.rel, m.discOpts)
-	return res.Stats.Checks
+func (m *Maintainer) RediscoveryCost() (int64, error) {
+	res, err := core.DiscoverContext(context.Background(), m.rel, m.discOpts)
+	return res.Stats.Checks, err
 }

@@ -1,6 +1,7 @@
 package incremental
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"strconv"
@@ -200,7 +201,11 @@ func TestMaintenanceCheaperThanRediscovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full := m.RediscoveryCost(); rep.Checks >= full {
+	full, err := m.RediscoveryCost()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Checks >= full {
 		t.Errorf("maintenance used %d checks, rediscovery %d — no saving", rep.Checks, full)
 	}
 }
@@ -223,8 +228,26 @@ func TestRevalidationsAccumulate(t *testing.T) {
 	if m.Revalidations() <= first {
 		t.Error("revalidations should accumulate")
 	}
-	if m.RediscoveryCost() <= 0 {
-		t.Error("rediscovery cost should be positive")
+	if full, err := m.RediscoveryCost(); err != nil || full <= 0 {
+		t.Errorf("rediscovery cost = %d, %v, want positive", full, err)
+	}
+}
+
+// TestNewTooWideRelation: a relation wider than core's 16-bit attribute
+// ids fails New with core's *WidthError instead of tracking an empty
+// result.
+func TestNewTooWideRelation(t *testing.T) {
+	const cols = 1 << 16
+	names := make([]string, cols)
+	rows := [][]string{make([]string, cols), make([]string, cols)}
+	for j := range names {
+		names[j] = "c" + strconv.Itoa(j)
+		rows[0][j], rows[1][j] = "0", strconv.Itoa(j%2)
+	}
+	_, err := New("wide", names, rows, relation.Options{}, core.Options{Workers: 1})
+	var we *core.WidthError
+	if !errors.As(err, &we) || we.Columns != cols {
+		t.Fatalf("err = %v, want a *core.WidthError for %d columns", err, cols)
 	}
 }
 

@@ -81,6 +81,10 @@ const (
 	// KindCheckpointCorrupt: the snapshot file is torn or damaged.
 	// Terminal immediately.
 	KindCheckpointCorrupt = "checkpoint-corrupt"
+	// KindCheckpointVersion: the snapshot was written in another format
+	// version, say by an older build. Terminal immediately; deleting the
+	// job and resubmitting it runs from scratch.
+	KindCheckpointVersion = "checkpoint-version"
 	// KindInput: the dataset or options are unusable (CSV parse error,
 	// unknown column, …). Terminal — deterministic, retries cannot help.
 	KindInput = "input"

@@ -784,6 +784,10 @@ func (m *Manager) finishAttempt(j *Job, out attemptOutcome) {
 		m.failJob(j, now, KindCheckpointCorrupt, out.err.Error(), "")
 		m.cfg.Logger.Error("checkpoint corrupt", "job_id", j.id, "name", name, "error", out.err)
 
+	case errors.Is(out.err, ocd.ErrCheckpointVersion):
+		m.failJob(j, now, KindCheckpointVersion, out.err.Error(), "")
+		m.cfg.Logger.Error("checkpoint version unsupported", "job_id", j.id, "name", name, "error", out.err)
+
 	case cause == causeDrain && ctxErr:
 		// Graceful drain: the engine already wrote a stop snapshot; requeue
 		// without charging the attempt budget so a drain loop can never

@@ -596,3 +596,36 @@ func TestListDeterministicOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointVersionFailsTyped: a queued job whose snapshot was written
+// in format version 1 fails at once with the typed checkpoint-version
+// kind, not as an input error, and is not retried.
+func TestCheckpointVersionFailsTyped(t *testing.T) {
+	root := t.TempDir()
+	dir := crashedJobDir(t, root, "jvers00", "oldformat", testCSV(60), 0, false)
+	v1 := "OCDCKPT 1 2 44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a\n{}"
+	if err := os.WriteFile(snapshotPath(dir), []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	man, err := readManifest(manifestPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	man.State = StateQueued
+	if err := writeJSONAtomic(manifestPath(dir), man); err != nil {
+		t.Fatal(err)
+	}
+
+	m := newTestManager(t, Config{Dir: root, MaxActive: 1, MaxAttempts: 3})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	m.Start(ctx)
+
+	doc := waitState(t, m, "jvers00", StateFailed)
+	if doc.ErrorKind != KindCheckpointVersion {
+		t.Fatalf("error kind = %q, want %q (error: %s)", doc.ErrorKind, KindCheckpointVersion, doc.Error)
+	}
+	if doc.Attempts != 1 {
+		t.Fatalf("attempts = %d, want 1 — an unsupported version must not be retried", doc.Attempts)
+	}
+}

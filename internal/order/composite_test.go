@@ -51,8 +51,9 @@ func checkAgainstBruteForce(h *Handle, r *relation.Relation, x, y attr.List) str
 // compositeRelation draws up to 80 rows over 2–5 columns with NULLs, each
 // column over a domain of 2, 5, about the row count, or 1,000 values, so
 // one-step extensions fall on both sides of 2·rows+compositeSlack. Every
-// third relation is a HeadRows, SelectRows or SampleFraction slice, whose
-// codes stay sparse in its parent's code space.
+// third relation is a HeadRows slice or a SelectRows slice over a random
+// row set of random density, whose codes stay sparse in its parent's code
+// space.
 func compositeRelation(rng *rand.Rand) *relation.Relation {
 	cols, rows := 2+rng.Intn(4), rng.Intn(81)
 	names := make([]string, cols)
@@ -77,16 +78,15 @@ func compositeRelation(rng *rand.Rand) *relation.Relation {
 	switch rng.Intn(9) {
 	case 0:
 		return r.HeadRows(rng.Intn(rows + 1))
-	case 1:
+	case 1, 2:
+		keep := rng.Float64()
 		var pick []int
 		for i := 0; i < rows; i++ {
-			if rng.Intn(3) == 0 {
+			if rng.Float64() < keep {
 				pick = append(pick, i)
 			}
 		}
 		return r.SelectRows(pick)
-	case 2:
-		return r.SampleFraction(rng.Float64(), rng.Int63())
 	}
 	return r
 }

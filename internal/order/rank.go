@@ -95,10 +95,10 @@ func (h *Handle) lookup(x attr.List, key []byte, comp *[]int32) (rankVec, bool) 
 
 // column returns the rank vector of a list of at most one attribute,
 // resolved once per checker. A column ranks by its codes, without a copy.
-// Row slices (HeadRows, SelectRows, SampleFraction) keep their parent's
-// code space, where a sample's codes can be sparse; anything sized by the
-// domain would then cost the parent's domain on every check, so such a
-// column is remapped to dense codes once. The empty list ranks every row 0.
+// Row slices (HeadRows, SelectRows) keep their parent's code space,
+// where a sample's codes can be sparse; anything sized by the domain
+// would then cost the parent's domain on every check, so such a column
+// is remapped to dense codes once. The empty list ranks every row 0.
 func (c *Checker) column(x attr.List) rankVec {
 	slot := len(c.cols) - 1
 	if len(x) == 1 {

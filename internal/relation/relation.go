@@ -476,37 +476,3 @@ func (r *Relation) Row(i int) []string {
 	}
 	return out
 }
-
-// SampleFraction returns a relation with approximately frac·rows rows,
-// chosen uniformly (deterministically from seed) with original order
-// preserved — the random row sampling of the paper's Figure 2 protocol.
-func (r *Relation) SampleFraction(frac float64, seed int64) *Relation {
-	if frac >= 1 {
-		return r.HeadRows(r.rows)
-	}
-	if frac <= 0 {
-		return r.SelectRows(nil)
-	}
-	rng := newSplitMix(uint64(seed))
-	idx := make([]int, 0, int(frac*float64(r.rows))+1)
-	for i := 0; i < r.rows; i++ {
-		if float64(rng.next()>>11)/(1<<53) < frac {
-			idx = append(idx, i)
-		}
-	}
-	return r.SelectRows(idx)
-}
-
-// splitMix is a tiny deterministic PRNG (SplitMix64) so sampling does not
-// depend on math/rand's global state or version-specific stream.
-type splitMix struct{ s uint64 }
-
-func newSplitMix(seed uint64) *splitMix { return &splitMix{s: seed} }
-
-func (m *splitMix) next() uint64 {
-	m.s += 0x9e3779b97f4a7c15
-	z := m.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}

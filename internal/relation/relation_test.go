@@ -505,38 +505,6 @@ func FuzzReadCSV(f *testing.F) {
 	})
 }
 
-func TestSampleFraction(t *testing.T) {
-	rows := make([][]int, 1000)
-	for i := range rows {
-		rows[i] = []int{i}
-	}
-	r := FromInts("t", []string{"A"}, rows)
-	s := r.SampleFraction(0.3, 42)
-	if s.NumRows() < 200 || s.NumRows() > 400 {
-		t.Errorf("30%% sample of 1000 rows gave %d", s.NumRows())
-	}
-	// determinism
-	s2 := r.SampleFraction(0.3, 42)
-	if s2.NumRows() != s.NumRows() {
-		t.Error("sampling not deterministic")
-	}
-	// order preserved
-	prev := int32(-1)
-	for i := 0; i < s.NumRows(); i++ {
-		if c := s.Code(i, 0); c <= prev {
-			t.Fatal("sample reordered rows")
-		} else {
-			prev = c
-		}
-	}
-	if r.SampleFraction(1.5, 1).NumRows() != 1000 {
-		t.Error("frac ≥ 1 should keep everything")
-	}
-	if r.SampleFraction(-0.1, 1).NumRows() != 0 {
-		t.Error("frac ≤ 0 should keep nothing")
-	}
-}
-
 // TestRankStringsSharedPrefix: strings that agree on a long prefix, one of
 // them the prefix itself, rank in byte order.
 func TestRankStringsSharedPrefix(t *testing.T) {

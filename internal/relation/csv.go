@@ -25,19 +25,22 @@ type CSVOptions struct {
 
 // ReadCSV parses CSV data into a relation in one streaming pass, with
 // encoding/csv's grammar and errors. Each record is encoded as it is read,
-// so memory holds a few batches of raw records, one int32 per cell and the
-// distinct values of the non-integer columns, never the whole file as
-// strings. Input without quotes or carriage returns and with a one-byte
-// Comma is split at the byte level, and its cells reach the encoder as
-// bytes; from the first line that has either, or from the start for a
-// multi-byte Comma, encoding/csv reads the rest. A column whose cells are
-// all integers spelled as strconv.FormatInt prints them, in int32 range, is
-// stored as its values and ranked without a dictionary; any other cell
-// moves its column to a dictionary of distinct values, whose kind is
-// inferred at the end. When opts.Stop is set it is polled every few
-// hundred records, so a cancelled caller (a deleted discovery job, a closed
-// connection) aborts ingestion promptly instead of parsing input it will
-// never use; the error then wraps ErrStopped.
+// so memory holds a few batches of raw records, one int32 per cell and,
+// for each non-integer column, one arena of its distinct values' bytes,
+// never the whole file as strings nor one string per value. Input without
+// quotes or carriage returns and with a one-byte Comma is split at the
+// byte level, and its lines reach the encoder as bytes; from the first
+// line that has either, or from the start for a multi-byte Comma,
+// encoding/csv reads the rest. A column whose cells are all integers
+// spelled as strconv.FormatInt prints them, in int32 range, is stored as
+// its values and ranked without a dictionary; any other cell moves its
+// column to a dictionary of distinct values, whose kind is inferred at the
+// end. When src reports its size (a Len method, or a regular *os.File),
+// the code slices are sized once from the first records' bytes per
+// record. When opts.Stop is set it is polled every few hundred records, so
+// a cancelled caller (a deleted discovery job, a closed connection) aborts
+// ingestion promptly instead of parsing input it will never use; the
+// error then wraps ErrStopped.
 func ReadCSV(src io.Reader, name string, opts CSVOptions) (*Relation, error) {
 	span := opts.Trace.StartChild("parse")
 	header, enc, err := parseCSV(src, name, opts)
@@ -59,6 +62,7 @@ func ReadCSV(src io.Reader, name string, opts CSVOptions) (*Relation, error) {
 // parseCSV reads the header and feeds every data record to an encoder. On
 // error the encoder, if any, is returned still open.
 func parseCSV(src io.Reader, name string, opts CSVOptions) ([]string, *encoder, error) {
+	size := inputSize(src)
 	sp := newSplitter(src, opts.Comma)
 	var header []string
 	var enc *encoder
@@ -66,7 +70,7 @@ func parseCSV(src io.Reader, name string, opts CSVOptions) ([]string, *encoder, 
 		if opts.Stop != nil && records%stopEvery == 0 && opts.Stop() {
 			return nil, enc, fmt.Errorf("read csv %s: after %d records: %w", name, records, ErrStopped)
 		}
-		rec, err := sp.read()
+		rec, line, err := sp.read()
 		if err == io.EOF {
 			break
 		}
@@ -85,7 +89,7 @@ func parseCSV(src io.Reader, name string, opts CSVOptions) ([]string, *encoder, 
 					header[i] = string(cell)
 				}
 			}
-			enc = newEncoder(len(header), opts.nullSet(), opts.ForceString, 0)
+			enc = newEncoder(len(header), opts.nullSet(), opts.ForceString)
 			if !opts.NoHeader {
 				continue
 			}
@@ -93,12 +97,48 @@ func parseCSV(src io.Reader, name string, opts CSVOptions) ([]string, *encoder, 
 		if len(rec) != len(header) {
 			return nil, enc, fmt.Errorf("read csv %s: row %d has %d fields, want %d", name, enc.rows+1, len(rec), len(header))
 		}
-		enc.addBytes(rec)
+		if enc.rows == batchRows && size > 0 {
+			enc.presize(estimateRows(enc.rows, len(header), sp.offset(), size))
+		}
+		enc.addLine(line, rec)
 	}
 	if enc == nil {
 		return nil, nil, fmt.Errorf("read csv %s: empty input", name)
 	}
 	return header, enc, nil
+}
+
+// inputSize returns the bytes left in src, or -1 when src does not tell:
+// a reader with a Len method (bytes.Reader, strings.Reader, bytes.Buffer)
+// reports them, and a regular file has its size less its offset left.
+func inputSize(src io.Reader) int64 {
+	switch r := src.(type) {
+	case interface{ Len() int }:
+		return int64(r.Len())
+	case *os.File:
+		fi, err := r.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return -1
+		}
+		off, err := r.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return -1
+		}
+		return fi.Size() - off
+	}
+	return -1
+}
+
+// estimateRows expects the rows records that took the first used of size
+// input bytes to go on at the same bytes per record, and returns that
+// record count plus a tenth. It counts at most what the rest could hold,
+// each record taking one byte per cell at least (its separators and
+// newline), so a short head never sizes the code slices past four bytes
+// per input byte.
+func estimateRows(rows, cols int, used, size int64) int {
+	est := int64(rows) * size / used
+	est += est / 10
+	return int(min(est, int64(rows)+(size-used)/int64(max(cols, 1))+1))
 }
 
 // readBuf is the splitter's initial buffer, the size of encoding/csv's
@@ -114,13 +154,15 @@ type splitter struct {
 	comma byte
 	buf   []byte
 	r, w  int   // buf[r:w] is read and not yet split
+	base  int64 // the input offset of buf[0]
 	plain int   // buf[r:plain] has no '"' or '\r'
 	err   error // the read error that ended src, io.EOF at its end
 	lines int   // lines split so far, empty ones included
 	rec   [][]byte
 
 	cr    *csv.Reader // set once encoding/csv reads the rest
-	cells []byte      // the bytes rec refers to after the handoff
+	at    int64       // the input offset where encoding/csv took over
+	cells []byte      // the line rec refers to after the handoff
 }
 
 func newSplitter(src io.Reader, comma rune) *splitter {
@@ -137,43 +179,52 @@ func newSplitter(src io.Reader, comma rune) *splitter {
 	return s
 }
 
-// read returns the next record. Its cells stay valid until the next call.
-func (s *splitter) read() ([][]byte, error) {
+// read returns the next record, and the line that holds its cells back to
+// back, each followed by one separator byte. Both stay valid until the next
+// call.
+func (s *splitter) read() ([][]byte, []byte, error) {
 	for s.cr == nil {
 		i := bytes.IndexByte(s.buf[s.r:s.w], '\n')
-		if i < 0 && s.err == nil {
-			s.fill()
-			continue
-		}
-		end, next := s.r+i, s.r+i+1
 		if i < 0 {
-			if s.err != io.EOF {
-				break // encoding/csv reports the read error
+			if s.err == nil {
+				s.fill()
+				continue
+			}
+			if s.err != io.EOF || s.plain < s.w {
+				break // encoding/csv reads the rest, or reports the read error
 			}
 			if s.r == s.w {
-				return nil, io.EOF
+				return nil, nil, io.EOF
 			}
-			end, next = s.w, s.w
+			// The last line has no newline; give it one, so that its last
+			// cell too is followed by a separator byte.
+			s.buf = append(s.buf[:s.w], '\n')
+			s.w++
+			s.plain++
+			i = s.w - 1 - s.r
 		}
+		end := s.r + i
 		if s.plain < end {
 			break
 		}
-		line := s.buf[s.r:end]
-		s.r = next
+		line := s.buf[s.r : end+1]
+		s.r = end + 1
 		s.lines++
-		if len(line) == 0 {
+		if len(line) == 1 {
 			continue // encoding/csv skips empty lines
 		}
 		s.rec = s.rec[:0]
+		rest := line[:len(line)-1]
 		for {
-			j := bytes.IndexByte(line, s.comma)
+			j := bytes.IndexByte(rest, s.comma)
 			if j < 0 {
 				break
 			}
-			s.rec = append(s.rec, line[:j])
-			line = line[j+1:]
+			s.rec = append(s.rec, rest[:j])
+			rest = rest[j+1:]
 		}
-		return append(s.rec, line), nil
+		s.rec = append(s.rec, rest)
+		return s.rec, line, nil
 	}
 	if s.cr == nil {
 		s.handoff(rune(s.comma))
@@ -184,16 +235,16 @@ func (s *splitter) read() ([][]byte, error) {
 		pe.StartLine += s.lines
 		pe.Line += s.lines
 	}
-	s.rec, s.cells = s.rec[:0], s.cells[:0]
-	for _, f := range rec {
-		s.cells = append(s.cells, f...)
+	s.cells, s.rec = layOut(s.cells, s.rec, rec)
+	return s.rec, s.cells, err
+}
+
+// offset returns how many bytes of the input the records read so far take.
+func (s *splitter) offset() int64 {
+	if s.cr != nil {
+		return s.at + s.cr.InputOffset()
 	}
-	start := 0
-	for _, f := range rec {
-		s.rec = append(s.rec, s.cells[start:start+len(f)])
-		start += len(f)
-	}
-	return s.rec, err
+	return s.base + int64(s.r)
 }
 
 // fill reads more input behind buf[r:w], moving it to the front of buf.
@@ -203,6 +254,7 @@ func (s *splitter) fill() {
 		buf = make([]byte, 2*len(buf))
 	}
 	n := copy(buf, s.buf[s.r:s.w])
+	s.base += int64(s.r)
 	s.buf, s.plain, s.r, s.w = buf, s.plain-s.r, 0, n
 	// Like bufio, give up on a reader that keeps returning nothing.
 	for empty := 0; s.w == n && s.err == nil; empty++ {
@@ -233,6 +285,7 @@ func plainLen(b []byte) int {
 // handoff makes encoding/csv read the rest of the input: the unsplit
 // bytes, then src or the error src failed with.
 func (s *splitter) handoff(comma rune) {
+	s.at = s.base + int64(s.r)
 	rest := []io.Reader{bytes.NewReader(s.buf[s.r:s.w])}
 	switch {
 	case s.err == nil:

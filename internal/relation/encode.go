@@ -3,6 +3,7 @@ package relation
 import (
 	"cmp"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"runtime"
 	"slices"
@@ -15,20 +16,23 @@ import (
 // Ingestion is one streaming pass. Every column starts in integer mode: a
 // cell spelled exactly as strconv.FormatInt prints a value in int32 range is
 // parsed from its bytes and stored as that value, so an integer column never
-// touches a map. On its first other non-NULL cell a column drops to a
-// dictionary: each raw value maps to a provisional id in first-occurrence
-// order, the integers seen so far are replayed into it, and from then on a
-// cell costs one map lookup and only the distinct values outlive their
-// record. At the end an integer-mode column ranks its values through a
-// dense mark array or a sort; a dictionary column infers its kind from its
-// distinct values, ranks them and rewrites its provisional ids to rank codes
-// in place.
+// touches a dictionary. On its first other non-NULL cell a column drops to a
+// dictionary, and the integers seen so far are replayed into it. The
+// dictionary is one open-addressing table per column: the distinct values'
+// bytes sit back to back in one arena, a value's provisional id is its
+// first-occurrence number, and a cell costs one hash of its bytes and a
+// probe, with no string made per cell or per distinct value. At the end an
+// integer-mode column ranks its values through a dense mark array or a
+// sort; a dictionary column slices its distinct values from one copy of
+// the arena, infers its kind from them, ranks them and rewrites its
+// provisional ids to rank codes in place.
 //
 // From the batchRows+1-th record on, the columns are striped across
 // min(GOMAXPROCS, cols) encoder goroutines: the caller copies each
-// record's bytes into a flat batch and hands it to every encoder, and the
-// last encoder done with a batch returns it to a free list. Inputs of at
-// most batchRows records are encoded inline and start no goroutine.
+// record's line, every cell followed by one separator byte, into a flat
+// batch and hands it to every encoder, and the last encoder done with a
+// batch returns it to a free list. Inputs of at most batchRows records are
+// encoded inline and start no goroutine.
 
 // batchRows is the number of records in one batch handed to the encoder
 // goroutines, and the input size up to which none is started.
@@ -46,9 +50,15 @@ const provisionalNull = int32(-1)
 // range parseCanonical accepts, so no value collides with it.
 const intNull = int32(math.MinInt32)
 
+// maxArena bounds a dictionary's arena, whose value ends are int32.
+const maxArena = math.MaxInt32
+
 // nullTokens is the NULL tokens of one ingestion.
 type nullTokens struct {
 	tokens map[string]bool
+	// list holds the tokens in order; a dictionary's NULL slot refers to
+	// its token by position.
+	list []string
 	// ints holds the tokens spelled as canonical integers; an integer-mode
 	// cell holding one of them is NULL, not a value.
 	ints []int32
@@ -57,10 +67,12 @@ type nullTokens struct {
 func newNullTokens(tokens map[string]bool) *nullTokens {
 	n := &nullTokens{tokens: tokens}
 	for t := range tokens {
+		n.list = append(n.list, t)
 		if v, ok := parseCanonical([]byte(t)); ok {
 			n.ints = append(n.ints, v)
 		}
 	}
+	slices.Sort(n.list)
 	return n
 }
 
@@ -92,11 +104,130 @@ func parseCanonical(s []byte) (int32, bool) {
 	return int32(v), true
 }
 
-// colBuilder accumulates one column. A nil dict means integer mode.
+// grow returns s with room for n more elements. A full slice at least
+// doubles, where append's growth for large slices would allocate about five
+// times the final size over a long column.
+func grow[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	t := make([]T, len(s), max(2*cap(s), len(s)+n, 8))
+	copy(t, s)
+	return t
+}
+
+// dict is a dictionary column's table of distinct cells. The NULL tokens
+// are entered first, as slots that refer to their token; every other
+// distinct cell is a value, numbered in first-occurrence order by its
+// provisional id, with its bytes in the arena. The slots are probed
+// linearly from the cell's hash and double at half load.
+type dict struct {
+	seed  maphash.Seed
+	arena []byte  // the values' bytes, back to back by provisional id
+	ends  []int32 // ends[id] is where value id ends in arena
+	slots []slot  // a power of two in length; nil in integer mode
+	used  int     // slots in use
+	full  bool    // a value did not fit in maxArena bytes
+}
+
+// slot is one dictionary entry: its hash's low 32 bits, which also rehash
+// it, and ref, which is 0 for an empty slot, id+1 for the value of
+// provisional id id, and -(t+1) for NULL token t.
+type slot struct {
+	hash uint32
+	ref  int32
+}
+
+func newDict(nulls []string) dict {
+	d := dict{seed: maphash.MakeSeed(), slots: make([]slot, 16)}
+	for t, tok := range nulls {
+		d.insert(uint32(maphash.String(d.seed, tok)), int32(-t-1))
+	}
+	return d
+}
+
+// id returns cell's provisional id, or provisionalNull for a NULL token,
+// entering a new value on its first occurrence. A value that would carry
+// the arena past maxArena bytes is not entered: it sets full and reads as
+// NULL.
+func (d *dict) id(cell []byte, nulls []string) int32 {
+	h := uint32(maphash.Bytes(d.seed, cell))
+	mask := uint32(len(d.slots) - 1)
+	for i := h & mask; d.slots[i].ref != 0; i = (i + 1) & mask {
+		s := d.slots[i]
+		switch {
+		case s.hash != h:
+		case s.ref > 0:
+			if string(d.value(s.ref-1)) == string(cell) {
+				return s.ref - 1
+			}
+		case nulls[-s.ref-1] == string(cell):
+			return provisionalNull
+		}
+	}
+	if len(d.arena)+len(cell) > maxArena {
+		d.full = true
+		return provisionalNull
+	}
+	d.arena = append(grow(d.arena, len(cell)), cell...)
+	d.ends = append(grow(d.ends, 1), int32(len(d.arena)))
+	id := int32(len(d.ends) - 1)
+	d.insert(h, id+1)
+	return id
+}
+
+// value returns the bytes of provisional id id.
+func (d *dict) value(id int32) []byte {
+	start := int32(0)
+	if id > 0 {
+		start = d.ends[id-1]
+	}
+	return d.arena[start:d.ends[id]]
+}
+
+// insert enters a new slot, doubling the table once it is half full.
+func (d *dict) insert(h uint32, ref int32) {
+	place(d.slots, slot{hash: h, ref: ref})
+	if d.used++; 2*d.used < len(d.slots) {
+		return
+	}
+	old := d.slots
+	d.slots = make([]slot, 2*len(old))
+	for _, s := range old {
+		if s.ref != 0 {
+			place(d.slots, s)
+		}
+	}
+}
+
+// place puts s in the first empty slot from its hash on.
+func place(slots []slot, s slot) {
+	mask := uint32(len(slots) - 1)
+	i := s.hash & mask
+	for slots[i].ref != 0 {
+		i = (i + 1) & mask
+	}
+	slots[i] = s
+}
+
+// values returns the distinct values by provisional id, all sliced from
+// one copy of the arena.
+func (d *dict) values() []string {
+	all := string(d.arena)
+	vals := make([]string, len(d.ends))
+	start := int32(0)
+	for id, end := range d.ends {
+		vals[id] = all[start:end]
+		start = end
+	}
+	return vals
+}
+
+// colBuilder accumulates one column. A dict without slots means integer
+// mode.
 type colBuilder struct {
 	nulls *nullTokens
-	dict  map[string]int32 // raw value → provisional id; NULL tokens → provisionalNull
-	vals  []string         // distinct non-NULL values, by provisional id
+	dict  dict
 	// codes holds per-row values (intNull for NULL) in integer mode, per-row
 	// provisional ids in dictionary mode, and rank codes after ranking.
 	codes   []int32
@@ -107,11 +238,10 @@ type colBuilder struct {
 	_ [64]byte
 }
 
-// add appends one cell. The cell's bytes are cloned only when the
-// dictionary meets a new value, and the dictionary consults the NULL
-// tokens only on a value's first occurrence.
+// add appends one cell. Only the dictionary's new values copy the cell's
+// bytes, into its arena.
 func (b *colBuilder) add(cell []byte) {
-	if b.dict == nil {
+	if b.dict.slots == nil {
 		if v, ok := parseCanonical(cell); ok && !slices.Contains(b.nulls.ints, v) {
 			b.lo, b.hi = min(b.lo, v), max(b.hi, v)
 			b.push(v)
@@ -124,29 +254,17 @@ func (b *colBuilder) add(cell []byte) {
 		}
 		b.toDict()
 	}
-	id, ok := b.dict[string(cell)]
-	if !ok {
-		s := string(cell)
-		id = provisionalNull
-		if b.nulls.tokens[s] {
-			b.hasNull = true
-		} else {
-			id = int32(len(b.vals))
-			b.vals = append(b.vals, s)
-		}
-		b.dict[s] = id
+	id := b.dict.id(cell, b.nulls.list)
+	if id == provisionalNull {
+		b.hasNull = true
 	}
 	b.push(id)
 }
 
-// push appends one code. A full slice doubles, where append's growth for
-// large slices would allocate about five times the final size over a long
-// column.
+// push appends one code, doubling a full slice.
 func (b *colBuilder) push(code int32) {
 	if len(b.codes) == cap(b.codes) {
-		codes := make([]int32, len(b.codes), max(2*cap(b.codes), 8))
-		copy(codes, b.codes)
-		b.codes = codes
+		b.codes = grow(b.codes, 1)
 	}
 	b.codes = append(b.codes, code)
 }
@@ -154,7 +272,7 @@ func (b *colBuilder) push(code int32) {
 // toDict moves an integer-mode column to dictionary mode, replaying the
 // values seen so far in their canonical spelling.
 func (b *colBuilder) toDict() {
-	b.dict = make(map[string]int32)
+	b.dict = newDict(b.nulls.list)
 	var buf []byte
 	for i, v := range b.codes {
 		if v == intNull {
@@ -162,14 +280,7 @@ func (b *colBuilder) toDict() {
 			continue
 		}
 		buf = strconv.AppendInt(buf[:0], int64(v), 10)
-		id, ok := b.dict[string(buf)]
-		if !ok {
-			id = int32(len(b.vals))
-			s := string(buf)
-			b.vals = append(b.vals, s)
-			b.dict[s] = id
-		}
-		b.codes[i] = id
+		b.codes[i] = b.dict.id(buf, b.nulls.list)
 	}
 }
 
@@ -244,17 +355,18 @@ func intDisplay(vals []int32) []string {
 	return display
 }
 
-// rank parses a dictionary column's distinct values as kind, ranks them
-// and rewrites the provisional ids to rank codes in place. A value that
-// does not parse is reported at the 1-based row of its first occurrence.
-func (b *colBuilder) rank(kind Kind) (display []string, distinct int, err error) {
+// rank parses a dictionary column's distinct values vals, by provisional
+// id, as kind, ranks them and rewrites the provisional ids to rank codes
+// in place. A value that does not parse is reported at the 1-based row of
+// its first occurrence.
+func (b *colBuilder) rank(kind Kind, vals []string) (display []string, distinct int, err error) {
 	// remap[p+1] is the rank code of provisional id p; remap[0] is NullCode.
 	var remap []int32
 	if kind == KindString {
-		remap, display = rankStrings(b.vals)
+		remap, display = rankStrings(vals)
 	} else {
-		entries := make([]rankEntry, len(b.vals))
-		for id, s := range b.vals {
+		entries := make([]rankEntry, len(vals))
+		for id, s := range vals {
 			e := rankEntry{s: s, id: int32(id)}
 			if kind == KindInt {
 				e.i, err = strconv.ParseInt(s, 10, 64)
@@ -272,7 +384,7 @@ func (b *colBuilder) rank(kind Kind) (display []string, distinct int, err error)
 	for i, p := range b.codes {
 		b.codes[i] = remap[p+1]
 	}
-	b.dict, b.vals = nil, nil
+	b.dict = dict{}
 	return display, len(display) - 1, nil
 }
 
@@ -391,8 +503,8 @@ func byteAt(s string, depth int) int {
 
 // batch is a flat, row-major run of records awaiting the encoders.
 type batch struct {
-	buf  []byte       // the cells' bytes, back to back
-	ends []int        // ends[k] is where cell k ends in buf
+	buf  []byte       // the records' lines, each cell followed by one separator byte
+	ends []int        // ends[k] is where cell k ends in buf; cell k+1 starts one byte on
 	refs atomic.Int32 // encoders still to finish with it
 }
 
@@ -408,36 +520,68 @@ type encoder struct {
 	cur   *batch
 	wg    sync.WaitGroup
 	procs int // encoder goroutines started; finish uses as many
+
+	line  []byte   // addStrings' record, laid out as a line
+	cells [][]byte // addStrings' cells, sliced from line
 }
 
 // newEncoder returns an encoder for ncols columns. forceString starts every
-// column in dictionary mode; rowsHint presizes the code slices when the row
-// count is known.
-func newEncoder(ncols int, nulls map[string]bool, forceString bool, rowsHint int) *encoder {
+// column in dictionary mode.
+func newEncoder(ncols int, nulls map[string]bool, forceString bool) *encoder {
 	e := &encoder{cols: make([]colBuilder, ncols)}
 	ns := newNullTokens(nulls)
 	for c := range e.cols {
-		b := colBuilder{nulls: ns, codes: make([]int32, 0, rowsHint), lo: math.MaxInt32, hi: math.MinInt32}
+		b := colBuilder{nulls: ns, codes: []int32{}, lo: math.MaxInt32, hi: math.MinInt32}
 		if forceString {
-			b.dict = make(map[string]int32)
+			b.dict = newDict(ns.list)
 		}
 		e.cols[c] = b
 	}
 	return e
 }
 
-// add encodes one record. The caller may reuse rec once add returns.
-func (e *encoder) add(rec []string) { addRecord(e, rec) }
+// presize makes room for rows codes in every column, so that a column
+// expected to hold rows codes grows its slice once rather than doubling
+// up to it.
+func (e *encoder) presize(rows int) {
+	for c := range e.cols {
+		if b := &e.cols[c]; rows > cap(b.codes) {
+			b.codes = append(make([]int32, 0, rows), b.codes...)
+		}
+	}
+}
 
-// addBytes is add for a record of byte cells.
-func (e *encoder) addBytes(rec [][]byte) { addRecord(e, rec) }
+// addStrings encodes one record of string cells. The caller may reuse rec
+// once it returns.
+func (e *encoder) addStrings(rec []string) {
+	e.line, e.cells = layOut(e.line, e.cells, rec)
+	e.addLine(e.line, e.cells)
+}
 
-func addRecord[S string | []byte](e *encoder, rec []S) {
+// layOut copies the cells of rec into line, back to back and each followed
+// by one separator byte, and returns line and the cells sliced from it.
+func layOut(line []byte, cells [][]byte, rec []string) ([]byte, [][]byte) {
+	line, cells = line[:0], cells[:0]
+	for _, cell := range rec {
+		line = append(append(line, cell...), ',')
+	}
+	start := 0
+	for _, cell := range rec {
+		cells = append(cells, line[start:start+len(cell)])
+		start += len(cell) + 1
+	}
+	return line, cells
+}
+
+// addLine encodes one record. line holds its cells back to back, each
+// followed by one separator byte, and rec the cells sliced from it. The
+// caller may reuse both once addLine returns.
+func (e *encoder) addLine(line []byte, rec [][]byte) {
 	e.rows++
 	if e.feeds == nil {
 		if e.rows <= batchRows || len(e.cols) == 0 {
 			for c, cell := range rec {
-				e.cols[c].add([]byte(cell))
+				e.cols[c].add(cell)
 			}
 			return
 		}
@@ -447,9 +591,12 @@ func addRecord[S string | []byte](e *encoder, rec []S) {
 		e.cur = e.take()
 	}
 	b := e.cur
+	end := len(b.buf)
+	b.buf = append(b.buf, line...)
 	for _, cell := range rec {
-		b.buf = append(b.buf, cell...)
-		b.ends = append(b.ends, len(b.buf))
+		end += len(cell)
+		b.ends = append(b.ends, end)
+		end++
 	}
 	if len(b.ends) == batchRows*len(e.cols) {
 		e.send()
@@ -475,16 +622,16 @@ func (e *encoder) encode(feed <-chan *batch, first int) {
 	defer e.wg.Done()
 	nc := len(e.cols)
 	for b := range feed {
-		start := 0
-		for r := 0; r < len(b.ends); r += nc {
-			ends := b.ends[r : r+nc]
-			for c := first; c < nc; c += e.procs {
-				if c > 0 {
-					start = ends[c-1]
+		// A column at a time keeps that column's state and branches hot.
+		for c := first; c < nc; c += e.procs {
+			col := &e.cols[c]
+			for k := c; k < len(b.ends); k += nc {
+				from := 0
+				if k > 0 {
+					from = b.ends[k-1] + 1
 				}
-				e.cols[c].add(b.buf[start:ends[c]])
+				col.add(b.buf[from:b.ends[k]])
 			}
-			start = ends[nc-1]
 		}
 		if b.refs.Add(-1) == 0 {
 			b.buf, b.ends = b.buf[:0], b.ends[:0]
@@ -565,15 +712,20 @@ func (e *encoder) finish(name string, colNames []string, opts Options) (*Relatio
 			var kind Kind
 			var disp []string
 			var distinct int
-			if b.dict == nil {
+			if b.dict.slots == nil {
 				kind, disp, distinct = b.rankInts()
 			} else {
+				if b.dict.full {
+					errs[c] = fmt.Errorf("relation %s: column %d (%s): distinct values exceed %d bytes", name, c+1, colNames[c], maxArena)
+					return
+				}
+				vals := b.dict.values()
 				kind = KindString
 				if !opts.ForceString {
-					kind = inferKind(b.vals, nil)
+					kind = inferKind(vals, nil)
 				}
 				var err error
-				disp, distinct, err = b.rank(kind)
+				disp, distinct, err = b.rank(kind, vals)
 				if err != nil {
 					errs[c] = fmt.Errorf("relation %s: column %d (%s): %w", name, c+1, colNames[c], err)
 					return

@@ -42,12 +42,12 @@ func TestCSVRaggedRowErrorIsOneBased(t *testing.T) {
 // this exercises the defensive path directly.
 func TestCoercionErrorReportsRow(t *testing.T) {
 	rank := func(kind Kind, vals ...string) error {
-		e := newEncoder(1, nil, true, 0)
+		e := newEncoder(1, nil, true)
 		for _, s := range vals {
-			e.add([]string{s})
+			e.addStrings([]string{s})
 		}
 		e.close()
-		_, _, err := e.cols[0].rank(kind)
+		_, _, err := e.cols[0].rank(kind, e.cols[0].dict.values())
 		return err
 	}
 	err := rank(KindInt, "1", "2", "x")

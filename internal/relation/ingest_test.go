@@ -339,16 +339,16 @@ func TestChunkedRaggedRowErrorIsOneBased(t *testing.T) {
 // reported at the global row of its first occurrence, also when that row
 // was encoded by a goroutine from a later batch.
 func TestChunkedBuilderTracksFirstOccurrence(t *testing.T) {
-	e := newEncoder(1, nil, false, 0)
+	e := newEncoder(1, nil, false)
 	for r := 1; r <= 3*batchRows; r++ {
 		v := strconv.Itoa(r)
 		if r == batchRows+3 || r == 2*batchRows {
 			v = "x"
 		}
-		e.add([]string{v})
+		e.addStrings([]string{v})
 	}
 	e.close()
-	_, _, err := e.cols[0].rank(KindInt)
+	_, _, err := e.cols[0].rank(KindInt, e.cols[0].dict.values())
 	want := fmt.Sprintf(`row %d: value "x" does not parse as INTEGER`, batchRows+3)
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("err = %v, want %q", err, want)
@@ -536,7 +536,11 @@ var fuzzCommas = []rune{0, ',', ';', '\t', '¦', '"', '\n'}
 // FuzzReadCSVMatchesReference cross-checks ReadCSV against the whole-file
 // reference on arbitrary CSV bytes and options: they must agree on
 // acceptance, and on acceptance produce identical relations. nulls, when
-// not empty, is a '|'-separated list of NULL tokens.
+// not empty, is a '|'-separated list of NULL tokens. An accepted input's
+// data lines are then tiled past batchRows+1 records, so the striped
+// encoders and their whole-line batches run too, and read once through a
+// strings.Reader, whose Len sizes the code slices, and once through a
+// reader that tells no size.
 func FuzzReadCSVMatchesReference(f *testing.F) {
 	f.Add("a,b\n1,2\n3,4\n", "", false, uint8(0))
 	f.Add("a,b\n01,x\n1,y\nNULL,?\n", "", false, uint8(0))
@@ -560,6 +564,26 @@ func FuzzReadCSVMatchesReference(f *testing.F) {
 			return
 		}
 		assertSameRelation(t, want, got)
+
+		header, body, _ := strings.Cut(data, "\n")
+		if !strings.HasSuffix(body, "\n") {
+			body += "\n"
+		}
+		copies := (batchRows+1)/max(want.NumRows(), 1) + 1
+		if copies*len(body) > 1<<20 {
+			return
+		}
+		tiled := header + "\n" + strings.Repeat(body, copies)
+		want, werr = referenceReadCSV(tiled, "f", opts)
+		for _, src := range []io.Reader{strings.NewReader(tiled), chunkReader{strings.NewReader(tiled), 4093}} {
+			got, gerr := ReadCSV(src, "f", opts)
+			if (werr == nil) != (gerr == nil) {
+				t.Fatalf("tiled %d times: acceptance differs: reference=%v ReadCSV=%v", copies, werr, gerr)
+			}
+			if werr == nil {
+				assertSameRelation(t, want, got)
+			}
+		}
 	})
 }
 
@@ -574,7 +598,8 @@ func (c chunkReader) Read(p []byte) (int, error) { return c.r.Read(p[:min(len(p)
 // FuzzSplitMatchesEncodingCSV requires the splitter, with its handoff to
 // encoding/csv, to read the same records as encoding/csv from arbitrary
 // bytes arriving in chunks of any size, and to fail where it fails with
-// the same error.
+// the same error. The line it returns must hold the cells back to back,
+// each followed by one byte.
 func FuzzSplitMatchesEncodingCSV(f *testing.F) {
 	f.Add([]byte("a,b\n1,2\n\n3,4"), uint8(0), uint8(3))
 	f.Add([]byte("a,b\n1,\"2\n3\",4\r\n5,6\n"), uint8(1), uint8(255))
@@ -591,7 +616,7 @@ func FuzzSplitMatchesEncodingCSV(f *testing.F) {
 		sp := newSplitter(chunkReader{bytes.NewReader(data), int(chunk) + 1}, c)
 		for n := 1; ; n++ {
 			want, werr := cr.Read()
-			got, gerr := sp.read()
+			got, line, gerr := sp.read()
 			if fmt.Sprint(werr) != fmt.Sprint(gerr) {
 				t.Fatalf("record %d: encoding/csv err %v, splitter err %v", n, werr, gerr)
 			}
@@ -601,10 +626,18 @@ func FuzzSplitMatchesEncodingCSV(f *testing.F) {
 			if len(got) != len(want) {
 				t.Fatalf("record %d: encoding/csv %q, splitter %q", n, want, got)
 			}
+			start := 0
 			for i := range want {
 				if string(got[i]) != want[i] {
 					t.Fatalf("record %d: encoding/csv %q, splitter %q", n, want, got)
 				}
+				if end := start + len(want[i]); end >= len(line) || string(line[start:end]) != want[i] {
+					t.Fatalf("record %d: cell %d is not at %d in line %q", n, i, start, line)
+				}
+				start += len(want[i]) + 1
+			}
+			if start != len(line) {
+				t.Fatalf("record %d: line %q is not its cells, each followed by one byte", n, line)
 			}
 		}
 	})

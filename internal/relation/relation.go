@@ -258,13 +258,14 @@ func FromStrings(name string, colNames []string, rows [][]string, opts Options) 
 			return nil, fmt.Errorf("relation %s: row %d has %d fields, want %d", name, i+1, len(row), nc)
 		}
 	}
-	enc := newEncoder(nc, opts.nullSet(), opts.ForceString, len(rows))
+	enc := newEncoder(nc, opts.nullSet(), opts.ForceString)
+	enc.presize(len(rows))
 	for i, row := range rows {
 		if opts.Stop != nil && i%stopEvery == 0 && opts.Stop() {
 			enc.close()
 			return nil, fmt.Errorf("relation %s: rank-encode row %d: %w", name, i+1, ErrStopped)
 		}
-		enc.add(row)
+		enc.addStrings(row)
 	}
 	return enc.finish(name, colNames, opts)
 }

@@ -105,13 +105,16 @@ func LoadCSVFile(path string, opts ...LoadOption) (*Table, error) {
 
 // LoadCSV reads CSV data from r into a Table named name. Ingestion streams:
 // records are encoded as they are read, so peak memory holds a few batches
-// of raw records, one int32 per cell and the distinct values of the
-// non-integer columns, not the whole file as strings. Unquoted input is
-// split at the byte level; from the first quote or carriage return on,
-// encoding/csv reads the rest, so quoting rules and error messages are
-// encoding/csv's. A column of integers in canonical spelling within int32
-// range is stored as its values, with no dictionary; type inference is
-// otherwise unchanged (INTEGER, then REAL, then TEXT).
+// of raw records, one int32 per cell and one arena of distinct values'
+// bytes per non-integer column, not the whole file as strings and not one
+// string per value. Unquoted input is split at the byte level; from the
+// first quote or carriage return on, encoding/csv reads the rest, so
+// quoting rules and error messages are encoding/csv's. A column of
+// integers in canonical spelling within int32 range is stored as its
+// values, with no dictionary; type inference is otherwise unchanged
+// (INTEGER, then REAL, then TEXT). When r reports its size (a Len method,
+// as bytes.Reader has, or a regular *os.File) the per-cell codes are
+// allocated once from an estimate of the row count.
 func LoadCSV(r io.Reader, name string, opts ...LoadOption) (*Table, error) {
 	c := buildConfig(opts)
 	rel, err := relation.ReadCSV(r, name, c.csv)

@@ -124,10 +124,10 @@ func TestCheckerPanicIsolated(t *testing.T) {
 }
 
 // TestReductionCheckPanicHitsBoundaryRecover: a panic raised outside the
-// level workers (here: the checker's first call, a single-column check of
-// the reduction phase on the caller's goroutine) is converted by the
-// DiscoverContext boundary recover into a candidate-less PanicError plus
-// the partial result.
+// level loop (here: the checker's first call, a single-column check of the
+// reduction phase on a worker's Handle, re-raised on the caller's
+// goroutine) is converted by the DiscoverContext boundary recover into a
+// candidate-less PanicError plus the partial result.
 func TestReductionCheckPanicHitsBoundaryRecover(t *testing.T) {
 	defer faultinject.Reset()
 	baseline := runtime.NumGoroutine()

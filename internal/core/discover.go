@@ -50,9 +50,10 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) (r
 		return &Result{RelationName: r.Name}, &WidthError{Columns: r.NumCols()}
 	}
 	d := newDiscoverer(r, opts)
-	// Last-resort isolation: a panic outside the level workers (reduction,
-	// merging, a checker bug on the caller's goroutine) still converts to a
-	// partial result plus an error instead of killing the process.
+	// Last-resort isolation: a panic outside the level workers' recover
+	// (a reduction check, re-raised by parallel; merging; a checker bug on
+	// the caller's goroutine) still converts to a partial result plus an
+	// error instead of killing the process.
 	defer func() {
 		if v := recover(); v != nil {
 			res = d.res
@@ -311,7 +312,7 @@ func (d *discoverer) run(ctx context.Context) (*Result, error) {
 			d.reduced = append(d.reduced, d.universe...)
 		} else {
 			span := d.ro.phaseSpan("reduction")
-			red := columnsReductionStop(d.chk, d.universe, &d.hardStop)
+			red := d.columnsReduction()
 			res.Constants = red.constants
 			res.EquivClasses = red.classes
 			d.reduced = red.reduced

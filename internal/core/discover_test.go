@@ -298,10 +298,10 @@ type treeOracle struct {
 }
 
 func newTreeOracle(r *relation.Relation) (*treeOracle, *reduction) {
-	chk := order.NewChecker(r, 32)
-	red := columnsReduction(chk, r.Attrs())
+	d := newDiscoverer(r, Options{Workers: 1, IndexCacheSize: 32})
+	red := d.columnsReduction()
 	o := &treeOracle{
-		chk:     chk,
+		chk:     d.chk,
 		reduced: red.reduced,
 		reached: map[string]bool{},
 		valid:   map[string]bool{},

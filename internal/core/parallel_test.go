@@ -154,22 +154,40 @@ func TestDiscoverMaxCandidatesParallel(t *testing.T) {
 // TestExecutionModesAgree: the worker count and the checker's cache size
 // (disabled, one entry, default) change how rank vectors are derived and
 // reused, never the answer — every mode returns the identical Result,
-// Stats.Checks included.
+// Stats.Checks included. Every other trial plants a constant column and an
+// order-equivalent pair, so the reduction phase, which spreads its checks
+// over the level workers, has constants and classes to find.
 func TestExecutionModesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 30; trial++ {
-		r := randomRelation(rng, 2+rng.Intn(60), 2+rng.Intn(6), 1+rng.Intn(6))
-		if trial%3 == 0 {
-			r = r.HeadRows(r.NumRows() / 2) // sparse codes of a row slice
+		var r *relation.Relation
+		planted := trial%2 == 1
+		if planted {
+			r = seededRelation(t, rng.Int63(), 8+rng.Intn(60), 4+rng.Intn(5))
+		} else {
+			r = randomRelation(rng, 2+rng.Intn(60), 2+rng.Intn(6), 1+rng.Intn(6))
+			if trial%3 == 0 {
+				r = r.HeadRows(r.NumRows() / 2) // sparse codes of a row slice
+			}
 		}
 		var want *Result
-		for _, workers := range []int{1, 2} {
+		for _, workers := range []int{1, 2, 4} {
 			for _, cache := range []int{-1, 1, 0} {
 				got := Discover(r, Options{Workers: workers, IndexCacheSize: cache})
 				got.Stats.Elapsed = 0
 				if want == nil {
 					want = got
+					if planted && (len(want.Constants) == 0 || len(want.EquivClasses) == 0) {
+						t.Fatalf("trial %d: planted constant and equivalent columns not found: %+v", trial, want)
+					}
 					continue
+				}
+				if !reflect.DeepEqual(want.Constants, got.Constants) || !reflect.DeepEqual(want.EquivClasses, got.EquivClasses) {
+					t.Fatalf("trial %d workers=%d cache=%d: reduction differs\nwant %v %v\ngot  %v %v", trial, workers, cache,
+						want.Constants, want.EquivClasses, got.Constants, got.EquivClasses)
+				}
+				if want.Stats.Checks != got.Stats.Checks {
+					t.Fatalf("trial %d workers=%d cache=%d: %d checks, want %d", trial, workers, cache, got.Stats.Checks, want.Stats.Checks)
 				}
 				if !reflect.DeepEqual(want, got) {
 					t.Fatalf("trial %d workers=%d cache=%d: result differs\nwant %+v\ngot  %+v", trial, workers, cache, want, got)

@@ -5,7 +5,6 @@ import (
 
 	"ocd/internal/attr"
 	"ocd/internal/faultinject"
-	"ocd/internal/order"
 	"ocd/internal/tarjan"
 )
 
@@ -28,22 +27,22 @@ type reduction struct {
 // (a) remove constant columns; (b) collapse order-equivalent columns into a
 // representative, using Tarjan's algorithm on the directed graph of valid
 // single-attribute ODs.
-func columnsReduction(chk *order.Checker, universe []attr.ID) *reduction {
-	return columnsReductionStop(chk, universe, nil)
-}
-
-// columnsReductionStop is columnsReduction with cooperative cancellation: a
-// hard stop abandons the remaining O(n²) single-attribute OD checks. The
-// partial output stays sound — constants are detected first (cheap), and an
-// SCC built from a subset of the verified edges can only be finer than the
-// true classes, never merge inequivalent columns.
-func columnsReductionStop(chk *order.Checker, universe []attr.ID, stop *atomic.Bool) *reduction {
+//
+// The n·(n−1) single-attribute OD checks run on the level workers'
+// Handles: each worker claims the next outer column from a cursor and
+// checks it against every other, so a row's edges are found by one worker,
+// in column order, and the graph is the same whatever the worker count.
+// A hard stop abandons the remaining rows on every worker. The partial
+// output stays sound: constants are detected first (cheap), and an SCC
+// built from a subset of the verified edges can only be finer than the
+// true classes, never merge inequivalent columns. A panic on any worker
+// is re-raised on the caller's goroutine by d.parallel.
+func (d *discoverer) columnsReduction() *reduction {
 	red := &reduction{classOf: make(map[attr.ID][]attr.ID)}
-	r := chk.Relation()
 
 	var varying []attr.ID
-	for _, a := range universe {
-		if r.IsConstant(a) {
+	for _, a := range d.universe {
+		if d.r.IsConstant(a) {
 			red.constants = append(red.constants, a)
 		} else {
 			varying = append(varying, a)
@@ -54,20 +53,23 @@ func columnsReductionStop(chk *order.Checker, universe []attr.ID, stop *atomic.B
 	// [A_i] → [A_j] holds. Order-equivalence classes are its SCCs.
 	n := len(varying)
 	adj := make([][]int, n)
-	for i := 0; i < n; i++ {
-		if stop != nil && stop.Load() {
-			break
-		}
-		faultinject.Point("core.reduction.row")
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
+	var cursor atomic.Int64
+	d.parallel(func(w int) {
+		h := d.handles[w]
+		defer h.Flush()
+		for !d.hardStop.Load() {
+			i := int(cursor.Add(1) - 1)
+			if i >= n {
+				return
 			}
-			if chk.CheckOD(attr.Singleton(varying[i]), attr.Singleton(varying[j])) {
-				adj[i] = append(adj[i], j)
+			faultinject.Point("core.reduction.row")
+			for j := 0; j < n; j++ {
+				if i != j && h.CheckOD(attr.Singleton(varying[i]), attr.Singleton(varying[j])) {
+					adj[i] = append(adj[i], j)
+				}
 			}
 		}
-	}
+	})
 	comps := tarjan.SCC(n, adj)
 
 	for _, comp := range comps {

@@ -35,7 +35,9 @@ type CSVOptions struct {
 // spelled as strconv.FormatInt prints them, in int32 range, is stored as
 // its values and ranked without a dictionary; any other cell moves its
 // column to a dictionary of distinct values, whose kind is inferred at the
-// end. When src reports its size (a Len method, or a regular *os.File),
+// end. The columns are then ranked on as many goroutines as encoded them,
+// each claiming the column with the most distinct values left, so the
+// costliest column never waits behind a static share. When src reports its size (a Len method, or a regular *os.File),
 // the code slices are sized once from the first records' bytes per
 // record. When opts.Stop is set it is polled every few hundred records, so
 // a cancelled caller (a deleted discovery job, a closed connection) aborts

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 	"math"
@@ -25,7 +26,10 @@ import (
 // integer-mode column ranks its values through a dense mark array or a
 // sort; a dictionary column slices its distinct values from one copy of
 // the arena, infers its kind from them, ranks them and rewrites its
-// provisional ids to rank codes in place.
+// provisional ids to rank codes in place. Strings rank by a sort on 8-byte
+// prefix keys (rankStrings). Ranking runs on as many goroutines as
+// encoding did, but not on the encoders' stripes: each goroutine claims
+// the column with the most distinct values left from one cursor.
 //
 // From the batchRows+1-th record on, the columns are striped across
 // min(GOMAXPROCS, cols) encoder goroutines: the caller copies each
@@ -427,78 +431,132 @@ func rankNumbers(entries []rankEntry, kind Kind) (remap []int32, display []strin
 	return remap, display
 }
 
-// rankStrings ranks distinct strings byte-wise through an MSD radix sort.
-// It returns remap and display as rankNumbers does.
+// rankStrings ranks distinct strings in byte order. It returns remap and
+// display as rankNumbers does.
+//
+// The strings sort on keys: a key is 8 bytes of a string from some depth,
+// big-endian and zero-padded past its end. Every string is keyed at depth
+// 0 and sorted; only a run of equal keys is keyed again, 8 bytes deeper,
+// and sorted within itself. Equal keys hide trailing NUL bytes, so a run
+// first puts the strings that end within the key's window, shorter first,
+// ahead of the rest: each is a prefix of every longer string in the run.
+// Strings that share a long prefix cost one key per 8 bytes of it, and the
+// pending runs are kept on a heap stack, not the call stack.
 func rankStrings(vals []string) (remap []int32, display []string) {
-	pairs := make([]strID, len(vals))
-	for id, s := range vals {
-		pairs[id] = strID{s: s, id: int32(id)}
+	a := make([]keyed, len(vals))
+	for id := range a {
+		a[id].id = int32(id)
 	}
-	radixSort(pairs, make([]strID, len(pairs)))
+	tmp := make([]keyed, len(a))
+	type run struct{ lo, hi, depth int } // a[lo:hi] agree on depth bytes
+	todo := []run{{0, len(a), 0}}
+	for len(todo) > 0 {
+		t := todo[len(todo)-1]
+		todo = todo[:len(todo)-1]
+		for i := t.lo; i < t.hi; i++ {
+			a[i].key = keyAt(vals[a[i].id], t.depth)
+		}
+		sortKeys(a[t.lo:t.hi], tmp[t.lo:t.hi])
+		for i := t.lo; i < t.hi; {
+			j := i + 1
+			for j < t.hi && a[j].key == a[i].key {
+				j++
+			}
+			if j-i > 1 {
+				if k := i + splitEnded(a[i:j], vals, t.depth+8); j-k > 1 {
+					todo = append(todo, run{k, j, t.depth + 8})
+				}
+			}
+			i = j
+		}
+	}
 	remap = make([]int32, len(vals)+1)
 	display = make([]string, len(vals)+1)
 	display[0] = "NULL"
-	for k, p := range pairs {
-		remap[p.id+1] = int32(k + 1)
-		display[k+1] = p.s
+	for k, e := range a {
+		remap[e.id+1] = int32(k + 1)
+		display[k+1] = vals[e.id]
 	}
 	return remap, display
 }
 
-// strID is a distinct string and its provisional id.
-type strID struct {
-	s  string
-	id int32
+// keyed is a distinct string's provisional id and its key at some depth.
+type keyed struct {
+	key uint64
+	id  int32
 }
 
-// radixCutoff is the bucket size below which radixSort hands over to a
-// comparison sort.
-const radixCutoff = 32
+// keyAt is the key of s at depth: bytes depth through depth+7 of s,
+// big-endian, zero past its end.
+func keyAt(s string, depth int) uint64 {
+	if depth+8 <= len(s) {
+		return binary.BigEndian.Uint64([]byte(s[depth : depth+8]))
+	}
+	var k uint64
+	for i := depth; i < depth+8; i++ {
+		k <<= 8
+		if i < len(s) {
+			k |= uint64(s[i])
+		}
+	}
+	return k
+}
 
-// radixSort sorts distinct strings byte-wise, most significant byte first.
-// It keeps its pending buckets on a heap-allocated stack, not the call
-// stack, because strings that share a long prefix would nest a frame per
-// byte of it. scratch is as long as a.
-func radixSort(a, scratch []strID) {
-	type bucket struct{ lo, hi, depth int } // a[lo:hi] agree on depth bytes
-	todo := []bucket{{0, len(a), 0}}
-	for len(todo) > 0 {
-		t := todo[len(todo)-1]
-		todo = todo[:len(todo)-1]
-		b, depth := a[t.lo:t.hi], t.depth
-		if len(b) <= radixCutoff {
-			slices.SortFunc(b, func(x, y strID) int { return strings.Compare(x.s[depth:], y.s[depth:]) })
+// splitEnded orders a run of equal keys whose window ends at end: the
+// strings no longer than end go first, shorter first, and it returns how
+// many there are. They are distinct and agree up to their ends, so there
+// are at most 9 of them.
+func splitEnded(a []keyed, vals []string, end int) int {
+	n := 0
+	for i, e := range a {
+		if len(vals[e.id]) > end {
 			continue
 		}
-		// Radix 0 holds the string that ends at depth; byte c goes to c+1.
-		var count [257]int
-		for _, p := range b {
-			count[byteAt(p.s, depth)]++
+		a[n], a[i] = a[i], a[n]
+		for k := n; k > 0 && len(vals[a[k].id]) < len(vals[a[k-1].id]); k-- {
+			a[k], a[k-1] = a[k-1], a[k]
 		}
-		var next [257]int // where the next string of each radix goes in scratch
-		for k, sum := 0, 0; k < len(count); k++ {
-			next[k] = sum
-			if count[k] > 1 {
-				todo = append(todo, bucket{t.lo + sum, t.lo + sum + count[k], depth + 1})
-			}
-			sum += count[k]
-		}
-		for _, p := range b {
-			k := byteAt(p.s, depth)
-			scratch[next[k]] = p
-			next[k]++
-		}
-		copy(b, scratch[:len(b)])
+		n++
 	}
+	return n
 }
 
-// byteAt is the radix of s at depth: 0 past its end, its byte plus one
-// otherwise.
-func byteAt(s string, depth int) int {
-	if depth < len(s) {
-		return int(s[depth]) + 1
+// smallSort is the length up to which sortKeys uses a comparison sort.
+const smallSort = 32
+
+// sortKeys sorts a by key through an LSD radix sort, a byte per pass,
+// skipping the bytes in which every key agrees. tmp is as long as a.
+func sortKeys(a, tmp []keyed) {
+	if len(a) <= smallSort {
+		slices.SortFunc(a, func(x, y keyed) int { return cmp.Compare(x.key, y.key) })
+		return
 	}
-	return 0
+	var count [8][256]int32
+	for _, e := range a {
+		for b := range count {
+			count[b][byte(e.key>>(8*b))]++
+		}
+	}
+	first := a[0].key
+	src, dst := a, tmp
+	for b := range count {
+		c := &count[b]
+		if int(c[byte(first>>(8*b))]) == len(a) {
+			continue
+		}
+		for k, sum := 0, int32(0); k < len(c); k++ {
+			c[k], sum = sum, sum+c[k]
+		}
+		for _, e := range src {
+			k := byte(e.key >> (8 * b))
+			dst[c[k]] = e
+			c[k]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &a[0] {
+		copy(a, src)
+	}
 }
 
 // batch is a flat, row-major run of records awaiting the encoders.
@@ -680,8 +738,10 @@ func (e *encoder) close() {
 	e.wg.Wait()
 }
 
-// finish closes the stream and ranks every column, striped across as many
-// goroutines as encoded it.
+// finish closes the stream and ranks every column on as many goroutines
+// as encoded it. They claim columns from one cursor, those with the most
+// distinct values first, so the costliest column starts at once and the
+// others fill in around it.
 func (e *encoder) finish(name string, colNames []string, opts Options) (*Relation, error) {
 	e.close()
 	nc := len(e.cols)
@@ -695,13 +755,24 @@ func (e *encoder) finish(name string, colNames []string, opts Options) (*Relatio
 		hasNull:  make([]bool, nc),
 		rows:     e.rows,
 	}
-	// Stop need not be safe for concurrent use, so only stripe 0, which runs
-	// on the calling goroutine, polls it; the other stripes see halt.
+	order := make([]int, nc)
+	for c := range order {
+		order[c] = c
+	}
+	slices.SortStableFunc(order, func(x, y int) int { return len(e.cols[y].dict.ends) - len(e.cols[x].dict.ends) })
+	// Stop need not be safe for concurrent use, so only the calling
+	// goroutine polls it; the others see halt.
 	var halt atomic.Bool
+	var cursor atomic.Int64
 	errs := make([]error, nc)
-	finalize := func(first, stride int) {
-		for c := first; c < nc; c += stride {
-			if first == 0 && opts.Stop != nil && opts.Stop() {
+	finalize := func(caller bool) {
+		for {
+			k := int(cursor.Add(1) - 1)
+			if k >= nc {
+				return
+			}
+			c := order[k]
+			if caller && opts.Stop != nil && opts.Stop() {
 				halt.Store(true)
 			}
 			if halt.Load() {
@@ -717,7 +788,7 @@ func (e *encoder) finish(name string, colNames []string, opts Options) (*Relatio
 			} else {
 				if b.dict.full {
 					errs[c] = fmt.Errorf("relation %s: column %d (%s): distinct values exceed %d bytes", name, c+1, colNames[c], maxArena)
-					return
+					continue
 				}
 				vals := b.dict.values()
 				kind = KindString
@@ -728,22 +799,21 @@ func (e *encoder) finish(name string, colNames []string, opts Options) (*Relatio
 				disp, distinct, err = b.rank(kind, vals)
 				if err != nil {
 					errs[c] = fmt.Errorf("relation %s: column %d (%s): %w", name, c+1, colNames[c], err)
-					return
+					continue
 				}
 			}
 			r.Kinds[c], r.Codes[c], r.display[c], r.distinct[c], r.hasNull[c] = kind, b.codes, disp, distinct, b.hasNull
 		}
 	}
-	stride := max(e.procs, 1)
 	var wg sync.WaitGroup
-	for w := 1; w < stride; w++ {
+	for w := 1; w < e.procs; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			finalize(w, stride)
+			finalize(false)
 		}()
 	}
-	finalize(0, stride)
+	finalize(true)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

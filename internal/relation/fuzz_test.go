@@ -142,6 +142,11 @@ func FuzzRankEncode(f *testing.F) {
 	f.Add("01,1,+1,10")
 	f.Add("b,a,,c,a")
 	f.Add("NULL,null,?")
+	// Shapes that the 8-byte keys of rankStrings must tell apart.
+	f.Add("abcdefghX,abcdefghA,abcdefgh,abcdefgh\x00,abcdefg")
+	f.Add("0123456789abcdefz,0123456789abcdef,0123456789abcdef\x00,0123456789abcde,01234567")
+	f.Add("abc,abc\x00,abc\x00\x00,ab\xff,\xff,\xff\xff,\xfe\xff")
+	f.Add("a,aa,aaa,aaaa,aaaaa,aaaaaa,aaaaaaa,aaaaaaaa,aaaaaaaaa,aaaaaaaaaa,aaaaaaaaaaa,aaaaaaaaaaaa,aaaaaaaaaaaaa,aaaaaaaaaaaaaa,aaaaaaaaaaaaaaa,aaaaaaaaaaaaaaaa,aaaaaaaaaaaaaaaaa")
 	f.Fuzz(func(t *testing.T, csv string) {
 		values := strings.Split(csv, ",")
 		if len(values) > 120 {

@@ -525,3 +525,93 @@ func TestRankStringsSharedPrefix(t *testing.T) {
 		}
 	}
 }
+
+// TestRankStringsKeyEdges: rankStrings agrees with slices.Sort where its
+// 8-byte keys hide a difference: strings equal on their first 8 or 16
+// bytes, a string that is another's 8- or 16-byte prefix, trailing NUL
+// bytes that the key's zero padding looks like, 0xFF bytes, and every
+// length from 1 to 17. The random cases reach the radix passes as well as
+// the insertion sort of short runs.
+func TestRankStringsKeyEdges(t *testing.T) {
+	p8, p16 := "abcdefgh", "0123456789abcdef"
+	var lengths []string
+	for n := 1; n <= 17; n++ {
+		a := strings.Repeat("a", n)
+		lengths = append(lengths, a, a[:n-1]+"\x00", a[:n-1]+"\xff", a[:n-1]+"b")
+	}
+	random := func(seed int64, n int, prefix string) []string {
+		rng := rand.New(rand.NewSource(seed))
+		seen := map[string]bool{}
+		var vals []string
+		for len(vals) < n {
+			b := []byte(prefix)
+			for k := rng.Intn(20); k > 0; k-- {
+				b = append(b, "\x00\x01a\xfe\xff"[rng.Intn(5)])
+			}
+			if s := string(b); !seen[s] {
+				seen[s] = true
+				vals = append(vals, s)
+			}
+		}
+		return vals
+	}
+	cases := []struct {
+		name string
+		vals []string
+	}{
+		{"equal first 8 bytes", []string{p8 + "X", p8 + "A", p8 + "AB", p8 + "\x00A", p8 + "\xffA"}},
+		{"equal first 16 bytes", []string{p16 + "z", p16 + "a", p16 + "a\x00", p16 + "\x00z", p16 + "\xff"}},
+		{"8-byte prefix", []string{p8 + "i", p8, p8[:7], p8 + "\x00", p8 + p8}},
+		{"16-byte prefix", []string{p16 + "q", p16, p16[:15], p16 + "\x00", p16[:8]}},
+		{"abc and abc NUL", []string{"abc\x00", "abc", "abc\x00\x00", "ab", "abd", "abc\x00\x01"}},
+		{"0xFF bytes", []string{"\xff", "\xff\xff", "\xfe\xff", "\xff\x00", "a\xff", strings.Repeat("\xff", 8), strings.Repeat("\xff", 9), strings.Repeat("\xff", 16) + "\x00"}},
+		{"lengths 1 to 17", lengths},
+		{"empty string", []string{"a", "", "\x00"}},
+		{"random", random(1, 2000, "")},
+		{"random, shared 8 bytes", random(2, 500, p8)},
+		{"random, shared 16 bytes", random(3, 500, p16)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			remap, display := rankStrings(tc.vals)
+			want := slices.Clone(tc.vals)
+			slices.Sort(want)
+			if !slices.Equal(display[1:], want) {
+				t.Fatalf("display %q, want %q", display[1:], want)
+			}
+			for id, s := range tc.vals {
+				if display[remap[id+1]] != s {
+					t.Fatalf("value %q ranks as %q", s, display[remap[id+1]])
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRankStrings ranks two sets of distinct strings: the LINEITEM
+// replica's comment values ("c" and up to six digits, 180,000 of them), and
+// URLs that share a 24-byte prefix, so every key of the first three
+// windows ties.
+func BenchmarkRankStrings(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	seen := map[int]bool{}
+	var comments, urls []string
+	for len(comments) < 180_000 {
+		if v := rng.Intn(1_000_000); !seen[v] {
+			seen[v] = true
+			comments = append(comments, "c"+strconv.Itoa(v))
+			urls = append(urls, "https://example.org/p/q/"+strconv.Itoa(v))
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		vals []string
+	}{{"comments", comments}, {"urls", urls}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rankStrings(bc.vals)
+			}
+		})
+	}
+}

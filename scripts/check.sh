@@ -111,7 +111,7 @@ scripts/obs_chaos.sh
 step "bench smoke: root and ingestion benchmarks, one iteration each"
 go test . -run '^$' -bench 'BenchmarkObsOverhead|BenchmarkPhase_|BenchmarkProgressFormat|BenchmarkDatasetTaxinfo|BenchmarkAblation_CheckPrimitives' -benchmem -benchtime=1x -count=1
 go test . -run '^$' -bench '^BenchmarkTable6$/^ocddiscover$/^HEPATITIS$' -benchmem -benchtime=1x -count=1
-go test ./internal/relation -run '^$' -bench '^BenchmarkReadCSVLineItem$' -benchtime=1x -count=1
+go test ./internal/relation -run '^$' -bench '^(BenchmarkReadCSVLineItem|BenchmarkRankStrings)$' -benchmem -benchtime=1x -count=1
 
 step "bench module: go -C bench vet ./... && go -C bench test ./..."
 go -C bench vet ./...

@@ -23,7 +23,8 @@ type Options struct {
 	// reporting). Zero means unlimited.
 	Timeout time.Duration
 	// MaxCandidates aborts once this many candidates were generated
-	// (0 = unlimited), a guard against quasi-constant blow-ups.
+	// (0 = unlimited), a guard against quasi-constant blow-ups. A level
+	// can overshoot it by at most one chunk's children per worker.
 	MaxCandidates int64
 	// MaxLevel bounds the candidate tree depth (|X|+|Y| ≤ MaxLevel);
 	// 0 = unlimited.

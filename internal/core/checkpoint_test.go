@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/debug"
 	"testing"
 
 	"ocd/internal/attr"
@@ -246,6 +247,10 @@ func TestNoSnapshotBeforeFirstBarrier(t *testing.T) {
 // pairs as for one of 1,000: the frontier's rows are shared or copied
 // whole, never converted pair by pair.
 func TestSnapshotAllocsIndependentOfFrontier(t *testing.T) {
+	// A GC cycle makes a few heap allocations of the runtime's own, which
+	// AllocsPerRun counts as the function's, and the large frontier meets
+	// more cycles; so the collector is off while allocations are counted.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	r := correlatedRelation(t, 40)
 	allocs := func(pairs int) (snap, restore float64) {
 		d := newDiscoverer(r, Options{Workers: 1})

@@ -101,7 +101,7 @@ type discoverer struct {
 
 	// generated counts candidates produced so far; workers stop early when
 	// it crosses MaxCandidates, bounding memory even within one level of a
-	// quasi-constant blow-up.
+	// quasi-constant blow-up. Workers add their children once per chunk.
 	generated atomic.Int64
 
 	// stopReason holds the first TruncateReason requested by the watcher,
@@ -252,6 +252,9 @@ type workerOut struct {
 	// current is the index of the candidate being processed, -1 before
 	// the first, so a recovered panic can name it.
 	current int
+	// prunes counts the candidates the worker found invalid (Theorem
+	// 3.7 prunes their subtrees); published per chunk.
+	prunes int
 	// err is the worker's recovered panic, if any.
 	err error
 	// stopped reports that the worker bailed before finishing its range.
@@ -617,32 +620,44 @@ func (d *discoverer) runWorker(w int, lv *level, size int, cursor *atomic.Int64,
 }
 
 // processChunks claims chunks of size candidates from cursor until the
-// level is exhausted, recording where each chunk's output lies in chunks.
+// level is exhausted or the worker stops.
 func (d *discoverer) processChunks(w int, lv *level, size int, cursor *atomic.Int64, chunks []chunkOut, reduced []attr.ID, out *workerOut) {
-	h := d.handles[w]
 	for {
 		from := int(cursor.Add(int64(size))) - size
-		if from >= lv.Len() {
+		if from >= lv.Len() || !d.processChunk(w, lv, from, min(from+size, lv.Len()), &chunks[from/size], reduced, out) {
 			return
 		}
-		c := &chunks[from/size]
-		*c = chunkOut{w: w, from: out.next.Len(), to: out.next.Len()}
-		for i := from; i < min(from+size, lv.Len()); i++ {
-			if d.reason() != TruncateNone || d.overBudget() {
-				out.stopped = true
-				return
-			}
-			out.current = i
-			faultinject.Point("core.worker.candidate")
-			row, s := lv.Row(i)
-			d.processCandidate(h, row, s, reduced, out)
-			if n := out.next.Len() - c.to; n > 0 {
-				d.generated.Add(int64(n))
-				c.to = out.next.Len()
-			}
-			d.ro.candidateDone(d)
-		}
 	}
+}
+
+// processChunk checks candidates from through to-1 of lv and records in c
+// where their children lie in out.next; it reports false when the worker
+// stopped early. What other goroutines read — c, the Checker's check
+// count, the generated count and the progress counters — it updates once,
+// when the chunk ends, also when it stops or panics, and then counts only
+// the candidates it finished.
+func (d *discoverer) processChunk(w int, lv *level, from, to int, c *chunkOut, reduced []attr.ID, out *workerOut) bool {
+	h := d.handles[w]
+	start, prunes := out.next.Len(), out.prunes
+	end, i := start, from
+	defer func() {
+		*c = chunkOut{w: w, from: start, to: end}
+		h.Flush()
+		d.generated.Add(int64(end - start))
+		d.ro.chunkDone(d, i-from, out.prunes-prunes)
+	}()
+	for ; i < to; i++ {
+		if d.reason() != TruncateNone || d.overBudget() {
+			out.stopped = true
+			return false
+		}
+		out.current = i
+		faultinject.Point("core.worker.candidate")
+		row, s := lv.Row(i)
+		d.processCandidate(h, row, s, reduced, out)
+		end = out.next.Len()
+	}
+	return true
 }
 
 // processCandidate implements the per-candidate work of Algorithm 1 line 8
@@ -659,7 +674,7 @@ func (d *discoverer) processCandidate(h *order.Handle, row []uint16, s int, redu
 		// Invalid candidate: Theorem 3.7 prunes the whole subtree. (A
 		// hard-stopped check also lands here: conservatively invalid, so a
 		// partially checked candidate is never emitted.)
-		d.ro.prune()
+		out.prunes++
 		return
 	}
 	// The result owns its lists; x and y are reused for the next candidate.

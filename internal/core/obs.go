@@ -15,11 +15,12 @@ import (
 //
 // Hot-path discipline (enforced by the ocdlint obshot analyzer): the
 // per-candidate path touches only pre-resolved instrument handles —
-// Counter.Inc, Histogram.Observe — which are single atomic adds, plus
-// one atomic threshold load for the report cadence. Everything that
-// locks, formats or allocates (span creation, registry lookups, rate
-// math) happens at level boundaries or at the report cadence (every
-// ReportEvery checks), never per candidate.
+// Histogram.Observe for check latency, a single atomic add. Progress and
+// prune counts are added once per chunk of candidates, with one atomic
+// threshold load for the report cadence. Everything that locks, formats
+// or allocates (span creation, registry lookups, rate math) happens at
+// level boundaries or at the report cadence (every ReportEvery checks,
+// polled once per chunk), never per candidate.
 
 // Registry metric names. The full catalogue is documented in
 // docs/OBSERVABILITY.md; tests pin the stable ones.
@@ -258,14 +259,6 @@ func (ro *runObs) workerEnd(sp *obs.Span, t0 time.Time, out *workerOut) {
 	}
 }
 
-// prune counts one subtree prune (an invalid OCD candidate).
-// lint:hot
-func (ro *runObs) prune() {
-	if ro != nil {
-		ro.prunes.Inc()
-	}
-}
-
 // checkStart starts the latency clock for one order check; zero when the
 // latency histogram is off, so disabled runs never read the clock.
 // lint:hot
@@ -285,15 +278,20 @@ func (ro *runObs) checkDone(t0 time.Time) {
 	ro.checkLat.Observe(int64(time.Since(t0)))
 }
 
-// candidateDone advances the level-progress counter and, at the report
-// cadence, emits a mid-level progress report from whichever worker
-// crosses the threshold first (the CAS elects exactly one).
-// lint:hot
-func (ro *runObs) candidateDone(d *discoverer) {
+// chunkDone advances the level-progress counter by the n candidates a
+// worker finished and the prune counter by the prunes among them, then,
+// at the report cadence, emits a mid-level progress report from whichever
+// worker crosses the threshold first (the CAS elects exactly one). Workers
+// call it once per chunk, after flushing their Handle, so counters other
+// workers read move once per chunk, not once per candidate.
+func (ro *runObs) chunkDone(d *discoverer, n, prunes int) {
 	if ro == nil {
 		return
 	}
-	ro.levelDone.Add(1)
+	ro.levelDone.Add(int64(n))
+	if prunes > 0 {
+		ro.prunes.Add(int64(prunes))
+	}
 	if ro.reporter == nil {
 		return
 	}

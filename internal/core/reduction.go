@@ -32,6 +32,7 @@ type reduction struct {
 // Handles: each worker claims the next outer column from a cursor and
 // checks it against every other, so a row's edges are found by one worker,
 // in column order, and the graph is the same whatever the worker count.
+// A worker flushes its Handle's counts once per row.
 // A hard stop abandons the remaining rows on every worker. The partial
 // output stays sound: constants are detected first (cheap), and an SCC
 // built from a subset of the verified edges can only be finer than the
@@ -56,7 +57,6 @@ func (d *discoverer) columnsReduction() *reduction {
 	var cursor atomic.Int64
 	d.parallel(func(w int) {
 		h := d.handles[w]
-		defer h.Flush()
 		for !d.hardStop.Load() {
 			i := int(cursor.Add(1) - 1)
 			if i >= n {
@@ -68,6 +68,7 @@ func (d *discoverer) columnsReduction() *reduction {
 					adj[i] = append(adj[i], j)
 				}
 			}
+			h.Flush()
 		}
 	})
 	comps := tarjan.SCC(n, adj)

@@ -72,7 +72,10 @@ type Options struct {
 	Timeout time.Duration
 	// MaxCandidates aborts (Truncated) once more than this many candidates
 	// have been generated; zero means no limit. A safety valve for
-	// quasi-constant-column blow-ups (Section 5.4).
+	// quasi-constant-column blow-ups (Section 5.4). Workers publish the
+	// children they generate once per chunk of at most 64 candidates, so
+	// a level can overshoot the cap by at most one chunk's children per
+	// worker before it stops.
 	MaxCandidates int64
 	// MaxLevel stops the traversal after the given tree level (a level-ℓ
 	// candidate has |X|+|Y| = ℓ); zero means no limit.

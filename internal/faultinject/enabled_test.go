@@ -69,6 +69,25 @@ func TestDelayAction(t *testing.T) {
 	}
 }
 
+// TestDelayFromEnv: a `point:delay:nth` spec in EnvVar arms a sleep of
+// SpecDelay on exactly the nth hit.
+func TestDelayFromEnv(t *testing.T) {
+	Reset()
+	defer Reset()
+	t.Setenv(EnvVar, "d:delay:2")
+	if err := ArmFromEnv(); err != nil {
+		t.Fatalf("ArmFromEnv: %v", err)
+	}
+	for hit := 1; hit <= 3; hit++ {
+		start := time.Now()
+		Point("d")
+		elapsed := time.Since(start)
+		if slept := elapsed >= SpecDelay; slept != (hit == 2) {
+			t.Errorf("hit %d of d:delay:2 returned after %v, want a sleep of %v on hit 2 only", hit, elapsed, SpecDelay)
+		}
+	}
+}
+
 // TestPointErrInjectsOnNth: an ActionErr rule makes PointErr return an
 // error wrapping ErrInjected on exactly the armed hit, nil everywhere else.
 func TestPointErrInjectsOnNth(t *testing.T) {

@@ -75,8 +75,9 @@ const ExitCode = 86
 
 // EnvVar is the environment variable ArmFromEnv reads. The value is a
 // semicolon-separated list of `point:action:nth` specs, where action is
-// "panic", "exit", "err", "http500" or "drop", and nth is the 1-based hit
-// that fires it — or "*" to fire on every hit. E.g.
+// "panic", "exit", "err", "http500", "drop" or "delay" (a sleep of
+// SpecDelay), and nth is the 1-based hit that fires it — or "*" to fire
+// on every hit. E.g.
 //
 //	OCD_FAULT="core.level.start:exit:2"
 //
@@ -85,9 +86,19 @@ const ExitCode = 86
 //	OCD_FAULT="jobs.run.poison:panic:*"
 //
 // panics every attempt of the job named "poison" (the serve-chaos poison
-// job). The HTTP actions only fire at HTTPPoint sites; "err" only fires at
-// PointErr sites.
+// job), and
+//
+//	OCD_FAULT="core.level.start:delay:2"
+//
+// holds the traversal for SpecDelay before its second level, so a signal
+// sent once the first level is under way lands mid-job. The HTTP actions
+// only fire at HTTPPoint sites; "err" only fires at PointErr sites.
 const EnvVar = "OCD_FAULT"
+
+// SpecDelay is how long a "delay" spec of EnvVar sleeps: far longer than
+// a script needs to act on a progress report, so the window it opens does
+// not depend on the machine's speed.
+const SpecDelay = time.Second
 
 // String names the action.
 func (a Action) String() string {
@@ -128,8 +139,10 @@ func ParseSpec(spec string) (point string, r Rule, err error) {
 		r.Action = ActionHTTPDrop
 	case "err":
 		r.Action = ActionErr
+	case "delay":
+		r.Action, r.Delay = ActionDelay, SpecDelay
 	default:
-		return "", Rule{}, fmt.Errorf("faultinject: bad action %q in %q, want panic, exit, err, http500 or drop", parts[1], spec)
+		return "", Rule{}, fmt.Errorf("faultinject: bad action %q in %q, want panic, exit, err, http500, drop or delay", parts[1], spec)
 	}
 	if parts[2] == "*" {
 		r.EveryK = 1

@@ -17,7 +17,9 @@ func TestParseSpec(t *testing.T) {
 		{"", "", Rule{}, true},
 		{"p:exit", "", Rule{}, true},
 		{":exit:1", "", Rule{}, true},
-		{"p:delay:1", "", Rule{}, true}, // delay is in-process only, not scriptable
+		{"core.level.start:delay:2", "core.level.start", Rule{Action: ActionDelay, Delay: SpecDelay, Nth: 2}, false},
+		{"p:delay:*", "p", Rule{Action: ActionDelay, Delay: SpecDelay, EveryK: 1}, false},
+		{"p:sleep:1", "", Rule{}, true},
 		{"p:exit:0", "", Rule{}, true},
 		{"p:exit:-3", "", Rule{}, true},
 		{"p:exit:two", "", Rule{}, true},

@@ -12,48 +12,63 @@ import (
 // Handle is one goroutine's view of a Checker. It owns what a check
 // mutates: a bounded FIFO cache of derived rank vectors, the check's
 // scratch arrays, a free list of the buffers of dropped vectors, which
-// later derivations reuse, and a ring of recent swap witnesses. Nothing
-// on its lookup path is shared, so it takes no lock; only one goroutine
-// may use a Handle at a time. The Checker's own methods run on a built-in
-// Handle behind a mutex.
+// later derivations reuse, a ring of recent swap witnesses, and its
+// counters. Nothing on its lookup path is shared, so it takes no lock;
+// only one goroutine may use a Handle at a time. The Checker's own
+// methods run on a built-in Handle behind a mutex.
 type Handle struct {
 	c *Checker
 	fifo
 	s scratch
 	w witnesses
+	// signs holds the ring's sign rows, one word per column, one bit per
+	// slot (witness.go). It lives outside w, so emptying the ring keeps
+	// the array.
+	signs []signs
 
 	// free holds buffers ready for reuse. held holds the buffers dropped
 	// during the current check, which that check may still be reading;
 	// they join free when it ends.
 	free, held [][]int32
 
-	// Lookup and witness counters, published to the Checker by Flush.
-	hits, misses, sorts, witnessHits int64
+	// Check, lookup and witness counters, published to the Checker by
+	// Flush.
+	checks, hits, misses, sorts, witnessHits int64
 }
 
 // NewHandle returns a Handle on c whose cache holds at most cacheCap rank
 // vectors of multi-attribute lists (0 disables caching). The Checker
 // remembers it, so ReleaseMemory reaches its cache.
 func (c *Checker) NewHandle(cacheCap int) *Handle {
-	h := &Handle{c: c, fifo: fifo{cap: cacheCap}}
+	h := &Handle{c: c, fifo: fifo{cap: cacheCap}, signs: make([]signs, c.r.NumCols())}
 	c.mu.Lock()
 	c.handles = append(c.handles, h)
 	c.mu.Unlock()
 	return h
 }
 
-// Flush publishes the Handle's counters to the Checker: its Sorts count,
-// the order.index_cache.* counters and order.swap_witness.hits. Call it
+// Flush publishes the Handle's counters to the Checker: its Checks and
+// Sorts counts, the order.index_cache.* counters and
+// order.swap_witness.hits. It writes only the totals that moved. Call it
 // from the goroutine using the Handle, or after that goroutine is done.
 func (h *Handle) Flush() {
 	c := h.c
+	if h.checks != 0 {
+		c.checks.Add(h.checks)
+	}
 	if h.sorts != 0 {
 		c.sorts.Add(h.sorts)
 	}
-	c.obsHits.Add(h.hits)
-	c.obsMisses.Add(h.misses)
-	c.obsWitnessHits.Add(h.witnessHits)
-	h.hits, h.misses, h.sorts, h.witnessHits = 0, 0, 0, 0
+	if h.hits != 0 {
+		c.obsHits.Add(h.hits)
+	}
+	if h.misses != 0 {
+		c.obsMisses.Add(h.misses)
+	}
+	if h.witnessHits != 0 {
+		c.obsWitnessHits.Add(h.witnessHits)
+	}
+	h.checks, h.hits, h.misses, h.sorts, h.witnessHits = 0, 0, 0, 0, 0
 }
 
 // buffer returns a rank buffer of n rows, recycled when one is free.

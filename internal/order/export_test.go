@@ -1,5 +1,8 @@
 package order
 
-// Algorithm2 exports the test-only reference checker to the external
-// order_test package.
-var Algorithm2 = algorithm2
+// Algorithm2 exports the test-only reference checker, and ListsUpTo the
+// list enumerator, to the external order_test package.
+var (
+	Algorithm2 = algorithm2
+	ListsUpTo  = listsUpTo
+)

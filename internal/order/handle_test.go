@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"ocd/internal/attr"
@@ -120,30 +121,63 @@ func verify(t *testing.T, r *relation.Relation, res *core.Result) {
 // derivations, so on one worker it equals Checker.Sorts. A one-step
 // extension over a small pair space is composite keys in scratch, neither
 // a hit nor a miss. The workload replays the candidates Algorithm 3
-// generates on HEPATITIS: every one-step extension of each side of the
-// OCDs a one-worker discovery reports.
+// generates on HEPATITIS (hepatitisExtensions).
 func TestCacheMissesCountDerivations(t *testing.T) {
-	r := datagen.Hepatitis()
-	res := core.Discover(r, core.Options{Workers: 1})
-	if len(res.OCDs) == 0 {
-		t.Fatal("HEPATITIS discovery reported no OCDs")
-	}
+	r, pairs := hepatitisExtensions(t)
 	reg := obs.NewRegistry()
 	c := order.NewChecker(r, 0)
 	c.SetObs(reg)
 	h := c.NewHandle(32)
+	for _, p := range pairs {
+		h.CheckOCD(p[0], p[1])
+	}
+	h.Flush()
+	if misses := reg.Counter("order.index_cache.misses").Value(); misses != c.Sorts() || misses == 0 {
+		t.Fatalf("misses = %d, want Checker.Sorts() = %d (> 0)", misses, c.Sorts())
+	}
+}
+
+// BenchmarkCheckOCDParallel runs the HEPATITIS extension checks on one
+// shared Checker, one Handle per goroutine, each goroutine starting at
+// its own offset into the workload. An op is one OCD check; with checks
+// on separate Handles touching no shared counter, ns/op should fall with
+// -cpu as the cores allow.
+func BenchmarkCheckOCDParallel(b *testing.B) {
+	r, pairs := hepatitisExtensions(b)
+	c := order.NewChecker(r, 0)
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		h := c.NewHandle(32)
+		k := int(next.Add(int64(len(pairs)/7))) % len(pairs)
+		for pb.Next() {
+			h.CheckOCD(pairs[k][0], pairs[k][1])
+			k = (k + 1) % len(pairs)
+		}
+		h.Flush()
+	})
+}
+
+// hepatitisExtensions returns the HEPATITIS replica and the OCD checks
+// Algorithm 3 makes from the first 400 OCDs a one-worker discovery
+// reports: every one-step extension of either side.
+func hepatitisExtensions(tb testing.TB) (*relation.Relation, [][2]attr.List) {
+	tb.Helper()
+	r := datagen.Hepatitis()
+	res := core.Discover(r, core.Options{Workers: 1})
+	if len(res.OCDs) == 0 {
+		tb.Fatal("HEPATITIS discovery reported no OCDs")
+	}
+	var pairs [][2]attr.List
 	for _, d := range res.OCDs[:min(len(res.OCDs), 400)] {
 		for a := 0; a < r.NumCols(); a++ {
 			id := attr.ID(a)
 			if d.X.Contains(id) || d.Y.Contains(id) {
 				continue
 			}
-			h.CheckOCD(d.X.Append(id), d.Y)
-			h.CheckOCD(d.X, d.Y.Append(id))
+			pairs = append(pairs, [2]attr.List{d.X.Append(id), d.Y}, [2]attr.List{d.X, d.Y.Append(id)})
 		}
 	}
-	h.Flush()
-	if misses := reg.Counter("order.index_cache.misses").Value(); misses != c.Sorts() || misses == 0 {
-		t.Fatalf("misses = %d, want Checker.Sorts() = %d (> 0)", misses, c.Sorts())
-	}
+	return r, pairs
 }

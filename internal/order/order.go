@@ -37,14 +37,17 @@
 // Most OCD checks of a discovery fail (124,485 of 128,890 on HEPATITIS),
 // and candidates that extend the same lists often fail on the same rows.
 // So each Handle keeps a ring of the row pairs that falsified its 16 most
-// recent failing OCD checks (witness.go). An OCD check first compares each
-// remembered pair on X and then on Y by column codes; a pair ordered
-// strictly opposite on the two is a swap, and the check fails without
-// resolving a side or scanning. Otherwise the scan runs, and when it finds
-// a swap at group g, one more pass over the two sides' rank vectors finds
-// a row of g at g's minimum Y-rank and a row of an earlier group at the
-// running maximum: that pair replaces the ring's oldest. A valid OCD, and
-// every OD check, always pays the full scan.
+// recent failing OCD checks (witness.go), each stored as its sign row: per
+// column, the sign of the pair's code difference, one bit per pair in two
+// masks per column. An OCD check reads every pair's first nonzero sign
+// along X and along Y at once, which is how each pair compares on each
+// list; a pair ordered strictly opposite on the two is a swap, and the
+// check fails without touching the relation, resolving a side or
+// scanning. Otherwise the scan runs, and when it finds a swap at
+// group g, one more pass over the two sides' rank vectors finds a row of g
+// at g's minimum Y-rank and a row of an earlier group at the running
+// maximum: that pair's sign row replaces the ring's oldest. A valid OCD,
+// and every OD check, always pays the full scan.
 package order
 
 import (
@@ -126,11 +129,12 @@ type ODResult struct {
 }
 
 // Checker performs order checks against a fixed relation. It holds what
-// every check shares: the relation's column rank vectors, the check
-// counter and the stop flag. What a check mutates — the
-// cache of derived rank vectors, scratch arrays, recycled buffers — lives
-// in a Handle, one per goroutine: the paper's multi-threaded tree
-// traversal (Section 4.2.2) gives each worker its own. The Checker's own
+// every check reads: the relation's column rank vectors and the stop flag,
+// and the totals its Handles flush. What a check mutates — the cache of
+// derived rank vectors, scratch arrays, recycled buffers, the check and
+// derivation counts — lives in a Handle, one per goroutine: the paper's
+// multi-threaded tree traversal (Section 4.2.2) gives each worker its own,
+// so no check writes memory another worker reads. The Checker's own
 // methods run on a built-in Handle behind a mutex, so a Checker is safe
 // for concurrent use.
 type Checker struct {
@@ -186,8 +190,9 @@ func (c *Checker) SetStopFlag(stop *atomic.Bool) { c.stop = stop }
 // stopped reports whether a cooperative stop has been requested.
 func (c *Checker) stopped() bool { return c.stop != nil && c.stop.Load() }
 
-// Checks returns the number of candidate checks performed so far, the
-// "#checks" statistic of Table 6.
+// Checks returns the number of candidate checks performed, the "#checks"
+// statistic of Table 6, as of each Handle's last Flush. The Checker's own
+// methods flush before they return.
 func (c *Checker) Checks() int64 { return c.checks.Load() }
 
 // Sorts returns how many dense rank vectors were derived, as of each
@@ -253,13 +258,13 @@ func (h *Handle) CheckOD(x, y attr.List) bool {
 	return h.check(x, y, scanOD).Valid
 }
 
-// check runs one candidate check: exactly one Checks() increment, then the
-// grouped scan. An OCD check first probes the ring of recent swap
-// witnesses, and a witnessed swap answers it without the scan. An aborted
-// check conservatively reports both violation kinds so no pruning rule
-// treats the candidate as verified.
+// check runs one candidate check: exactly one count towards Checks(),
+// published by the next Flush, then the grouped scan. An OCD check first
+// probes the ring of recent swap witnesses, and a witnessed swap answers
+// it without the scan. An aborted check conservatively reports both
+// violation kinds so no pruning rule treats the candidate as verified.
 func (h *Handle) check(x, y attr.List, mode scanMode) ODResult {
-	h.c.checks.Add(1)
+	h.checks++
 	faultinject.Point("order.checker.check")
 	if mode == scanOCD && h.swapWitnessed(x, y) {
 		h.witnessHits++

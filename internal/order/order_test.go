@@ -2,6 +2,7 @@ package order
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"ocd/internal/attr"
@@ -286,6 +287,48 @@ func TestCheckCounter(t *testing.T) {
 	c.CheckODFull(ids(0), ids(2))
 	if c.Checks() != 3 {
 		t.Errorf("Checks = %d, want 3", c.Checks())
+	}
+}
+
+// TestConcurrentHandlesCountEveryCheck: Handles on one Checker count
+// their checks privately while they check concurrently, beside the
+// Checker's own methods; once every Handle has flushed, Checks() is the
+// total.
+func TestConcurrentHandlesCountEveryCheck(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	c := NewChecker(randomRelation(rng, 500, 6, 7), 4)
+	const handles, rounds = 4, 150
+	lists := []attr.List{ids(0), ids(1, 2), ids(3), ids(4, 5), ids(2, 0), ids(5, 1, 3)}
+	var wg sync.WaitGroup
+	for g := 0; g <= handles; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var h *Handle
+			if g < handles {
+				h = c.NewHandle(2)
+			}
+			for k := 0; k < rounds; k++ {
+				x, y := lists[(g+k)%len(lists)], lists[(g+2*k+1)%len(lists)]
+				if h == nil {
+					c.CheckOCD(x, y)
+					c.CheckODFull(y, x)
+					continue
+				}
+				h.CheckOCD(x, y)
+				h.CheckOD(y, x)
+				if k%40 == 0 {
+					h.Flush()
+				}
+			}
+			if h != nil {
+				h.Flush()
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := c.Checks(), int64(2*rounds*(handles+1)); got != want {
+		t.Errorf("Checks = %d after every Handle flushed, want %d", got, want)
 	}
 }
 

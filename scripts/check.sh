@@ -44,9 +44,10 @@
 #  10. bench smoke               go test -bench runs the observability,
 #                                phase, taxinfo and check-primitive root
 #                                benchmarks, OCDDISCOVER on HEPATITIS and
-#                                the LINEITEM CSV ingestion benchmark
-#                                once each (-benchtime=1x), so they keep
-#                                compiling and running;
+#                                the LINEITEM CSV ingestion, string
+#                                ranking and parallel OCD check
+#                                benchmarks once each (-benchtime=1x),
+#                                so they keep compiling and running;
 #                                end-to-end numbers come from
 #                                bash bench/run.sh
 #  11. bench module tests        go -C bench vet/test: bench/ is a Go
@@ -108,10 +109,11 @@ scripts/serve_chaos.sh
 step "chaos: observability gate (scripts/obs_chaos.sh)"
 scripts/obs_chaos.sh
 
-step "bench smoke: root and ingestion benchmarks, one iteration each"
+step "bench smoke: root, ingestion and check benchmarks, one iteration each"
 go test . -run '^$' -bench 'BenchmarkObsOverhead|BenchmarkPhase_|BenchmarkProgressFormat|BenchmarkDatasetTaxinfo|BenchmarkAblation_CheckPrimitives' -benchmem -benchtime=1x -count=1
 go test . -run '^$' -bench '^BenchmarkTable6$/^ocddiscover$/^HEPATITIS$' -benchmem -benchtime=1x -count=1
 go test ./internal/relation -run '^$' -bench '^(BenchmarkReadCSVLineItem|BenchmarkRankStrings)$' -benchmem -benchtime=1x -count=1
+go test ./internal/order -run '^$' -bench '^BenchmarkCheckOCDParallel$' -benchmem -benchtime=1x -count=1
 
 step "bench module: go -C bench vet ./... && go -C bench test ./..."
 go -C bench vet ./...

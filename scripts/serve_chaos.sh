@@ -124,8 +124,8 @@ go build -tags=faultinject -o "$tmp/ocdserve" ./cmd/ocdserve
 go build -o "$tmp/datagen" ./cmd/datagen
 
 "$tmp/datagen" -dataset taxinfo -out "$tmp/tax.csv" >/dev/null
-# Large enough to run for seconds at one worker: the crash lands mid-run
-# with submissions still queued, and the drain signal lands mid-level.
+# Deep enough (at least three levels) for the level-3 kill; the crash and
+# drain steps add delays so that their signals land mid-job.
 "$tmp/datagen" -dataset flight -rows 10000 -cols 50 -out "$tmp/flight50.csv" >/dev/null
 
 step "baseline: uninterrupted server run"
@@ -143,7 +143,10 @@ levels=$(jq -r .levels "$tmp/flight_base.json")
 stop_server 0
 
 step "kill mid-job (OCD_FAULT=core.level.start:exit:3) with work queued"
-start_server crash "$tmp/chaos" "core.level.start:exit:3"
+# The job reaches its third level in about 0.1 s, so its first reduction
+# row sleeps for a second (faultinject.SpecDelay): the two submissions
+# below are always queued before the kill.
+start_server crash "$tmp/chaos" "core.reduction.row:delay:1;core.level.start:exit:3"
 flight_id=$(submit flight50 "$tmp/flight50.csv")
 tax_id=$(submit tax "$tmp/tax.csv")
 poison_id=$(submit poison "$tmp/tax.csv")
@@ -189,7 +192,11 @@ metrics=$(curl -sS "$BASE/metrics")
 stop_server 0
 
 step "graceful drain: SIGTERM mid-job checkpoints and exits 0"
-start_server drain "$tmp/drain" ""
+# The whole job takes about 0.1 s, less than a poll and a signal can need,
+# so the traversal sleeps for a second (faultinject.SpecDelay) before its
+# second level: a SIGTERM sent once the first level reports progress
+# always lands mid-job.
+start_server drain "$tmp/drain" "core.level.start:delay:2"
 slow_id=$(submit flight50 "$tmp/flight50.csv")
 # Wait for live progress (discovery underway), then drain mid-run.
 for _ in $(seq 1 600); do

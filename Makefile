@@ -1,7 +1,7 @@
 # Convenience wrappers around the check gate; scripts/check.sh is the
 # source of truth for what CI runs.
 
-.PHONY: build test race lint chaos resume-chaos serve-chaos obs-chaos fuzz bench-test check
+.PHONY: build test race lint chaos fuzz bench-test check
 
 build:
 	go build ./...
@@ -20,31 +20,15 @@ lint:
 
 # chaos compiles in the fault-injection points (docs/ROBUSTNESS.md) and
 # drives the engine's failure paths: worker panics, injected cancels,
-# delays — then repeats the concurrency-sensitive packages under -race.
+# delays. It runs the differential harness (internal/differential): every
+# input gives one result in every execution mode, and ocddiscover and
+# ocdserve keep their kill, resume, drain and observability contracts.
+# CHAOS_ARTIFACT_DIR keeps the harness's server logs, Prometheus scrape and
+# trace. -count=1: go test's cache does not see the commands the harness
+# builds. Then the concurrency-sensitive packages repeat under -race.
 chaos:
-	go test -tags=faultinject ./...
+	go test -count=1 -tags=faultinject ./...
 	go test -tags=faultinject -race ./internal/core/ ./internal/faultinject/
-
-# resume-chaos kills a fault-injection build of ocddiscover mid-level and
-# mid-snapshot-rename, resumes from the surviving checkpoint, and diffs
-# the output against an uninterrupted run (docs/ROBUSTNESS.md).
-resume-chaos:
-	scripts/resume_chaos.sh
-
-# serve-chaos crashes a faultinject ocdserve mid-job, restarts it on the
-# same data directory, and requires resumed results byte-identical to an
-# uninterrupted server, a poison job failed after max-attempts, and a
-# clean SIGTERM drain (docs/SERVICE.md).
-serve-chaos:
-	scripts/serve_chaos.sh
-
-# obs-chaos proves the observability contract: Prometheus text matching
-# the JSON snapshot, SSE streams with monotone ids whose done event is
-# bound to the result hash, a Last-Event-ID reconnect across a mid-stream
-# server kill, per-job Chrome traces, and parseable structured logs
-# (docs/OBSERVABILITY.md).
-obs-chaos:
-	scripts/obs_chaos.sh
 
 fuzz:
 	go test -run='^$$' -fuzz='^FuzzCSVParse$$' -fuzztime=$${FUZZTIME:-10s} ./internal/relation/

@@ -135,7 +135,7 @@ func main() {
 			fmt.Print(experiments.FormatAblations(experiments.Ablations(ctx, s)))
 		case "fig7":
 			fmt.Println("== Figure 7: entropy-ordered column addition, FLIGHT ==")
-			fmt.Println("   (the deps column is 1 on the final, timed-out sample)")
+			fmt.Println("   (the sweep stops at the first truncated prefix; its stop column names why: timeout, candidate-cap or memory-budget)")
 			series := experiments.Fig7EntropyOrdered(ctx, s, 0)
 			fmt.Print(experiments.FormatSeries("FLIGHT_1K by entropy", "cols", series))
 			writeCSV("fig7_flight.csv", experiments.SeriesCSV("cols", series))

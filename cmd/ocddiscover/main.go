@@ -182,7 +182,6 @@ func main() {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
-	start := time.Now()
 	res, err := tbl.DiscoverContext(ctx, dopts)
 	if res == nil {
 		fmt.Fprintln(os.Stderr, "ocddiscover:", err)
@@ -198,7 +197,6 @@ func main() {
 		// Partial run: report why on stderr, then print what was found.
 		fmt.Fprintln(os.Stderr, "ocddiscover: partial results:", err)
 	}
-	_ = start
 
 	// Export observability artifacts before printing results, so they exist
 	// even if a later write fails. A partial run's trace and metrics are just

@@ -1,9 +1,10 @@
 // Package mapdeterminism flags code whose observable output depends on
 // Go's randomized map-iteration order. The paper pipeline's results —
 // discovered dependency sets, partition classes, checkpoint payloads,
-// benchmark JSON — are diffed byte-for-byte across runs (the
-// resume_chaos differential), so any map-ordered emission is a
-// reproducibility bug even when the set of elements is right.
+// benchmark JSON — are compared across runs (the execution-mode
+// differential harness in internal/differential), so any map-ordered
+// emission is a reproducibility bug even when the set of elements is
+// right.
 //
 // Inside every `for … range m` over a map, the analyzer flags order
 // escapes where the iterated key or value (directly, or one hop

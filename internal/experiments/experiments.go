@@ -16,6 +16,7 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
@@ -181,6 +182,7 @@ type Table6Row struct {
 	OcdChecks int64
 	OcdTime   time.Duration
 	OcdTrunc  bool
+	OcdReason string // why OCDDISCOVER stopped early; empty when it completed
 }
 
 // Table6 reruns the three algorithms (plus TANE) over the named datasets;
@@ -231,6 +233,7 @@ func Table6(ctx context.Context, s Scale, datasets []string) []Table6Row {
 		row.OcdChecks = cres.Stats.Checks
 		row.OcdTime = cres.Stats.Elapsed
 		row.OcdTrunc = cres.Stats.Truncated
+		row.OcdReason = stopReason(cres)
 
 		rows = append(rows, row)
 	}
@@ -238,7 +241,8 @@ func Table6(ctx context.Context, s Scale, datasets []string) []Table6Row {
 }
 
 // FormatTable6 renders the rows in a Table 6-like layout. A trailing †
-// marks truncated (or skipped) executions, as in the paper.
+// marks truncated (or skipped) executions, as in the paper; the legend
+// names why each truncated OCDDISCOVER run stopped.
 func FormatTable6(rows []Table6Row) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-11s %9s %5s | %7s | %9s %10s | %7s %7s %10s | %9s %11s %10s %10s\n",
@@ -254,7 +258,17 @@ func FormatTable6(rows []Table6Row) string {
 			count(r.FastodFDs, r.FastodTrunc), count(r.FastodOCs, r.FastodTrunc), dur(r.FastodTime, r.FastodTrunc),
 			r.OcdOCDs, r.OcdODs, r.OcdChecks, dur(r.OcdTime, r.OcdTrunc))
 	}
-	b.WriteString("† = timed out / skipped (partial results where shown)\n")
+	b.WriteString("† = truncated (timeout or candidate cap) or skipped, partial results where shown")
+	var stops []string
+	for _, r := range rows {
+		if r.OcdReason != "" {
+			stops = append(stops, r.Dataset+" "+r.OcdReason)
+		}
+	}
+	if len(stops) > 0 {
+		fmt.Fprintf(&b, "; OCDDISCOVER stopped on %s", strings.Join(stops, ", "))
+	}
+	b.WriteString("\n")
 	return b.String()
 }
 
@@ -289,6 +303,17 @@ type SeriesPoint struct {
 	X       float64
 	Elapsed time.Duration
 	Extra   int64 // series-specific payload (dependency count etc.)
+	// Reason says why a run behind the point stopped early (timeout,
+	// candidate-cap or memory-budget); empty when every run completed.
+	Reason string
+}
+
+// stopReason names why res is partial; empty when the run completed.
+func stopReason(res *core.Result) string {
+	if !res.Stats.Truncated {
+		return ""
+	}
+	return res.Stats.Reason.String()
 }
 
 // Fig2RowScalability measures OCDDISCOVER runtime at 10%..100% of the rows
@@ -316,15 +341,18 @@ func Fig2RowScalability(ctx context.Context, s Scale) map[string][]SeriesPoint {
 			sub := sampleRows(base, float64(pct)/100)
 			var total time.Duration
 			var deps int64
+			var reason string
 			for rep := 0; rep < s.Reps; rep++ {
 				res := discover(ctx, s, sub, core.Options{Timeout: s.Timeout, MaxCandidates: s.MaxCand})
 				total += res.Stats.Elapsed
 				deps = res.CountExpandedODs()
+				reason = cmp.Or(stopReason(res), reason)
 			}
 			series = append(series, SeriesPoint{
 				X:       float64(sub.NumRows()),
 				Elapsed: total / time.Duration(s.Reps),
 				Extra:   deps,
+				Reason:  reason,
 			})
 		}
 		out[base.Name] = series
@@ -345,6 +373,7 @@ func ColScalability(ctx context.Context, dataset string, s Scale) []SeriesPoint 
 		}
 		var total time.Duration
 		var deps int64
+		var reason string
 		for rep := 0; rep < s.ColSamples; rep++ {
 			perm := rng.Perm(base.NumCols())[:nc]
 			cols := make([]attr.ID, nc)
@@ -355,11 +384,13 @@ func ColScalability(ctx context.Context, dataset string, s Scale) []SeriesPoint 
 			res := discover(ctx, s, sub, core.Options{Timeout: s.Timeout, MaxCandidates: s.MaxCand})
 			total += res.Stats.Elapsed
 			deps += res.CountExpandedODs()
+			reason = cmp.Or(stopReason(res), reason)
 		}
 		series = append(series, SeriesPoint{
 			X:       float64(nc),
 			Elapsed: total / time.Duration(s.ColSamples),
 			Extra:   deps / int64(s.ColSamples),
+			Reason:  reason,
 		})
 	}
 	return series
@@ -399,6 +430,7 @@ func Fig5SingleRun(ctx context.Context, s Scale) []SeriesPoint {
 			X:       float64(nc),
 			Elapsed: res.Stats.Elapsed,
 			Extra:   res.CountExpandedODs(),
+			Reason:  stopReason(res),
 		})
 	}
 	return series
@@ -449,8 +481,9 @@ func Fig6Threads(ctx context.Context, s Scale) map[string][]ThreadPoint {
 }
 
 // Fig7EntropyOrdered adds FLIGHT columns in decreasing-entropy order and
-// measures runtime per prefix — the paper's Figure 7, whose cliff appears
-// once 2-distinct-value columns join.
+// measures runtime and expanded OD count per prefix — the paper's Figure
+// 7, whose cliff appears once 2-distinct-value columns join. The sweep
+// stops at the first truncated prefix, whose Reason says why.
 func Fig7EntropyOrdered(ctx context.Context, s Scale, maxCols int) []SeriesPoint {
 	base := datagen.Flight1K()
 	ranked := entropy.Rank(base)
@@ -468,14 +501,11 @@ func Fig7EntropyOrdered(ctx context.Context, s Scale, maxCols int) []SeriesPoint
 		}
 		sub := base.Project(cols)
 		res := discover(ctx, s, sub, core.Options{Timeout: s.Timeout, MaxCandidates: s.MaxCand})
-		truncated := int64(0)
-		if res.Stats.Truncated {
-			truncated = 1
-		}
 		series = append(series, SeriesPoint{
 			X:       float64(nc),
 			Elapsed: res.Stats.Elapsed,
-			Extra:   truncated,
+			Extra:   res.CountExpandedODs(),
+			Reason:  stopReason(res),
 		})
 		if res.Stats.Truncated {
 			break // the paper stops at the first timed-out sample
@@ -505,13 +535,14 @@ func NumbersReport() string {
 	return b.String()
 }
 
-// FormatSeries renders a figure series as an aligned two-to-three column
-// text table.
+// FormatSeries renders a figure series as an aligned text table; the stop
+// column names why a truncated point's run stopped.
 func FormatSeries(title, xlabel string, series []SeriesPoint) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%12s %14s %14s\n", title, xlabel, "time", "deps")
+	fmt.Fprintf(&b, "%s\n%12s %14s %14s  %s\n", title, xlabel, "time", "deps", "stop")
 	for _, p := range series {
-		fmt.Fprintf(&b, "%12.0f %14s %14d\n", p.X, p.Elapsed.Round(time.Millisecond), p.Extra)
+		line := fmt.Sprintf("%12.0f %14s %14d  %s", p.X, p.Elapsed.Round(time.Millisecond), p.Extra, p.Reason)
+		b.WriteString(strings.TrimRight(line, " ") + "\n")
 	}
 	return b.String()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestDatasetRegistry(t *testing.T) {
@@ -134,8 +135,8 @@ func TestFig7StopsAtCliff(t *testing.T) {
 	// Truncation, if it occurs, must only mark the final point: the sweep
 	// stops at the first timed-out sample like the paper's Figure 7.
 	for i, p := range pts[:len(pts)-1] {
-		if p.Extra == 1 {
-			t.Errorf("point %d truncated but sweep continued", i)
+		if p.Reason != "" {
+			t.Errorf("point %d truncated (%s) but sweep continued", i, p.Reason)
 		}
 	}
 	for i := 1; i < len(pts); i++ {
@@ -146,6 +147,26 @@ func TestFig7StopsAtCliff(t *testing.T) {
 	out := FormatSeries("t", "cols", pts)
 	if !strings.Contains(out, "cols") {
 		t.Error("FormatSeries output incomplete")
+	}
+}
+
+// TestFig7PrintsStopReason: a FLIGHT prefix run that hits a tiny
+// candidate cap ends the sweep, and the printed series names the cap, not
+// a timeout; the Table 6 legend names the reason the same way.
+func TestFig7PrintsStopReason(t *testing.T) {
+	s := TestScale()
+	s.Timeout = time.Minute
+	s.MaxCand = 20
+	pts := Fig7EntropyOrdered(context.Background(), s, 0)
+	if len(pts) == 0 || pts[len(pts)-1].Reason != "candidate-cap" {
+		t.Fatalf("final point %+v, want a candidate-cap stop", pts)
+	}
+	if out := FormatSeries("t", "cols", pts); !strings.Contains(out, "candidate-cap") || strings.Contains(out, "timeout") {
+		t.Errorf("FormatSeries does not name the candidate cap:\n%s", out)
+	}
+	rows := []Table6Row{{Dataset: "FLIGHT_1K", OcdTrunc: true, OcdReason: "candidate-cap"}, {Dataset: "HORSE"}}
+	if out := FormatTable6(rows); !strings.Contains(out, "OCDDISCOVER stopped on FLIGHT_1K candidate-cap") {
+		t.Errorf("Table 6 legend does not name the stop:\n%s", out)
 	}
 }
 

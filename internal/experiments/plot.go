@@ -61,12 +61,13 @@ func logf(d time.Duration) float64 {
 }
 
 // SeriesCSV renders a series in CSV for external plotting tools: the
-// x value, elapsed milliseconds, and the series-specific extra payload.
+// x value, elapsed milliseconds, the series-specific extra payload, and
+// the stop reason of a truncated point.
 func SeriesCSV(xlabel string, series []SeriesPoint) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s,elapsed_ms,extra\n", xlabel)
+	fmt.Fprintf(&b, "%s,elapsed_ms,extra,stop\n", xlabel)
 	for _, p := range series {
-		fmt.Fprintf(&b, "%g,%d,%d\n", p.X, p.Elapsed.Milliseconds(), p.Extra)
+		fmt.Fprintf(&b, "%g,%d,%d,%s\n", p.X, p.Elapsed.Milliseconds(), p.Extra, p.Reason)
 	}
 	return b.String()
 }

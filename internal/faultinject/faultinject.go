@@ -85,8 +85,8 @@ const ExitCode = 86
 //
 //	OCD_FAULT="jobs.run.poison:panic:*"
 //
-// panics every attempt of the job named "poison" (the serve-chaos poison
-// job), and
+// panics every attempt of the job named "poison" (the poison job of
+// TestServerCrashRestart in internal/differential), and
 //
 //	OCD_FAULT="core.level.start:delay:2"
 //

@@ -72,7 +72,8 @@ func progressDoc(p obs.Progress) *ProgressDoc {
 // ResultDoc is the durable result document (result.json). The core fields
 // are deterministic for a given dataset and options — a crash+resume run
 // produces byte-identical values — while the fields marked volatile vary
-// per execution and are stripped by the chaos differ.
+// per execution and are dropped by the differential harness
+// (internal/differential) before it compares results.
 type ResultDoc struct {
 	ID               string     `json:"id"` // volatile (random per submission)
 	Name             string     `json:"name"`

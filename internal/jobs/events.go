@@ -20,7 +20,8 @@ import (
 // reconnecting with `Last-Event-ID: n` bumps the hub's counter to n
 // first (resync), so everything it subsequently receives is numbered
 // above what it already saw. Strict monotonicity per client is the
-// contract the obs-chaos gate verifies across a mid-stream server kill.
+// contract TestObservability (internal/differential) verifies across a
+// mid-stream server kill.
 
 // eventRingSize bounds the per-job replay buffer. At the default
 // engine report cadence this is minutes of progress history, far beyond
@@ -167,8 +168,8 @@ func (j *Job) publishProgress(doc *ProgressDoc) {
 // publishDone emits the sticky terminal event. state is usually the
 // manifest state but may be "deleted" for a job removed mid-run. The
 // result hash binds the stream to the exact bytes GET /jobs/{id}/result
-// serves, which is how the obs-chaos gate proves a reconnected stream
-// and the polled API describe the same result.
+// serves, which is how TestObservability (internal/differential) proves
+// a reconnected stream and the polled API describe the same result.
 func (j *Job) publishDone(state State, resultReady bool) {
 	ev := doneEvent{ID: j.id, State: state, ResultReady: resultReady}
 	if resultReady {

@@ -9,8 +9,9 @@ import (
 )
 
 // Strict parser for the Prometheus text exposition format, used by the
-// exposition tests and the obs-chaos gate to prove that what the
-// servers scrape is well-formed and consistent with the JSON snapshot.
+// exposition tests and by TestObservability (internal/differential) to
+// prove that what the servers scrape is well-formed and consistent with
+// the JSON snapshot.
 // It is deliberately pickier than a real scraper: samples must follow a
 // `# TYPE` line for their family, names must match the exposition
 // grammar, and histogram families must satisfy the cumulative-bucket

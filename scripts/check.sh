@@ -16,32 +16,19 @@
 #   5. go test -race ./...       unit + integration tests under the
 #                                race detector (the parallel traversal
 #                                must stay race-clean)
-#   6. chaos tests               go test -tags=faultinject ./... drives
-#                                the engine's failure paths (worker
-#                                panics, injected cancels, delays)
-#                                through the fault-injection points, plus
-#                                a -race pass of the cancellation and
-#                                chaos tests (docs/ROBUSTNESS.md)
-#   7. resume chaos              scripts/resume_chaos.sh kills a
-#                                faultinject ocddiscover mid-level and
-#                                mid-snapshot-rename, resumes from the
-#                                checkpoint, and diffs the output against
-#                                an uninterrupted run
-#   8. serve chaos               scripts/serve_chaos.sh crashes a
-#                                faultinject ocdserve mid-job, restarts
-#                                it on the same data directory, and
-#                                requires byte-identical resumed results,
-#                                a poisoned crash-looping job, and a
-#                                clean SIGTERM drain
-#   9. obs chaos                 scripts/obs_chaos.sh scrapes the job
-#                                server in both metrics formats and
-#                                requires them to agree, streams SSE
-#                                through a mid-stream server kill with a
-#                                Last-Event-ID reconnect (monotone ids,
-#                                done bound to the result hash), fetches
-#                                the per-job Chrome trace, and parses the
-#                                structured logs
-#  10. bench smoke               go test -bench runs the observability,
+#   6. chaos tests               go test -count=1 -tags=faultinject ./...
+#                                drives the engine's failure paths through
+#                                the fault-injection points and runs the
+#                                differential harness
+#                                (internal/differential: one result in
+#                                every execution mode, and the kill,
+#                                resume, drain and observability contracts
+#                                of ocddiscover and ocdserve); then a -race
+#                                pass of the cancellation and chaos tests
+#                                (docs/ROBUSTNESS.md). -count=1 because the
+#                                harness runs commands it builds, which go
+#                                test's cache does not see
+#   7. bench smoke               go test -bench runs the observability,
 #                                phase, taxinfo and check-primitive root
 #                                benchmarks, OCDDISCOVER on HEPATITIS and
 #                                the LINEITEM CSV ingestion, string
@@ -50,12 +37,12 @@
 #                                so they keep compiling and running;
 #                                end-to-end numbers come from
 #                                bash bench/run.sh
-#  11. bench module tests        go -C bench vet/test: bench/ is a Go
+#   8. bench module tests        go -C bench vet/test: bench/ is a Go
 #                                module of its own, so ./... above never
 #                                reaches it; this runs its toy-scale
 #                                workload gates and its catalogue-vs-
 #                                BENCHMARK.json test (~2 s)
-#  12. fuzz smokes               FuzzCSVParse, FuzzRankEncode,
+#   9. fuzz smokes               FuzzCSVParse, FuzzRankEncode,
 #                                FuzzReadCSVMatchesReference,
 #                                FuzzSplitMatchesEncodingCSV,
 #                                FuzzCheckMatchesBruteForce,
@@ -94,20 +81,11 @@ go run ./cmd/ocdlint ./...
 step "go test -race ./..."
 go test -race ./...
 
-step "chaos: go test -tags=faultinject ./..."
-go test -tags=faultinject ./...
+step "chaos: go test -count=1 -tags=faultinject ./... (with the differential harness)"
+go test -count=1 -tags=faultinject ./...
 
 step "chaos: go test -tags=faultinject -race (core, faultinject)"
 go test -tags=faultinject -race ./internal/core/ ./internal/faultinject/
-
-step "chaos: kill-and-resume differential (scripts/resume_chaos.sh)"
-scripts/resume_chaos.sh
-
-step "chaos: job-server kill-and-restart differential (scripts/serve_chaos.sh)"
-scripts/serve_chaos.sh
-
-step "chaos: observability gate (scripts/obs_chaos.sh)"
-scripts/obs_chaos.sh
 
 step "bench smoke: root, ingestion and check benchmarks, one iteration each"
 go test . -run '^$' -bench 'BenchmarkObsOverhead|BenchmarkPhase_|BenchmarkProgressFormat|BenchmarkDatasetTaxinfo|BenchmarkAblation_CheckPrimitives' -benchmem -benchtime=1x -count=1

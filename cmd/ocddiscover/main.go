@@ -37,7 +37,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -51,6 +50,7 @@ import (
 	"time"
 
 	"ocd"
+	"ocd/internal/depfile"
 	"ocd/internal/faultinject"
 	"ocd/internal/obs"
 )
@@ -224,55 +224,22 @@ func main() {
 	}
 
 	if *depsOut != "" {
-		if err := writeDeps(*depsOut, res); err != nil {
+		if err := writeArtifact(*depsOut, func(w io.Writer) error { return depfile.Write(w, res) }); err != nil {
 			fmt.Fprintln(os.Stderr, "ocddiscover:", err)
 			os.Exit(1)
 		}
 	}
 
 	if *asJSON {
-		type jsonOut struct {
-			Table            string     `json:"table"`
-			Rows             int        `json:"rows"`
-			Cols             int        `json:"cols"`
-			OCDs             []ocd.OCD  `json:"ocds"`
-			ODs              []ocd.OD   `json:"ods"`
-			ConstantColumns  []string   `json:"constant_columns,omitempty"`
-			EquivalentGroups [][]string `json:"equivalent_groups,omitempty"`
-			ExpandedODs      []ocd.OD   `json:"expanded_ods,omitempty"`
-			ExpandedODCount  int64      `json:"expanded_od_count"`
-			Checks           int64      `json:"checks"`
-			Candidates       int64      `json:"candidates"`
-			ElapsedMS        int64      `json:"elapsed_ms"`
-			PriorElapsedMS   int64      `json:"prior_elapsed_ms,omitempty"`
-			Truncated        bool       `json:"truncated"`
-			TruncateReason   string     `json:"truncate_reason,omitempty"`
-			Resumed          bool       `json:"resumed,omitempty"`
-			Checkpoints      int        `json:"checkpoints,omitempty"`
-			CheckpointPath   string     `json:"checkpoint_path,omitempty"`
-			CheckpointError  string     `json:"checkpoint_error,omitempty"`
-			ResumeCommand    string     `json:"resume_command,omitempty"`
-		}
-		out := jsonOut{
-			Table: tbl.Name(), Rows: tbl.NumRows(), Cols: tbl.NumCols(),
-			OCDs: res.OCDs, ODs: res.ODs,
-			ConstantColumns: res.ConstantColumns, EquivalentGroups: res.EquivalentGroups,
-			ExpandedODCount: res.CountODs(),
-			Checks:          res.Stats.Checks, Candidates: res.Stats.Candidates,
-			ElapsedMS:       res.Stats.Elapsed.Milliseconds(),
-			PriorElapsedMS:  res.Stats.PriorElapsed.Milliseconds(),
-			Truncated:       res.Stats.Truncated,
-			TruncateReason:  string(res.Stats.TruncateReason),
-			Resumed:         res.Stats.Resumed,
-			Checkpoints:     res.Stats.Checkpoints,
-			CheckpointError: res.Stats.CheckpointError,
-		}
+		// The library's result document, plus how to resume a truncated run.
+		out := struct {
+			ocd.ResultDoc
+			CheckpointPath string `json:"checkpoint_path,omitempty"`
+			ResumeCommand  string `json:"resume_command,omitempty"`
+		}{ResultDoc: ocd.NewResultDoc(tbl, res, *expand)}
 		if path, ok := resumableSnapshot(*ckptPath, res); ok {
 			out.CheckpointPath = path
 			out.ResumeCommand = resumeCommand(path)
-		}
-		if *expand > 0 {
-			out.ExpandedODs = res.ExpandODs(*expand)
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -321,8 +288,8 @@ func main() {
 	exit(res, *partialOK)
 }
 
-// writeArtifact writes one observability export (metrics JSON, trace) via
-// the given marshal function.
+// writeArtifact writes one output file (metrics JSON, trace, dependency
+// file) via the given marshal function.
 func writeArtifact(path string, marshal func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -368,33 +335,4 @@ func exit(res *ocd.Result, partialOK bool) {
 	if res.Stats.Truncated && !partialOK {
 		os.Exit(exitPartial)
 	}
-}
-
-// writeDeps saves the result in odverify's dependency-file format, closing
-// the profile → enforce loop: ocddiscover -deps-out constraints.txt, then
-// odverify -deps constraints.txt on future versions of the data.
-func writeDeps(path string, res *ocd.Result) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-	fmt.Fprintf(w, "# generated by ocddiscover\n")
-	for _, d := range res.OCDs {
-		fmt.Fprintf(w, "%s ~ %s\n", strings.Join(d.Left, ", "), strings.Join(d.Right, ", "))
-	}
-	for _, d := range res.ODs {
-		fmt.Fprintf(w, "%s -> %s\n", strings.Join(d.Left, ", "), strings.Join(d.Right, ", "))
-	}
-	for _, g := range res.EquivalentGroups {
-		for _, other := range g[1:] {
-			fmt.Fprintf(w, "%s -> %s\n", g[0], other)
-			fmt.Fprintf(w, "%s -> %s\n", other, g[0])
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	return nil
 }

@@ -120,24 +120,6 @@ var ErrCheckpointCorrupt = checkpoint.ErrCorrupt
 // resume from.
 var ErrCheckpointVersion = checkpoint.ErrVersion
 
-func reasonOf(r core.TruncateReason) TruncateReason {
-	switch r {
-	case core.TruncateTimeout:
-		return TruncateTimeout
-	case core.TruncateMaxCandidates:
-		return TruncateCandidateCap
-	case core.TruncateMaxLevel:
-		return TruncateLevelCap
-	case core.TruncateCancelled:
-		return TruncateCancelled
-	case core.TruncateMemoryBudget:
-		return TruncateMemoryBudget
-	case core.TruncateWorkerPanic:
-		return TruncateWorkerPanic
-	}
-	return TruncateNone
-}
-
 // OCD is an order compatibility dependency Left ~ Right over column names.
 type OCD struct {
 	Left  []string `json:"left"`
@@ -164,6 +146,9 @@ type Stats struct {
 	Checks int64
 	// Candidates is the number of tree candidates generated.
 	Candidates int64
+	// Prunes is the number of candidates whose OCD check failed; Theorem
+	// 3.7 prunes each one's subtree.
+	Prunes int64
 	// Levels is the number of tree levels processed.
 	Levels int
 	// Elapsed is the wall-clock runtime.
@@ -185,9 +170,9 @@ type Stats struct {
 	// succeeded or checkpointing was off.
 	CheckpointError string
 	// Resumed marks a run restarted via Options.ResumeFrom; Checks,
-	// Candidates, Levels and MemoryReleases then include the original run's
-	// counters up to the snapshot, so crash + resume totals equal an
-	// uninterrupted run. Elapsed covers only the resumed run.
+	// Candidates, Prunes, Levels and MemoryReleases then include the
+	// original run's counters up to the snapshot, so crash + resume totals
+	// equal an uninterrupted run. Elapsed covers only the resumed run.
 	Resumed bool
 	// PriorElapsed is the wall-clock time the original run(s) had spent when
 	// the snapshot this run resumed from was written; zero on fresh runs.
@@ -296,10 +281,11 @@ func (t *Table) wrapResult(inner *core.Result) *Result {
 	res.Stats = Stats{
 		Checks:          inner.Stats.Checks,
 		Candidates:      inner.Stats.Candidates,
+		Prunes:          inner.Stats.Prunes,
 		Levels:          inner.Stats.Levels,
 		Elapsed:         inner.Stats.Elapsed,
 		Truncated:       inner.Stats.Truncated,
-		TruncateReason:  reasonOf(inner.Stats.Reason),
+		TruncateReason:  TruncateReason(inner.Stats.Reason.String()),
 		MemoryReleases:  inner.Stats.MemoryReleases,
 		Checkpoints:     inner.Stats.Checkpoints,
 		CheckpointError: inner.Stats.CheckpointError,
@@ -358,4 +344,69 @@ func (r *Result) Summary() string {
 		}
 	}
 	return b.String()
+}
+
+// ResultDoc is a run's result as one JSON document: the dependencies and
+// the Table 6 statistics. A job's result.json and ocddiscover -json both
+// encode it. The fields marked volatile vary between executions of the same
+// run; the others are equal for a given table and options, whatever the
+// worker count and however often the run stopped and resumed.
+type ResultDoc struct {
+	Name             string         `json:"name"`
+	Rows             int            `json:"rows"`
+	Cols             int            `json:"cols"`
+	OCDs             []OCD          `json:"ocds"`
+	ODs              []OD           `json:"ods"`
+	ConstantColumns  []string       `json:"constant_columns,omitempty"`
+	EquivalentGroups [][]string     `json:"equivalent_groups,omitempty"`
+	ExpandedODCount  int64          `json:"expanded_od_count"`
+	ExpandedODs      []OD           `json:"expanded_ods,omitempty"`
+	Truncated        bool           `json:"truncated,omitempty"`
+	TruncateReason   TruncateReason `json:"truncate_reason,omitempty"`
+	Checks           int64          `json:"checks"`
+	Candidates       int64          `json:"candidates"`
+	Prunes           int64          `json:"prunes"`
+	Levels           int            `json:"levels"`
+	ElapsedMS        int64          `json:"elapsed_ms"`                 // volatile
+	PriorElapsedMS   int64          `json:"prior_elapsed_ms,omitempty"` // volatile
+	Resumed          bool           `json:"resumed,omitempty"`          // volatile
+	Checkpoints      int            `json:"checkpoints"`                // volatile
+	CheckpointError  string         `json:"checkpoint_error,omitempty"` // volatile
+}
+
+// NewResultDoc builds the result document of r, a run over t, with up to
+// expand expanded ODs (none when expand ≤ 0). Empty OCD and OD lists
+// encode as [].
+func NewResultDoc(t *Table, r *Result, expand int) ResultDoc {
+	doc := ResultDoc{
+		Name:             t.Name(),
+		Rows:             t.NumRows(),
+		Cols:             t.NumCols(),
+		OCDs:             r.OCDs,
+		ODs:              r.ODs,
+		ConstantColumns:  r.ConstantColumns,
+		EquivalentGroups: r.EquivalentGroups,
+		ExpandedODCount:  r.CountODs(),
+		Truncated:        r.Stats.Truncated,
+		TruncateReason:   r.Stats.TruncateReason,
+		Checks:           r.Stats.Checks,
+		Candidates:       r.Stats.Candidates,
+		Prunes:           r.Stats.Prunes,
+		Levels:           r.Stats.Levels,
+		ElapsedMS:        r.Stats.Elapsed.Milliseconds(),
+		PriorElapsedMS:   r.Stats.PriorElapsed.Milliseconds(),
+		Resumed:          r.Stats.Resumed,
+		Checkpoints:      r.Stats.Checkpoints,
+		CheckpointError:  r.Stats.CheckpointError,
+	}
+	if doc.OCDs == nil {
+		doc.OCDs = []OCD{}
+	}
+	if doc.ODs == nil {
+		doc.ODs = []OD{}
+	}
+	if expand > 0 {
+		doc.ExpandedODs = r.ExpandODs(expand)
+	}
+	return doc
 }

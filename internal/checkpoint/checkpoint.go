@@ -154,6 +154,7 @@ func (f Fingerprint) Verify(r *relation.Relation) error {
 type Stats struct {
 	Checks         int64 `json:"checks"`
 	Candidates     int64 `json:"candidates"`
+	Prunes         int64 `json:"prunes,omitempty"`
 	Levels         int   `json:"levels"`
 	MemoryReleases int   `json:"memory_releases,omitempty"`
 }
@@ -384,7 +385,7 @@ func (s *Snapshot) validate() error {
 	if err := s.Frontier.validate(cols, &seen); err != nil {
 		return err
 	}
-	if s.Stats.Checks < 0 || s.Stats.Candidates < 0 || s.Stats.Levels < 0 || s.Stats.MemoryReleases < 0 {
+	if s.Stats.Checks < 0 || s.Stats.Candidates < 0 || s.Stats.Prunes < 0 || s.Stats.Levels < 0 || s.Stats.MemoryReleases < 0 {
 		return fmt.Errorf("negative stats counter")
 	}
 	if s.ElapsedNanos < 0 {

@@ -50,6 +50,7 @@ func (d *discoverer) noteBarrier(lv *level, res *Result) {
 			Stats: checkpoint.Stats{
 				Checks:         d.checksBase + d.chk.Checks(),
 				Candidates:     res.Stats.Candidates,
+				Prunes:         res.Stats.Prunes,
 				Levels:         res.Stats.Levels,
 				MemoryReleases: res.Stats.MemoryReleases,
 			},
@@ -122,6 +123,7 @@ func (d *discoverer) restoreFromSnapshot(s *checkpoint.Snapshot, res *Result) le
 	}
 	d.checksBase = s.Stats.Checks
 	res.Stats.Candidates = s.Stats.Candidates
+	res.Stats.Prunes = s.Stats.Prunes
 	res.Stats.Levels = s.Stats.Levels
 	res.Stats.MemoryReleases = s.Stats.MemoryReleases
 	res.Stats.Resumed = true

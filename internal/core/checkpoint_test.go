@@ -46,6 +46,9 @@ func assertSameDiscovery(t *testing.T, fresh, resumed *Result) {
 	if fresh.Stats.Candidates != resumed.Stats.Candidates {
 		t.Errorf("Candidates: fresh %d, resumed total %d", fresh.Stats.Candidates, resumed.Stats.Candidates)
 	}
+	if fresh.Stats.Prunes != resumed.Stats.Prunes {
+		t.Errorf("Prunes: fresh %d, resumed total %d", fresh.Stats.Prunes, resumed.Stats.Prunes)
+	}
 	if fresh.Stats.Levels != resumed.Stats.Levels {
 		t.Errorf("Levels: fresh %d, resumed total %d", fresh.Stats.Levels, resumed.Stats.Levels)
 	}

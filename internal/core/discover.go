@@ -252,8 +252,9 @@ type workerOut struct {
 	// current is the index of the candidate being processed, -1 before
 	// the first, so a recovered panic can name it.
 	current int
-	// prunes counts the candidates the worker found invalid (Theorem
-	// 3.7 prunes their subtrees); published per chunk.
+	// prunes counts the level's candidates the worker found invalid
+	// (Theorem 3.7 prunes their subtrees); summed into Stats.Prunes at the
+	// barrier.
 	prunes int
 	// err is the worker's recovered panic, if any.
 	err error
@@ -459,7 +460,7 @@ func (d *discoverer) processLevel(lv *level, reduced []attr.ID, res *Result, nex
 		o.ocds, o.ods = o.ocds[:0], o.ods[:0]
 		o.next.Reset(lv.K() + 1)
 		o.lefts, o.rights, o.dup = o.lefts[:0], o.rights[:0], o.dup[:0]
-		o.current, o.err, o.stopped = -1, nil, false
+		o.current, o.prunes, o.err, o.stopped = -1, 0, nil, false
 	}
 	d.parallel(func(w int) {
 		sp, t0 := d.ro.workerStart(w)
@@ -485,6 +486,7 @@ func (d *discoverer) processLevel(lv *level, reduced []attr.ID, res *Result, nex
 	complete := true
 	for i := range outs {
 		total += outs[i].next.Len() - dups[i]
+		res.Stats.Prunes += int64(outs[i].prunes)
 		res.OCDs = append(res.OCDs, outs[i].ocds...)
 		res.ODs = append(res.ODs, outs[i].ods...)
 		if outs[i].err != nil {
@@ -638,13 +640,13 @@ func (d *discoverer) processChunks(w int, lv *level, size int, cursor *atomic.In
 // the candidates it finished.
 func (d *discoverer) processChunk(w int, lv *level, from, to int, c *chunkOut, reduced []attr.ID, out *workerOut) bool {
 	h := d.handles[w]
-	start, prunes := out.next.Len(), out.prunes
+	start := out.next.Len()
 	end, i := start, from
 	defer func() {
 		*c = chunkOut{w: w, from: start, to: end}
 		h.Flush()
 		d.generated.Add(int64(end - start))
-		d.ro.chunkDone(d, i-from, out.prunes-prunes)
+		d.ro.chunkDone(d, i-from)
 	}()
 	for ; i < to; i++ {
 		if d.reason() != TruncateNone || d.overBudget() {

@@ -15,12 +15,12 @@ import (
 //
 // Hot-path discipline (enforced by the ocdlint obshot analyzer): the
 // per-candidate path touches only pre-resolved instrument handles —
-// Histogram.Observe for check latency, a single atomic add. Progress and
-// prune counts are added once per chunk of candidates, with one atomic
-// threshold load for the report cadence. Everything that locks, formats
-// or allocates (span creation, registry lookups, rate math) happens at
-// level boundaries or at the report cadence (every ReportEvery checks,
-// polled once per chunk), never per candidate.
+// Histogram.Observe for check latency, a single atomic add. Progress is
+// added once per chunk of candidates, with one atomic threshold load for
+// the report cadence. Everything that locks, formats or allocates (span
+// creation, registry lookups, rate math) happens at level boundaries or at
+// the report cadence (every ReportEvery checks, polled once per chunk),
+// never per candidate.
 
 // Registry metric names. The full catalogue is documented in
 // docs/OBSERVABILITY.md; tests pin the stable ones.
@@ -64,7 +64,7 @@ type runObs struct {
 	reportEvery int64
 
 	// Pre-resolved handles; nil (no-op) when reg is nil.
-	prunes     *obs.Counter
+	prunesC    *obs.Counter
 	checksC    *obs.Counter
 	candsC     *obs.Counter
 	levelsC    *obs.Counter
@@ -127,7 +127,7 @@ func newRunObs(o *Options) *runObs {
 		reporter:    o.Reporter,
 		reportEvery: every,
 		parent:      o.Trace,
-		prunes:      reg.Counter(MetricPrunes),
+		prunesC:     reg.Counter(MetricPrunes),
 		checksC:     reg.Counter(MetricChecks),
 		candsC:      reg.Counter(MetricCandidates),
 		levelsC:     reg.Counter(MetricLevels),
@@ -279,19 +279,16 @@ func (ro *runObs) checkDone(t0 time.Time) {
 }
 
 // chunkDone advances the level-progress counter by the n candidates a
-// worker finished and the prune counter by the prunes among them, then,
-// at the report cadence, emits a mid-level progress report from whichever
-// worker crosses the threshold first (the CAS elects exactly one). Workers
-// call it once per chunk, after flushing their Handle, so counters other
-// workers read move once per chunk, not once per candidate.
-func (ro *runObs) chunkDone(d *discoverer, n, prunes int) {
+// worker finished, then, at the report cadence, emits a mid-level progress
+// report from whichever worker crosses the threshold first (the CAS elects
+// exactly one). Workers call it once per chunk, after flushing their
+// Handle, so counters other workers read move once per chunk, not once per
+// candidate.
+func (ro *runObs) chunkDone(d *discoverer, n int) {
 	if ro == nil {
 		return
 	}
 	ro.levelDone.Add(int64(n))
-	if prunes > 0 {
-		ro.prunes.Add(int64(prunes))
-	}
 	if ro.reporter == nil {
 		return
 	}
@@ -378,14 +375,18 @@ func (ro *runObs) eta(d *discoverer, now time.Time, done, frontier int64, final 
 // syncTotals mirrors the externally tracked run totals into the registry
 // counters. Called only from the main goroutine at level boundaries and
 // run end, when no worker is appending to res — together with the live
-// worker increments (prunes, latency) this keeps the registry's view
-// exact at every barrier, which is what the checkpoint records.
+// latency observations this keeps the registry's view exact at every
+// barrier, which is what the checkpoint records. The discover.* counters
+// come from the run's totals, which a resumed run restores from the
+// snapshot's Stats, so they carry across a resume whether or not the
+// snapshot holds a registry.
 func (ro *runObs) syncTotals(d *discoverer, res *Result) {
 	if ro == nil {
 		return
 	}
 	ro.checksC.Store(d.checksBase + d.chk.Checks())
 	ro.candsC.Store(res.Stats.Candidates)
+	ro.prunesC.Store(res.Stats.Prunes)
 	ro.levelsC.Store(int64(res.Stats.Levels))
 	ro.ocdsC.Store(int64(len(res.OCDs)))
 	ro.odsC.Store(int64(len(res.ODs)))

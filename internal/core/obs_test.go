@@ -50,8 +50,8 @@ func TestMetricsWiring(t *testing.T) {
 	if got := s.Counters[MetricODs]; got != int64(len(res.ODs)) {
 		t.Errorf("%s = %d, len(ODs) = %d", MetricODs, got, len(res.ODs))
 	}
-	if s.Counters[MetricPrunes] <= 0 {
-		t.Errorf("%s = %d, want > 0 on this dataset", MetricPrunes, s.Counters[MetricPrunes])
+	if got := s.Counters[MetricPrunes]; got <= 0 || got != res.Stats.Prunes {
+		t.Errorf("%s = %d, Stats.Prunes = %d, want equal and > 0 on this dataset", MetricPrunes, got, res.Stats.Prunes)
 	}
 	if h := s.Histograms[MetricCheckLatency]; h.Count <= 0 {
 		t.Errorf("%s recorded no observations", MetricCheckLatency)

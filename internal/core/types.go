@@ -193,6 +193,9 @@ type Stats struct {
 	// Candidates is the total number of candidates generated for the
 	// tree, including the initial level.
 	Candidates int64
+	// Prunes is the number of candidates whose OCD check failed, each the
+	// root of a subtree Theorem 3.7 prunes.
+	Prunes int64
 	// Levels is the number of tree levels processed.
 	Levels int
 	// Elapsed is the wall-clock duration of the run.
@@ -214,10 +217,10 @@ type Stats struct {
 	// succeeded (or checkpointing was off).
 	CheckpointError string
 	// Resumed marks a run restarted from a snapshot; Checks, Candidates,
-	// Levels and MemoryReleases then include the original run's counters
-	// up to the snapshot barrier, so the totals of crash + resume equal an
-	// uninterrupted run. Elapsed covers only the resumed run; the original
-	// run's wall-clock time is in PriorElapsed.
+	// Prunes, Levels and MemoryReleases then include the original run's
+	// counters up to the snapshot barrier, so the totals of crash + resume
+	// equal an uninterrupted run. Elapsed covers only the resumed run; the
+	// original run's wall-clock time is in PriorElapsed.
 	Resumed bool
 	// PriorElapsed is the cumulative wall-clock time of the earlier run(s)
 	// up to the snapshot barrier this run resumed from; zero on fresh

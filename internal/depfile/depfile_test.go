@@ -1,10 +1,14 @@
 package depfile
 
 import (
+	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
+	"ocd"
 	"ocd/internal/attr"
+	"ocd/internal/datagen"
 	"ocd/internal/relation"
 )
 
@@ -97,5 +101,68 @@ func TestEmptyInput(t *testing.T) {
 	deps, err := Parse(strings.NewReader("\n# only comments\n\n"), testRel())
 	if err != nil || len(deps) != 0 {
 		t.Errorf("deps = %v, err = %v", deps, err)
+	}
+}
+
+// TestWriteParseRoundTrip writes the TAXINFO result and parses it back
+// against its relation: every OCD and OD, and both ODs between each
+// equivalence group's members, come back in order.
+func TestWriteParseRoundTrip(t *testing.T) {
+	r := datagen.TaxTable()
+	var csv bytes.Buffer
+	if err := r.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := ocd.LoadCSV(&csv, r.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tbl.Discover(ocd.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, d := range res.OCDs {
+		want = append(want, d.String())
+	}
+	for _, d := range res.ODs {
+		want = append(want, d.String())
+	}
+	for _, g := range res.EquivalentGroups {
+		for _, other := range g[1:] {
+			want = append(want, ocd.OD{Left: g[:1], Right: []string{other}}.String(),
+				ocd.OD{Left: []string{other}, Right: g[:1]}.String())
+		}
+	}
+	if len(res.OCDs) == 0 || len(res.ODs) == 0 || len(res.EquivalentGroups) == 0 {
+		t.Fatalf("TAXINFO found %d OCDs, %d ODs and %d equivalence groups, want some of each",
+			len(res.OCDs), len(res.ODs), len(res.EquivalentGroups))
+	}
+
+	var file bytes.Buffer
+	if err := Write(&file, res); err != nil {
+		t.Fatal(err)
+	}
+	deps, err := Parse(&file, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := func(l attr.List) []string {
+		out := make([]string, len(l))
+		for i, a := range l {
+			out[i] = r.ColName(a)
+		}
+		return out
+	}
+	var got []string
+	for _, d := range deps {
+		if d.OCD {
+			got = append(got, ocd.OCD{Left: names(d.Lhs), Right: names(d.Rhs)}.String())
+		} else {
+			got = append(got, ocd.OD{Left: names(d.Lhs), Right: names(d.Rhs)}.String())
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("parsed back\n%s\nwant\n%s\nfrom\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"), file.String())
 	}
 }

@@ -94,19 +94,12 @@ func setup(dir string) error {
 // are equal.
 type canon string
 
-// canonOf zeroes the fields jobs.ResultDoc marks volatile, and the name,
-// which a job takes from its submission and ocddiscover does not print,
-// then marshals d. A job's document writes no dependencies as [],
-// ocddiscover as null; both become null.
-func canonOf(t *testing.T, d jobs.ResultDoc) canon {
+// canonOf zeroes the fields ocd.ResultDoc marks volatile, and the name,
+// which a job takes from its submission and ocddiscover from the file, then
+// marshals d.
+func canonOf(t *testing.T, d ocd.ResultDoc) canon {
 	t.Helper()
-	d.ID, d.Name, d.ElapsedMS, d.PriorElapsedMS, d.Resumed, d.Checkpoints, d.Attempts = "", "", 0, 0, false, 0, 0
-	if len(d.OCDs) == 0 {
-		d.OCDs = nil
-	}
-	if len(d.ODs) == 0 {
-		d.ODs = nil
-	}
+	d.Name, d.ElapsedMS, d.PriorElapsedMS, d.Resumed, d.Checkpoints, d.CheckpointError = "", 0, 0, false, 0, ""
 	b, err := json.MarshalIndent(d, "", " ")
 	must(t, err)
 	return canon(b)
@@ -191,13 +184,11 @@ func ocddiscover(t *testing.T, want int, fault string, args ...string) proc {
 	return proc{stdout.Bytes(), stderr.String()}
 }
 
-// canon decodes -json output. It has no levels field; the run's
-// -metrics-out dump counts them.
-func (p proc) canon(t *testing.T, metrics string) canon {
+// canon decodes -json output.
+func (p proc) canon(t *testing.T) canon {
 	t.Helper()
-	var d jobs.ResultDoc
+	var d ocd.ResultDoc
 	must(t, json.Unmarshal(p.stdout, &d))
-	d.Levels = int(counters(t, metrics)["discover.levels"])
 	return canonOf(t, d)
 }
 
@@ -305,14 +296,19 @@ func (s *ocdserve) getJSON(t *testing.T, path string, v any) []byte {
 	return body
 }
 
-// submit posts in's CSV as job name and returns the job id.
-func (s *ocdserve) submit(t *testing.T, name string, in *input, workers int) string {
+// submit posts in's CSV as job name, with the submission options in query
+// ("max-level=3"), and returns the job id.
+func (s *ocdserve) submit(t *testing.T, name string, in *input, workers int, query ...string) string {
 	t.Helper()
 	f, err := os.Open(in.csv)
 	must(t, err)
 	defer f.Close()
 	var doc jobs.StatusDoc
-	resp, body := s.call(t, http.MethodPost, fmt.Sprintf("/jobs?name=%s&workers=%d", name, workers), f)
+	path := fmt.Sprintf("/jobs?name=%s&workers=%d", name, workers)
+	for _, q := range query {
+		path += "&" + q
+	}
+	resp, body := s.call(t, http.MethodPost, path, f)
 	if json.Unmarshal(body, &doc); resp.StatusCode != http.StatusAccepted || doc.ID == "" {
 		t.Fatalf("submit %s: %s: %s", name, resp.Status, body)
 	}
@@ -345,5 +341,5 @@ func (s *ocdserve) result(t *testing.T, id, name string) (canon, jobs.ResultDoc)
 	if s.getJSON(t, "/jobs/"+id+"/result", &doc); doc.Name != name {
 		t.Errorf("result of job %s is named %q, want %q", id, doc.Name, name)
 	}
-	return canonOf(t, doc), doc
+	return canonOf(t, doc.ResultDoc), doc
 }

@@ -5,7 +5,9 @@ package differential
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -65,14 +67,13 @@ func run(t *testing.T, in *input, m mode) canon {
 	workers := max(m.workers, 1)
 	switch m.via {
 	case cli:
-		dir := t.TempDir()
-		ckpt, metrics := filepath.Join(dir, "run.ckpt"), filepath.Join(dir, "metrics.json")
-		args := []string{"-input", in.csv, "-json", "-workers", strconv.Itoa(workers), "-metrics-out", metrics}
+		ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+		args := []string{"-input", in.csv, "-json", "-workers", strconv.Itoa(workers)}
 		if m.fault != "" {
 			ocddiscover(t, faultinject.ExitCode, m.fault, append(args, "-checkpoint", ckpt)...)
 			args = append(args, "-resume", ckpt)
 		}
-		return ocddiscover(t, 0, "", args...).canon(t, metrics)
+		return ocddiscover(t, 0, "", args...).canon(t)
 	case server:
 		dir, logs := t.TempDir(), artifacts(t)
 		s := startServer(t, filepath.Join(logs, "first.log"), dir, m.fault)
@@ -102,14 +103,7 @@ func run(t *testing.T, in *input, m mode) canon {
 			t.Fatal("second run did not resume")
 		}
 	}
-	return canonOf(t, jobs.ResultDoc{
-		Rows: in.tbl.NumRows(), Cols: in.tbl.NumCols(),
-		OCDs: res.OCDs, ODs: res.ODs,
-		ConstantColumns: res.ConstantColumns, EquivalentGroups: res.EquivalentGroups,
-		ExpandedODCount: res.CountODs(),
-		Truncated:       res.Stats.Truncated, TruncateReason: string(res.Stats.TruncateReason),
-		Checks: res.Stats.Checks, Candidates: res.Stats.Candidates, Levels: res.Stats.Levels,
-	})
+	return canonOf(t, ocd.NewResultDoc(in.tbl, res, 0))
 }
 
 // matrixCase is one row of the matrix: input in, run in mode m, must give
@@ -140,7 +134,7 @@ func TestModesAgree(t *testing.T) {
 		t.Run(in.name, func(t *testing.T) {
 			t.Parallel()
 			fresh := run(t, in, mode{})
-			var d jobs.ResultDoc
+			var d ocd.ResultDoc
 			must(t, json.Unmarshal([]byte(fresh), &d))
 			cases := []matrixCase{
 				That(in, mode{workers: 2}).Puts(fresh),
@@ -164,5 +158,43 @@ func TestModesAgree(t *testing.T) {
 			}
 			testMatrix(t, cases...)
 		})
+	}
+}
+
+// TestDocumentKeys requires ocddiscover -json and a job's result.json for
+// the same input and options to carry the same keys, apart from the
+// command's resume hints and the job's id and attempt count. A level cap
+// truncates both runs, so the resume hints and the truncation fields show.
+func TestDocumentKeys(t *testing.T) {
+	t.Parallel()
+	// keys returns the document's keys less only, each of which it must have.
+	keys := func(doc []byte, only ...string) []string {
+		var m map[string]json.RawMessage
+		must(t, json.Unmarshal(doc, &m))
+		for _, k := range only {
+			if _, ok := m[k]; !ok {
+				t.Errorf("document lacks %q: %s", k, doc)
+			}
+			delete(m, k)
+		}
+		return slices.Sorted(maps.Keys(m))
+	}
+	p := ocddiscover(t, 0, "", "-input", taxinfo.csv, "-json", "-partial-ok", "-max-level", "3", "-expand", "5",
+		"-checkpoint", filepath.Join(t.TempDir(), "run.ckpt"))
+	cli := keys(p.stdout, "checkpoint_path", "resume_command")
+
+	s := startServer(t, filepath.Join(artifacts(t), "server.log"), t.TempDir(), "")
+	id := s.submit(t, "tax", taxinfo, 1, "max-level=3", "expand=5")
+	s.waitJob(t, id, jobs.StateCompleted)
+	job := keys(s.getJSON(t, "/jobs/"+id+"/result", new(jobs.ResultDoc)), "id", "attempts")
+	s.stop(t)
+
+	if !slices.Equal(cli, job) {
+		t.Errorf("ocddiscover -json keys %v, result.json keys %v", cli, job)
+	}
+	for _, k := range []string{"truncated", "truncate_reason", "expanded_ods", "levels", "prunes"} {
+		if !slices.Contains(cli, k) {
+			t.Errorf("documents lack %q: %v", k, cli)
+		}
 	}
 }

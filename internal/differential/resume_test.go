@@ -22,20 +22,20 @@ func TestOcddiscoverCheckpoints(t *testing.T) {
 	t.Parallel()
 	tax, dir, exit := taxinfo.csv, t.TempDir(), faultinject.ExitCode
 	at := func(name string) string { return filepath.Join(dir, name) }
-	fresh := ocddiscover(t, 0, "", "-input", tax, "-json", "-metrics-out", at("fresh.json")).canon(t, at("fresh.json"))
+	fresh := ocddiscover(t, 0, "", "-input", tax, "-json", "-metrics-out", at("fresh.json")).canon(t)
 	// resumeGivesFresh requires a non-empty snapshot that resumes to fresh.
 	resumeGivesFresh := func(t *testing.T, ckpt string) {
 		if fi, err := os.Stat(ckpt); err != nil || fi.Size() == 0 {
 			t.Fatalf("the killed run left no snapshot (%v)", err)
 		}
 		p := ocddiscover(t, 0, "", "-input", tax, "-resume", ckpt, "-json", "-metrics-out", ckpt+".json")
-		mustAgree(t, p.canon(t, ckpt+".json"), fresh)
+		mustAgree(t, p.canon(t), fresh)
 	}
 
 	step(t, "kill mid-level 3 then resume gives the uninterrupted output", func(t *testing.T) {
-		// -metrics-out gives the killed run a registry for its snapshot.
-		ocddiscover(t, exit, "core.level.start:exit:3", "-input", tax, "-checkpoint", at("run.ckpt"), "-json",
-			"-metrics-out", at("never.json"))
+		// Without -metrics-out the killed run's snapshot carries no
+		// registry; the resumed counters come from its Stats alone.
+		ocddiscover(t, exit, "core.level.start:exit:3", "-input", tax, "-checkpoint", at("run.ckpt"), "-json")
 		resumeGivesFresh(t, at("run.ckpt"))
 	})
 	t.Run("crash and resume counters equal the uninterrupted run's", func(t *testing.T) {

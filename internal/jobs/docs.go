@@ -69,71 +69,23 @@ func progressDoc(p obs.Progress) *ProgressDoc {
 	}
 }
 
-// ResultDoc is the durable result document (result.json). The core fields
-// are deterministic for a given dataset and options — a crash+resume run
-// produces byte-identical values — while the fields marked volatile vary
-// per execution and are dropped by the differential harness
-// (internal/differential) before it compares results.
+// ResultDoc is the durable result document (result.json): the run's
+// ocd.ResultDoc between the job's id and its attempt count, both volatile
+// like the fields ocd.ResultDoc marks so. The differential harness
+// (internal/differential) drops them before it compares results.
 type ResultDoc struct {
-	ID               string     `json:"id"` // volatile (random per submission)
-	Name             string     `json:"name"`
-	Rows             int        `json:"rows"`
-	Cols             int        `json:"cols"`
-	OCDs             []ocd.OCD  `json:"ocds"`
-	ODs              []ocd.OD   `json:"ods"`
-	ConstantColumns  []string   `json:"constant_columns,omitempty"`
-	EquivalentGroups [][]string `json:"equivalent_groups,omitempty"`
-	ExpandedODCount  int64      `json:"expanded_od_count"`
-	ExpandedODs      []ocd.OD   `json:"expanded_ods,omitempty"`
-	Truncated        bool       `json:"truncated,omitempty"`
-	TruncateReason   string     `json:"truncate_reason,omitempty"`
-	Checks           int64      `json:"checks"`
-	Candidates       int64      `json:"candidates"`
-	Levels           int        `json:"levels"`
-	ElapsedMS        int64      `json:"elapsed_ms"`                 // volatile
-	PriorElapsedMS   int64      `json:"prior_elapsed_ms,omitempty"` // volatile
-	Resumed          bool       `json:"resumed,omitempty"`          // volatile
-	Checkpoints      int        `json:"checkpoints"`                // volatile
-	Attempts         int        `json:"attempts"`                   // volatile
+	ID string `json:"id"`
+	ocd.ResultDoc
+	Attempts int `json:"attempts"`
 }
 
 // writeResult renders and atomically persists the result document.
 func (m *Manager) writeResult(j *Job, out attemptOutcome) error {
 	j.mu.Lock()
-	id, name, attempts := j.id, j.man.Name, j.man.Attempts
+	doc := &ResultDoc{ID: j.id, Attempts: j.man.Attempts}
 	expand := j.man.Options.ExpandLimit
 	j.mu.Unlock()
-	res := out.res
-	doc := &ResultDoc{
-		ID:               id,
-		Name:             name,
-		Rows:             out.rows,
-		Cols:             out.cols,
-		OCDs:             res.OCDs,
-		ODs:              res.ODs,
-		ConstantColumns:  res.ConstantColumns,
-		EquivalentGroups: res.EquivalentGroups,
-		ExpandedODCount:  res.CountODs(),
-		Truncated:        res.Stats.Truncated,
-		TruncateReason:   string(res.Stats.TruncateReason),
-		Checks:           res.Stats.Checks,
-		Candidates:       res.Stats.Candidates,
-		Levels:           res.Stats.Levels,
-		ElapsedMS:        res.Stats.Elapsed.Milliseconds(),
-		PriorElapsedMS:   res.Stats.PriorElapsed.Milliseconds(),
-		Resumed:          res.Stats.Resumed,
-		Checkpoints:      res.Stats.Checkpoints,
-		Attempts:         attempts,
-	}
-	if doc.OCDs == nil {
-		doc.OCDs = []ocd.OCD{}
-	}
-	if doc.ODs == nil {
-		doc.ODs = []ocd.OD{}
-	}
-	if expand > 0 {
-		doc.ExpandedODs = res.ExpandODs(expand)
-	}
+	doc.ResultDoc = ocd.NewResultDoc(out.tbl, out.res, expand)
 	return writeJSONAtomic(resultPath(j.dir), doc)
 }
 

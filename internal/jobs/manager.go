@@ -578,9 +578,8 @@ func randomSeed() int64 {
 // attemptOutcome is what one attempt produced, handed to finishAttempt for
 // classification.
 type attemptOutcome struct {
+	tbl     *ocd.Table
 	res     *ocd.Result
-	rows    int
-	cols    int
 	resumed bool
 	err     error
 }
@@ -686,7 +685,7 @@ func (m *Manager) runAttempt(ctx context.Context, j *Job, name string) (out atte
 		out.err = err
 		return out
 	}
-	out.rows, out.cols = tbl.NumRows(), tbl.NumCols()
+	out.tbl = tbl
 
 	dopts := ocd.Options{
 		Workers:        opts.Workers,

@@ -1,6 +1,7 @@
 package ocd
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ocd/internal/core"
 	"ocd/internal/datagen"
 )
 
@@ -325,6 +327,47 @@ func TestMemoryBudgetTruncatesToSubset(t *testing.T) {
 	for _, d := range got.ODs {
 		if !baseline[d.String()] {
 			t.Errorf("budgeted run reports %s, absent from the unconstrained run", d)
+		}
+	}
+}
+
+// TestTruncateReasonsMatchCore requires every core truncate reason to reach
+// the Result as the root constant of the same meaning. A core reason past
+// the last listed one must have no name, so a new one fails here until it
+// is listed.
+func TestTruncateReasonsMatchCore(t *testing.T) {
+	tbl := loadTax(t)
+	want := []TruncateReason{TruncateNone, TruncateTimeout, TruncateCandidateCap, TruncateLevelCap,
+		TruncateCancelled, TruncateMemoryBudget, TruncateWorkerPanic}
+	for i, w := range want {
+		r := core.TruncateReason(i)
+		if got := tbl.wrapResult(&core.Result{Stats: core.Stats{Reason: r}}).Stats.TruncateReason; got != w {
+			t.Errorf("core reason %d maps to %q, want %q", i, got, w)
+		}
+	}
+	if name := core.TruncateReason(len(want)).String(); name != "" {
+		t.Errorf("core reason %q has no root constant", name)
+	}
+}
+
+// TestResultDocEmptyLists requires a run that finds no dependency to encode
+// its OCD and OD lists as [], not null.
+func TestResultDocEmptyLists(t *testing.T) {
+	tbl, err := NewTable("swap", []string{"a", "b"}, [][]string{{"1", "2"}, {"2", "1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tbl.Discover(Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(NewResultDoc(tbl, res, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"ocds":[]`, `"ods":[]`, `"name":"swap"`, `"levels":1`, `"prunes":1`} {
+		if !strings.Contains(string(b), key) {
+			t.Errorf("document lacks %s: %s", key, b)
 		}
 	}
 }

@@ -12,7 +12,7 @@ test:
 race:
 	go test -race ./...
 
-# lint runs go vet plus the full twelve-analyzer ocdlint suite
+# lint runs go vet plus the full six-analyzer ocdlint suite
 # (docs/LINTING.md); every finding fails it.
 lint:
 	go vet ./...

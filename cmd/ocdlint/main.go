@@ -2,35 +2,26 @@
 // the module:
 //
 //	nopanic        — no panic in library packages; errors instead
-//	atomicfield    — no mixed atomic/plain access to shared counters
-//	listalias      — no aliasing append on attr.List backing arrays
 //	hotloopalloc   — no per-iteration allocation in // lint:hot loops
 //	obshot         — no locking obs calls (registry lookups, span ops)
 //	                 in // lint:hot loops; only atomic handle ops
-//	lockbalance    — mutexes released on every CFG path; nothing
-//	                 blocking or expensive inside a critical section
-//	wgcheck        — WaitGroup protocol: Add before go, Done on every
-//	                 goroutine exit path, no Wait inside the goroutine
 //	errdrop        — module-local error results must be checked on
 //	                 every path, not discarded
-//	sharedwrite    — race-lite: no unsynchronized writes to variables
-//	                 shared between goroutines
 //	mapdeterminism — map-iteration order must not reach returned
 //	                 slices, stream output, checkpoints or channels
 //	                 without a sort
-//	goroutineleak  — spawned goroutines must have a provable exit:
-//	                 a stop poll, context check, closed-channel
-//	                 receive, or a WaitGroup the spawner joins
 //	ctxflow        — context discipline: ctx first parameter, never
 //	                 stored in structs; lint:hot loops poll a stop
 //	                 signal
 //
-// errdrop, sharedwrite, mapdeterminism and goroutineleak are
-// interprocedural: they export per-function summaries (call-graph
-// facts, see internal/analysis/cfgutil) that the driver carries across
-// packages in dependency order, so a helper two packages away that
-// ignores its error parameter, emits its argument, or loops forever is
-// judged at the call site.
+// Concurrency bugs are left to `go vet` (copylocks) and
+// `go test -race`, which the gate runs over every package.
+//
+// errdrop and mapdeterminism are interprocedural: they export
+// per-function summaries (facts, see internal/analysis/cfgutil) that
+// the driver carries across packages in dependency order, so a helper
+// two packages away that ignores its error parameter or emits its
+// argument is judged at the call site.
 //
 // Usage:
 //
@@ -50,34 +41,22 @@ import (
 	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/analysis/multichecker"
 
-	"ocd/internal/analysis/atomicfield"
 	"ocd/internal/analysis/ctxflow"
 	"ocd/internal/analysis/errdrop"
-	"ocd/internal/analysis/goroutineleak"
 	"ocd/internal/analysis/hotloopalloc"
-	"ocd/internal/analysis/listalias"
-	"ocd/internal/analysis/lockbalance"
 	"ocd/internal/analysis/mapdeterminism"
 	"ocd/internal/analysis/nopanic"
 	"ocd/internal/analysis/obshot"
-	"ocd/internal/analysis/sharedwrite"
-	"ocd/internal/analysis/wgcheck"
 )
 
 // analyzers is the full suite, in the order findings are documented in
 // docs/LINTING.md.
 var analyzers = []*analysis.Analyzer{
 	nopanic.Analyzer,
-	atomicfield.Analyzer,
-	listalias.Analyzer,
 	hotloopalloc.Analyzer,
 	obshot.Analyzer,
-	lockbalance.Analyzer,
-	wgcheck.Analyzer,
 	errdrop.Analyzer,
-	sharedwrite.Analyzer,
 	mapdeterminism.Analyzer,
-	goroutineleak.Analyzer,
 	ctxflow.Analyzer,
 }
 

@@ -1,9 +1,7 @@
 // Package cfgutil holds the control-flow helpers shared by the
-// dataflow analyzers (lockbalance, wgcheck, errdrop): CFG
-// construction with a standard may-return heuristic, normal-exit
-// detection, identification of sync primitive operations, and
-// canonical keys for receiver expressions so that two syntactic
-// occurrences of `c.mu` are recognised as the same mutex.
+// analyzers: CFG construction with a standard may-return heuristic
+// (errdrop's path analysis), normal-exit detection, function-body
+// collection, and the per-function summaries of summary.go.
 //
 // The CFG itself comes from the offline golang.org/x/tools/go/cfg
 // shim; everything here layers Go type information on top of it.
@@ -12,24 +10,23 @@ package cfgutil
 import (
 	"go/ast"
 	"go/types"
-	"strconv"
 
 	"golang.org/x/tools/go/cfg"
 )
 
-// New builds the CFG of body using NoReturn as the may-return
+// New builds the CFG of body using noReturn as the may-return
 // heuristic: calls to panic, os.Exit, runtime.Goexit and log.Fatal*
 // terminate their block.
 func New(body *ast.BlockStmt, info *types.Info) *cfg.CFG {
 	return cfg.New(body, func(call *ast.CallExpr) bool {
-		return !NoReturn(info, call)
+		return !noReturn(info, call)
 	})
 }
 
-// NoReturn reports whether call can be determined to never return:
+// noReturn reports whether call can be determined to never return:
 // the panic builtin, os.Exit, runtime.Goexit, and the log.Fatal
 // family.
-func NoReturn(info *types.Info, call *ast.CallExpr) bool {
+func noReturn(info *types.Info, call *ast.CallExpr) bool {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if fun.Name == "panic" {
@@ -63,8 +60,7 @@ func NoReturn(info *types.Info, call *ast.CallExpr) bool {
 // Exits returns the live blocks through which the function can
 // terminate normally: blocks with no successors that are not ended by
 // a no-return call. Blocks ending in panic/os.Exit are excluded —
-// a held lock or missing Done on a dying process is not the bug these
-// analyzers hunt.
+// an unchecked error on a dying process is not the bug errdrop hunts.
 func Exits(g *cfg.CFG, info *types.Info) []*cfg.Block {
 	var exits []*cfg.Block
 	for _, b := range g.Blocks {
@@ -73,7 +69,7 @@ func Exits(g *cfg.CFG, info *types.Info) []*cfg.Block {
 		}
 		if n := len(b.Nodes); n > 0 {
 			if es, ok := b.Nodes[n-1].(*ast.ExprStmt); ok {
-				if call, ok := ast.Unparen(es.X).(*ast.CallExpr); ok && NoReturn(info, call) {
+				if call, ok := ast.Unparen(es.X).(*ast.CallExpr); ok && noReturn(info, call) {
 					continue
 				}
 			}
@@ -81,94 +77,6 @@ func Exits(g *cfg.CFG, info *types.Info) []*cfg.Block {
 		exits = append(exits, b)
 	}
 	return exits
-}
-
-// SyncOp classifies a call as an operation on a sync primitive.
-type SyncOp struct {
-	Recv   ast.Expr // receiver expression, e.g. `c.mu` in c.mu.Lock()
-	Key    string   // canonical receiver key, see ExprKey
-	Method string   // Lock, Unlock, RLock, RUnlock, Add, Done, Wait
-}
-
-// MutexOp identifies call as (*sync.Mutex).Lock/Unlock/TryLock or
-// (*sync.RWMutex).Lock/Unlock/RLock/RUnlock/… on a concrete receiver.
-func MutexOp(info *types.Info, call *ast.CallExpr) (SyncOp, bool) {
-	return syncOp(info, call, "Mutex", "RWMutex")
-}
-
-// WaitGroupOp identifies call as (*sync.WaitGroup).Add/Done/Wait.
-func WaitGroupOp(info *types.Info, call *ast.CallExpr) (SyncOp, bool) {
-	return syncOp(info, call, "WaitGroup")
-}
-
-func syncOp(info *types.Info, call *ast.CallExpr, typeNames ...string) (SyncOp, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return SyncOp{}, false
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return SyncOp{}, false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return SyncOp{}, false
-	}
-	recvType := sig.Recv().Type()
-	if ptr, ok := recvType.(*types.Pointer); ok {
-		recvType = ptr.Elem()
-	}
-	named, ok := recvType.(*types.Named)
-	if !ok {
-		return SyncOp{}, false
-	}
-	for _, name := range typeNames {
-		if named.Obj().Name() == name {
-			key, ok := ExprKey(info, sel.X)
-			if !ok {
-				return SyncOp{}, false
-			}
-			return SyncOp{Recv: sel.X, Key: key, Method: fn.Name()}, true
-		}
-	}
-	return SyncOp{}, false
-}
-
-// ExprKey returns a canonical string for a receiver path such as `mu`,
-// `c.mu` or `(*s).wg`, prefixed by the identity of its root object so
-// two distinct variables spelled alike never collide. The second
-// result is false when the expression is not a plain ident/selector
-// path (e.g. `cs[i].mu`), which the analyzers then skip rather than
-// risk merging distinct primitives.
-func ExprKey(info *types.Info, e ast.Expr) (string, bool) {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		obj := info.Uses[e]
-		if obj == nil {
-			obj = info.Defs[e]
-		}
-		if obj == nil {
-			return "", false
-		}
-		return objKey(obj) + "/" + e.Name, true
-	case *ast.SelectorExpr:
-		base, ok := ExprKey(info, e.X)
-		if !ok {
-			return "", false
-		}
-		return base + "." + e.Sel.Name, true
-	case *ast.StarExpr:
-		return ExprKey(info, e.X)
-	case *ast.UnaryExpr:
-		return ExprKey(info, e.X)
-	}
-	return "", false
-}
-
-func objKey(obj types.Object) string {
-	// Position is a stable per-object identity within one analysis
-	// pass; package-level and local objects alike have distinct Pos.
-	return obj.Name() + "@" + strconv.Itoa(int(obj.Pos()))
 }
 
 // WalkNodeSkipFuncLit walks the subtree of n in source order, calling

@@ -256,70 +256,6 @@ func f(b bool) int {
 	}
 }
 
-func TestExprKeyDistinguishesObjects(t *testing.T) {
-	src := `package p
-import "sync"
-type s struct{ mu sync.Mutex }
-func f(a, b *s) {
-	a.mu.Lock()
-	b.mu.Lock()
-	a.mu.Unlock()
-	b.mu.Unlock()
-}`
-	body, _, info := load(t, src, "f")
-	var keys []string
-	ast.Inspect(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if op, ok := cfgutil.MutexOp(info, call); ok {
-				keys = append(keys, op.Key)
-			}
-		}
-		return true
-	})
-	if len(keys) != 4 {
-		t.Fatalf("expected 4 mutex ops, got %d", len(keys))
-	}
-	if keys[0] == keys[1] {
-		t.Errorf("a.mu and b.mu must have distinct keys")
-	}
-	if keys[0] != keys[2] || keys[1] != keys[3] {
-		t.Errorf("repeated spellings of the same path must share a key: %v", keys)
-	}
-}
-
-func TestMutexAndWaitGroupOp(t *testing.T) {
-	src := `package p
-import "sync"
-func f(mu *sync.RWMutex, wg *sync.WaitGroup) {
-	mu.RLock()
-	defer mu.RUnlock()
-	wg.Add(1)
-	wg.Done()
-	wg.Wait()
-}`
-	body, _, info := load(t, src, "f")
-	var mutexMethods, wgMethods []string
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if op, ok := cfgutil.MutexOp(info, call); ok {
-			mutexMethods = append(mutexMethods, op.Method)
-		}
-		if op, ok := cfgutil.WaitGroupOp(info, call); ok {
-			wgMethods = append(wgMethods, op.Method)
-		}
-		return true
-	})
-	if strings.Join(mutexMethods, ",") != "RLock,RUnlock" {
-		t.Errorf("mutex ops = %v", mutexMethods)
-	}
-	if strings.Join(wgMethods, ",") != "Add,Done,Wait" {
-		t.Errorf("waitgroup ops = %v", wgMethods)
-	}
-}
-
 func TestCFGLabeledBreakContinue(t *testing.T) {
 	g, _ := buildCFG(t, `package p
 func f(rows [][]int) int {

@@ -1,6 +1,6 @@
-// Interprocedural fact layer: per-function summaries and a
-// module-local call graph, exported through the go/analysis Fact
-// mechanism so analyzers see across function and package boundaries.
+// Interprocedural fact layer: per-function summaries exported through
+// the go/analysis Fact mechanism so analyzers see across function and
+// package boundaries.
 //
 // Each fact-aware analyzer calls ComputeSummaries once per package.
 // The summaries of the package's own functions are computed from
@@ -8,28 +8,24 @@
 // packages arrive through pass.ImportObjectFact (the shim drivers run
 // packages in dependency order). A bounded fixpoint propagates the
 // transitive properties — a parameter that reaches an emit sink two
-// calls deep, a wrapper around an infinite loop — through the
-// intra-package portion of the call graph; the cross-package portion
-// is already transitive because dependency summaries were closed when
-// their package was analyzed.
+// calls deep, a map-ordered result forwarded through a return —
+// through the intra-package portion of the call graph; the
+// cross-package portion is already transitive because dependency
+// summaries were closed when their package was analyzed.
 //
-// The summaries are deliberately conservative in the direction each
-// consumer needs: mapdeterminism wants "may emit" (over-approximate),
-// sharedwrite wants "writes without any lock held" (computed with the
-// same LockState lattice the intra-procedural pass uses), and
-// goroutineleak wants "provably no exit" (under-approximate, so a
-// loop with any break/return is never blamed).
+// The two consumers are errdrop (IgnoredParams) and mapdeterminism
+// (the emit, sort and taint fields). "May emit" is over-approximate,
+// the conservative direction for mapdeterminism.
 package cfgutil
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/cfg"
+
+	"ocd/internal/analysis/lintutil"
 )
 
 // DisableSummaries turns ComputeSummaries into a no-op that never
@@ -57,24 +53,6 @@ type FuncFact struct {
 	// TaintedReturns marks results whose element order derives from a
 	// map iteration in the body.
 	TaintedReturns uint32
-	// LockEffects maps a receiver-relative mutex path ("mu",
-	// "state.mu", read side suffixed "[R]") to the unconditional net
-	// effect of a call: "lock" or "unlock". A mutex locked and
-	// defer-released inside the call has no net effect and no entry.
-	LockEffects map[string]string
-	// UnsyncedWrites lists receiver-relative paths a pointer method
-	// writes with no mutex held on some path reaching the write.
-	UnsyncedWrites []string
-	// SpawnsGoroutine reports a go statement anywhere in the body: the
-	// call can leave concurrency running after it returns.
-	SpawnsGoroutine bool
-	// LoopsForever reports an infinite for-loop with no break, return,
-	// goto or terminating call — directly, or via an unconditional
-	// call to a function that loops forever.
-	LoopsForever bool
-	// BlocksOnRecv reports a blocking channel receive outside a select
-	// and without the comma-ok form that detects closure.
-	BlocksOnRecv bool
 }
 
 // AFact marks FuncFact as a go/analysis fact type.
@@ -82,23 +60,12 @@ func (*FuncFact) AFact() {}
 
 func (f *FuncFact) empty() bool {
 	return f.IgnoredParams == 0 && f.EmitParams == 0 && f.SortsParams == 0 &&
-		!f.SortsRecv && f.TaintedReturns == 0 && len(f.LockEffects) == 0 &&
-		len(f.UnsyncedWrites) == 0 && !f.SpawnsGoroutine && !f.LoopsForever && !f.BlocksOnRecv
+		!f.SortsRecv && f.TaintedReturns == 0
 }
-
-// CallGraphFact is the package-level fact: the module-local static
-// call graph of the package's declared functions. Keys are canonical
-// object names as produced by analysis.ObjectKey.
-type CallGraphFact struct {
-	Edges map[string][]string
-}
-
-// AFact marks CallGraphFact as a go/analysis fact type.
-func (*CallGraphFact) AFact() {}
 
 // FactTypes is the FactTypes list every summary-consuming analyzer
 // declares.
-var FactTypes = []analysis.Fact{(*FuncFact)(nil), (*CallGraphFact)(nil)}
+var FactTypes = []analysis.Fact{(*FuncFact)(nil)}
 
 // Summaries resolves function summaries for one analyzed package:
 // locally computed facts for its own functions, imported facts for
@@ -125,7 +92,6 @@ func ComputeSummaries(pass *analysis.Pass) *Summaries {
 		fact *FuncFact
 	}
 	var fns []*fnEntry
-	byObj := make(map[*types.Func]*fnEntry)
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -138,25 +104,8 @@ func ComputeSummaries(pass *analysis.Pass) *Summaries {
 			}
 			e := &fnEntry{decl: fd, obj: obj, fact: summarizeFunc(pass, fd, obj)}
 			fns = append(fns, e)
-			byObj[obj] = e
+			s.local[obj] = e.fact
 		}
-	}
-
-	lookup := func(fn *types.Func) (*FuncFact, bool) {
-		if e, ok := byObj[fn]; ok {
-			return e.fact, true
-		}
-		if fn.Pkg() == nil || !ModuleLocal(pass.Pkg.Path(), fn.Pkg().Path()) {
-			return nil, false
-		}
-		if pass.ImportObjectFact == nil {
-			return nil, false
-		}
-		var ff FuncFact
-		if pass.ImportObjectFact(fn, &ff) {
-			return &ff, true
-		}
-		return nil, false
 	}
 
 	// TaintedReturns is computed only after every local summary exists:
@@ -164,7 +113,7 @@ func ComputeSummaries(pass *analysis.Pass) *Summaries {
 	// SortsParams) of the functions the body routes the accumulator
 	// through, local or imported.
 	for _, e := range fns {
-		summarizeTaintedReturns(pass.TypesInfo, e.decl, e.obj.Type().(*types.Signature), e.fact, lookup)
+		summarizeTaintedReturns(pass.TypesInfo, e.decl, e.obj.Type().(*types.Signature), e.fact, s.forFunc)
 	}
 
 	// Close the transitive properties over the intra-package call
@@ -173,7 +122,7 @@ func ComputeSummaries(pass *analysis.Pass) *Summaries {
 	for round := 0; round <= len(fns); round++ {
 		changed := false
 		for _, e := range fns {
-			if propagateCalls(pass, e.decl, e.fact, lookup) {
+			if propagateCalls(pass, e.decl, e.fact, s.forFunc) {
 				changed = true
 			}
 		}
@@ -182,49 +131,19 @@ func ComputeSummaries(pass *analysis.Pass) *Summaries {
 		}
 	}
 
-	edges := make(map[string][]string)
-	for _, e := range fns {
-		s.local[e.obj] = e.fact
-		if pass.ExportObjectFact != nil && !e.fact.empty() {
-			pass.ExportObjectFact(e.obj, e.fact)
+	if pass.ExportObjectFact != nil {
+		for _, e := range fns {
+			if !e.fact.empty() {
+				pass.ExportObjectFact(e.obj, e.fact)
+			}
 		}
-		callerKey, ok := analysis.ObjectKey(e.obj)
-		if !ok {
-			continue
-		}
-		callees := make(map[string]bool)
-		ast.Inspect(e.decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := StaticCallee(pass.TypesInfo, call)
-			if fn == nil || fn.Pkg() == nil || !ModuleLocal(pass.Pkg.Path(), fn.Pkg().Path()) {
-				return true
-			}
-			if key, ok := analysis.ObjectKey(fn); ok {
-				callees[key] = true
-			}
-			return true
-		})
-		if len(callees) > 0 {
-			list := make([]string, 0, len(callees))
-			for k := range callees {
-				list = append(list, k)
-			}
-			sort.Strings(list)
-			edges[callerKey] = list
-		}
-	}
-	if pass.ExportPackageFact != nil && len(edges) > 0 {
-		pass.ExportPackageFact(&CallGraphFact{Edges: edges})
 	}
 	return s
 }
 
-// ForFunc returns the summary of a module-local function: locally
+// forFunc returns the summary of a module-local function: locally
 // computed for this package's functions, imported as a fact otherwise.
-func (s *Summaries) ForFunc(fn *types.Func) (*FuncFact, bool) {
+func (s *Summaries) forFunc(fn *types.Func) (*FuncFact, bool) {
 	if s.disabled || fn == nil {
 		return nil, false
 	}
@@ -234,7 +153,7 @@ func (s *Summaries) ForFunc(fn *types.Func) (*FuncFact, bool) {
 		}
 		return f, true
 	}
-	if fn.Pkg() == nil || !ModuleLocal(s.pass.Pkg.Path(), fn.Pkg().Path()) {
+	if fn.Pkg() == nil || !moduleLocal(s.pass.Pkg.Path(), fn.Pkg().Path()) {
 		return nil, false
 	}
 	if s.pass.ImportObjectFact == nil {
@@ -253,18 +172,18 @@ func (s *Summaries) ForCall(call *ast.CallExpr) (*FuncFact, *types.Func, bool) {
 	if s.disabled {
 		return nil, nil, false
 	}
-	fn := StaticCallee(s.pass.TypesInfo, call)
+	fn := staticCallee(s.pass.TypesInfo, call)
 	if fn == nil {
 		return nil, nil, false
 	}
-	f, ok := s.ForFunc(fn)
+	f, ok := s.forFunc(fn)
 	return f, fn, ok
 }
 
-// StaticCallee returns the named function or concrete method a call
+// staticCallee returns the named function or concrete method a call
 // statically resolves to, or nil for builtins, interface methods,
 // function values and type conversions.
-func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	var fn *types.Func
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -283,10 +202,10 @@ func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// ModuleLocal reports whether calleePath belongs to the same module as
+// moduleLocal reports whether calleePath belongs to the same module as
 // pkgPath, judged by the leading path segment (the convention errdrop
 // established: "ocd" for ocd/internal/order).
-func ModuleLocal(pkgPath, calleePath string) bool {
+func moduleLocal(pkgPath, calleePath string) bool {
 	return modulePrefixOf(pkgPath) == modulePrefixOf(calleePath)
 }
 
@@ -295,38 +214,6 @@ func modulePrefixOf(path string) string {
 		return path[:i]
 	}
 	return path
-}
-
-// RelPath returns the selector path of e relative to root ("n",
-// "state.mu"); ok is false when e is not a plain selector chain
-// bottoming out in root.
-func RelPath(info *types.Info, e ast.Expr, root types.Object) (string, bool) {
-	var parts []string
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			obj := info.Uses[x]
-			if obj == nil {
-				obj = info.Defs[x]
-			}
-			if obj == nil || obj != root {
-				return "", false
-			}
-			for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
-				parts[i], parts[j] = parts[j], parts[i]
-			}
-			return strings.Join(parts, "."), len(parts) > 0
-		case *ast.SelectorExpr:
-			parts = append(parts, x.Sel.Name)
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			e = x.X
-		default:
-			return "", false
-		}
-	}
 }
 
 // summarizeFunc computes the intra-procedural portion of a function's
@@ -366,8 +253,6 @@ func summarizeFunc(pass *analysis.Pass, fd *ast.FuncDecl, obj *types.Func) *Func
 	// "may emit" is the conservative direction).
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.GoStmt:
-			fact.SpawnsGoroutine = true
 		case *ast.SendStmt:
 			if i, ok := paramIdx[RootObject(info, n.Value)]; ok {
 				fact.EmitParams |= 1 << i
@@ -394,7 +279,7 @@ func summarizeFunc(pass *analysis.Pass, fd *ast.FuncDecl, obj *types.Func) *Func
 	})
 
 	// The lint:sorted promise covers every slice-shaped input.
-	if declaresSorted(fd.Doc) {
+	if lintutil.DeclaresSorted(fd) {
 		for o, i := range paramIdx {
 			if _, ok := o.Type().Underlying().(*types.Slice); ok {
 				fact.SortsParams |= 1 << i
@@ -404,21 +289,13 @@ func summarizeFunc(pass *analysis.Pass, fd *ast.FuncDecl, obj *types.Func) *Func
 			fact.SortsRecv = true
 		}
 	}
-
-	fact.LoopsForever = loopsForeverIntra(info, fd.Body)
-	fact.BlocksOnRecv = blocksOnRecv(info, fd.Body)
-	if recvObj != nil {
-		if _, isPtr := sig.Recv().Type().(*types.Pointer); isPtr {
-			summarizeLockBehavior(info, fd.Body, recvObj, fact)
-		}
-	}
 	return fact
 }
 
 // propagateCalls folds callee summaries into fact, reporting whether
 // anything changed: an argument forwarded to an emitting parameter
-// emits, a tainted result forwarded through a return stays tainted,
-// and calling a forever-loop loops forever.
+// emits, and a tainted result forwarded through a return stays
+// tainted.
 func propagateCalls(pass *analysis.Pass, fd *ast.FuncDecl, fact *FuncFact, lookup func(*types.Func) (*FuncFact, bool)) bool {
 	info := pass.TypesInfo
 	sig := info.Defs[fd.Name].(*types.Func).Type().(*types.Signature)
@@ -426,17 +303,6 @@ func propagateCalls(pass *analysis.Pass, fd *ast.FuncDecl, fact *FuncFact, looku
 	for i := 0; i < sig.Params().Len() && i < 32; i++ {
 		paramIdx[sig.Params().At(i)] = i
 	}
-
-	// Calls reached unconditionally enough for LoopsForever: not
-	// behind a go statement (the spawned work doesn't block the
-	// caller) and not inside a nested literal.
-	spawnedCalls := make(map[*ast.CallExpr]bool)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if g, ok := n.(*ast.GoStmt); ok {
-			spawnedCalls[g.Call] = true
-		}
-		return true
-	})
 
 	changed := false
 	set := func(dst *uint32, bit uint32) {
@@ -450,7 +316,7 @@ func propagateCalls(pass *analysis.Pass, fd *ast.FuncDecl, fact *FuncFact, looku
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			fn := StaticCallee(info, n)
+			fn := staticCallee(info, n)
 			if fn == nil {
 				return true
 			}
@@ -468,14 +334,10 @@ func propagateCalls(pass *analysis.Pass, fd *ast.FuncDecl, fact *FuncFact, looku
 					}
 				}
 			}
-			if ff.LoopsForever && !spawnedCalls[n] && !insideFuncLit(fd.Body, n) && !fact.LoopsForever {
-				fact.LoopsForever = true
-				changed = true
-			}
 		case *ast.AssignStmt:
 			if len(n.Rhs) == 1 {
 				if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok {
-					if fn := StaticCallee(info, call); fn != nil {
+					if fn := staticCallee(info, call); fn != nil {
 						if ff, ok := lookup(fn); ok && ff.TaintedReturns != 0 {
 							for i, lhs := range n.Lhs {
 								if i >= 32 {
@@ -495,7 +357,7 @@ func propagateCalls(pass *analysis.Pass, fd *ast.FuncDecl, fact *FuncFact, looku
 		return true
 	})
 	if len(taintedLocals) > 0 {
-		CollectReturnBits(info, fd.Body, taintedLocals, func(i int) { set(&fact.TaintedReturns, 1<<uint(i)) })
+		collectReturnBits(info, fd.Body, taintedLocals, func(i int) { set(&fact.TaintedReturns, 1<<uint(i)) })
 	}
 	// A forwarded call result: return g() where g's results are tainted.
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -507,7 +369,7 @@ func propagateCalls(pass *analysis.Pass, fd *ast.FuncDecl, fact *FuncFact, looku
 		if !ok {
 			return true
 		}
-		if fn := StaticCallee(info, call); fn != nil {
+		if fn := staticCallee(info, call); fn != nil {
 			if ff, ok := lookup(fn); ok && ff.TaintedReturns != 0 {
 				if fact.TaintedReturns|ff.TaintedReturns != fact.TaintedReturns {
 					fact.TaintedReturns |= ff.TaintedReturns
@@ -520,27 +382,10 @@ func propagateCalls(pass *analysis.Pass, fd *ast.FuncDecl, fact *FuncFact, looku
 	return changed
 }
 
-func insideFuncLit(body *ast.BlockStmt, target ast.Node) bool {
-	inside := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if inside {
-			return false
-		}
-		if lit, ok := n.(*ast.FuncLit); ok {
-			if lit.Pos() <= target.Pos() && target.End() <= lit.End() {
-				inside = true
-			}
-			return false
-		}
-		return true
-	})
-	return inside
-}
-
-// CollectReturnBits invokes mark(i) for every return statement result
+// collectReturnBits invokes mark(i) for every return statement result
 // position i whose expression is rooted at one of the given objects,
 // and for named results among them.
-func CollectReturnBits(info *types.Info, body *ast.BlockStmt, roots map[types.Object]bool, mark func(int)) {
+func collectReturnBits(info *types.Info, body *ast.BlockStmt, roots map[types.Object]bool, mark func(int)) {
 	WalkNodeSkipFuncLit(body, func(n ast.Node) bool {
 		ret, ok := n.(*ast.ReturnStmt)
 		if !ok {
@@ -633,7 +478,7 @@ func summarizeTaintedReturns(info *types.Info, fd *ast.FuncDecl, sig *types.Sign
 				delete(tainted, o)
 				return false
 			}
-			if fn := StaticCallee(info, call); fn != nil {
+			if fn := staticCallee(info, call); fn != nil {
 				if ff, ok := lookup(fn); ok {
 					if ff.SortsRecv {
 						if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && RootObject(info, sel.X) == o {
@@ -665,280 +510,13 @@ func summarizeTaintedReturns(info *types.Info, fd *ast.FuncDecl, sig *types.Sign
 			fact.TaintedReturns |= 1 << i
 		}
 	}
-	CollectReturnBits(info, fd.Body, tainted, func(i int) { fact.TaintedReturns |= 1 << uint(i) })
-}
-
-// summarizeLockBehavior computes LockEffects and UnsyncedWrites for a
-// pointer method, with the LockState lattice.
-func summarizeLockBehavior(info *types.Info, body *ast.BlockStmt, recvObj types.Object, fact *FuncFact) {
-	// Mutex operations on receiver-rooted paths, with their lattice
-	// key and stable receiver-relative name.
-	relOf := make(map[string]string) // lattice key -> relative path
-	WalkNodeSkipFuncLit(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		op, ok := MutexOp(info, call)
-		if !ok {
-			return true
-		}
-		if RootObject(info, op.Recv) != recvObj {
-			return false
-		}
-		rel, ok := RelPath(info, op.Recv, recvObj)
-		if !ok {
-			return false
-		}
-		key := LockOpKey(op)
-		if strings.HasSuffix(key, "[R]") {
-			rel += "[R]"
-		}
-		relOf[key] = rel
-		return false
-	})
-
-	writes := make(map[string]bool)
-	hasOps := len(relOf) > 0
-	g := New(body, info)
-	if len(g.Blocks) == 0 {
-		return
-	}
-
-	// Seed every touched key with "could be either", so only an
-	// unconditional Lock (or Unlock) collapses the set at exit.
-	init := make(LockState)
-	for key := range relOf {
-		init[key] = LockUnlocked | LockLocked
-	}
-	states := blockEntryStates(g, info, init)
-
-	var exitJoin LockState
-	for _, b := range Exits(g, info) {
-		st, ok := states[b]
-		if !ok {
-			continue
-		}
-		out := st.Clone()
-		for _, n := range b.Nodes {
-			TransferLockNode(info, n, out)
-		}
-		if exitJoin == nil {
-			exitJoin = out
-		} else {
-			exitJoin.Join(out)
-		}
-	}
-	if exitJoin != nil && hasOps {
-		keys := make([]string, 0, len(relOf))
-		for k := range relOf {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			bits := exitJoin.Get(key)
-			var effect string
-			switch {
-			case bits != 0 && bits&^uint8(LockLocked) == 0:
-				effect = "lock"
-			case bits != 0 && bits&^uint8(LockUnlocked) == 0:
-				effect = "unlock"
-			default:
-				continue // balanced, defer-released, or conditional
-			}
-			if fact.LockEffects == nil {
-				fact.LockEffects = make(map[string]string)
-			}
-			fact.LockEffects[relOf[key]] = effect
-		}
-	}
-
-	// Unsynced receiver writes: re-run the walk with the real initial
-	// state (nothing held at entry).
-	states = blockEntryStates(g, info, make(LockState))
-	for _, b := range g.Blocks {
-		st, ok := states[b]
-		if !ok {
-			continue
-		}
-		cur := st.Clone()
-		for _, n := range b.Nodes {
-			recordRecvWrites(info, n, recvObj, cur, writes)
-			TransferLockNode(info, n, cur)
-		}
-	}
-	if len(writes) > 0 {
-		for w := range writes {
-			fact.UnsyncedWrites = append(fact.UnsyncedWrites, w)
-		}
-		sort.Strings(fact.UnsyncedWrites)
-	}
-}
-
-func recordRecvWrites(info *types.Info, n ast.Node, recvObj types.Object, st LockState, out map[string]bool) {
-	record := func(lhs ast.Expr) {
-		if RootObject(info, lhs) != recvObj {
-			return
-		}
-		rel, ok := RelPath(info, baseOfIndex(lhs), recvObj)
-		if !ok {
-			return
-		}
-		if len(st.MustHeldKeys()) == 0 {
-			out[rel] = true
-		}
-	}
-	switch n := n.(type) {
-	case *ast.AssignStmt:
-		if n.Tok != token.DEFINE {
-			for _, lhs := range n.Lhs {
-				record(lhs)
-			}
-		}
-	case *ast.IncDecStmt:
-		record(n.X)
-	}
-}
-
-// baseOfIndex strips index/slice components so `s.outs[i]` summarizes
-// as the field path "outs".
-func baseOfIndex(e ast.Expr) ast.Expr {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		default:
-			return e
-		}
-	}
-}
-
-// blockEntryStates runs the LockState fixpoint and returns the entry
-// state of every reachable block.
-func blockEntryStates(g *cfg.CFG, info *types.Info, init LockState) map[*cfg.Block]LockState {
-	states := make(map[*cfg.Block]LockState)
-	if len(g.Blocks) == 0 {
-		return states
-	}
-	states[g.Blocks[0]] = init.Clone()
-	work := []*cfg.Block{g.Blocks[0]}
-	for len(work) > 0 {
-		b := work[0]
-		work = work[1:]
-		out := states[b].Clone()
-		for _, n := range b.Nodes {
-			TransferLockNode(info, n, out)
-		}
-		for _, succ := range b.Succs {
-			cur, ok := states[succ]
-			if !ok {
-				states[succ] = out.Clone()
-				work = append(work, succ)
-				continue
-			}
-			if cur.Join(out) {
-				work = append(work, succ)
-			}
-		}
-	}
-	return states
-}
-
-// LoopsForeverIn reports whether body contains an inescapable infinite
-// loop, judged intra-procedurally — the verdict goroutineleak applies
-// to spawned function literals, whose summaries are never exported.
-func LoopsForeverIn(info *types.Info, body *ast.BlockStmt) bool {
-	return loopsForeverIntra(info, body)
-}
-
-// loopsForeverIntra reports an infinite for-loop (`for { … }`) whose
-// body provably cannot leave it: no return, break, goto, or
-// terminating call. Breaks that target inner statements still count as
-// a possible exit — the under-approximation that keeps goroutineleak
-// quiet on loops with any escape hatch.
-func loopsForeverIntra(info *types.Info, body *ast.BlockStmt) bool {
-	found := false
-	WalkNodeSkipFuncLit(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		fs, ok := n.(*ast.ForStmt)
-		if !ok || fs.Cond != nil {
-			return true
-		}
-		canExit := false
-		WalkNodeSkipFuncLit(fs.Body, func(m ast.Node) bool {
-			if canExit {
-				return false
-			}
-			switch m := m.(type) {
-			case *ast.ReturnStmt:
-				canExit = true
-			case *ast.BranchStmt:
-				if m.Tok == token.BREAK || m.Tok == token.GOTO {
-					canExit = true
-				}
-			case *ast.CallExpr:
-				if NoReturn(info, m) {
-					canExit = true // dies, but does not leak a live goroutine
-				}
-			case *ast.RangeStmt:
-				// `for range ch` inside terminates on close; the outer
-				// loop still spins. Keep scanning its body for breaks.
-			}
-			return !canExit
-		})
-		if !canExit {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// blocksOnRecv reports a bare blocking receive: `<-ch` outside any
-// select and not in the comma-ok form.
-func blocksOnRecv(info *types.Info, body *ast.BlockStmt) bool {
-	var selects []ast.Node
-	commaOK := make(map[ast.Expr]bool)
-	WalkNodeSkipFuncLit(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectStmt:
-			selects = append(selects, n)
-		case *ast.AssignStmt:
-			if len(n.Lhs) == 2 && len(n.Rhs) == 1 {
-				commaOK[ast.Unparen(n.Rhs[0])] = true
-			}
-		}
-		return true
-	})
-	found := false
-	WalkNodeSkipFuncLit(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		u, ok := n.(*ast.UnaryExpr)
-		if !ok || u.Op != token.ARROW || commaOK[u] {
-			return true
-		}
-		for _, sel := range selects {
-			if u.Pos() >= sel.Pos() && u.End() <= sel.End() {
-				return true
-			}
-		}
-		found = true
-		return false
-	})
-	return found
+	collectReturnBits(info, fd.Body, tainted, func(i int) { fact.TaintedReturns |= 1 << uint(i) })
 }
 
 // sinkCall mirrors mapdeterminism's emit-sink classification: fmt's
 // printing family, (*json.Encoder).Encode, and checkpoint packages.
 func sinkCall(info *types.Info, call *ast.CallExpr) bool {
-	fn := StaticCallee(info, call)
+	fn := staticCallee(info, call)
 	if fn == nil || fn.Pkg() == nil {
 		return false
 	}
@@ -956,7 +534,7 @@ func sinkCall(info *types.Info, call *ast.CallExpr) bool {
 }
 
 func sortCall(info *types.Info, call *ast.CallExpr) bool {
-	fn := StaticCallee(info, call)
+	fn := staticCallee(info, call)
 	if fn == nil || fn.Pkg() == nil {
 		return false
 	}
@@ -967,10 +545,6 @@ func sortCall(info *types.Info, call *ast.CallExpr) bool {
 		return strings.HasPrefix(fn.Name(), "Sort")
 	}
 	return false
-}
-
-func declaresSorted(doc *ast.CommentGroup) bool {
-	return doc != nil && strings.Contains(doc.Text(), "lint:sorted")
 }
 
 func mentionsObject(info *types.Info, n ast.Node, obj types.Object) bool {

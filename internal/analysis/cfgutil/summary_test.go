@@ -49,96 +49,29 @@ func makePass(f *ast.File, fset *token.FileSet, info *types.Info, pkg *types.Pac
 	}
 }
 
-// method resolves a method of a package-scope named type.
-func method(t *testing.T, pkg *types.Package, typeName, name string) *types.Func {
-	t.Helper()
-	obj := pkg.Scope().Lookup(typeName)
-	if obj == nil {
-		t.Fatalf("type %s not found", typeName)
-	}
-	named, ok := obj.Type().(*types.Named)
-	if !ok {
-		t.Fatalf("%s is not a named type", typeName)
-	}
-	for i := 0; i < named.NumMethods(); i++ {
-		if m := named.Method(i); m.Name() == name {
-			return m
-		}
-	}
-	t.Fatalf("method %s.%s not found", typeName, name)
-	return nil
-}
-
 // importerFunc adapts a function to types.Importer so the second
 // package of the round-trip test can resolve the first.
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// TestSummaryLockEffectsNestedDefer pins the LockState verdicts behind
-// LockEffects and UnsyncedWrites: a Lock paired with an unlock inside
-// a deferred closure is balanced (no net effect, write synced), while
-// one-sided helpers carry their side and a lockless writer is recorded.
-func TestSummaryLockEffectsNestedDefer(t *testing.T) {
-	src := `package p
-
-import "sync"
-
-type S struct {
-	mu sync.Mutex
-	n  int
-}
-
-// Guarded locks, releases through a deferred closure, and writes under
-// the lock: the summary must show no net lock effect and no unsynced
-// write.
-func (s *S) Guarded() {
-	s.mu.Lock()
-	defer func() { s.mu.Unlock() }()
-	s.n++
-}
-
-func (s *S) lock() { s.mu.Lock() }
-
-func (s *S) unlock() { s.mu.Unlock() }
-
-func (s *S) bump() { s.n++ }
-`
-	f, fset, info, pkg := loadPkg(t, "p", src, nil)
-	sum := cfgutil.ComputeSummaries(makePass(f, fset, info, pkg))
-
-	if ff, ok := sum.ForFunc(method(t, pkg, "S", "Guarded")); ok {
-		t.Errorf("Guarded should have an empty summary (balanced lock, synced write), got %+v", ff)
-	}
-	lockFF, ok := sum.ForFunc(method(t, pkg, "S", "lock"))
-	if !ok || lockFF.LockEffects["mu"] != "lock" {
-		t.Errorf("lock() summary = %+v, want net effect mu:lock", lockFF)
-	}
-	unlockFF, ok := sum.ForFunc(method(t, pkg, "S", "unlock"))
-	if !ok || unlockFF.LockEffects["mu"] != "unlock" {
-		t.Errorf("unlock() summary = %+v, want net effect mu:unlock", unlockFF)
-	}
-	bumpFF, ok := sum.ForFunc(method(t, pkg, "S", "bump"))
-	if !ok || len(bumpFF.UnsyncedWrites) != 1 || bumpFF.UnsyncedWrites[0] != "n" {
-		t.Errorf("bump() summary = %+v, want UnsyncedWrites [n]", bumpFF)
-	}
-}
-
 // TestSummaryRoundTripAcrossPackages drives the whole fact path: one
 // FactStore wired to two passes, summaries exported by the dependency
-// and imported — object facts and the package-level call graph — by a
-// consumer in a different package of the same module.
+// and imported by a consumer in a different package of the same
+// module. Emit reaches a sink through a local helper, so its fact also
+// shows the intra-package fixpoint closed before export.
 func TestSummaryRoundTripAcrossPackages(t *testing.T) {
 	depSrc := `package dep
+
+import "fmt"
 
 // Discard drops its error.
 func Discard(err error) {}
 
-// Forever never returns.
-func Forever() {
-	for {
-	}
-}
+// Emit prints its argument through show.
+func Emit(xs []string) { show(xs) }
+
+func show(v []string) { fmt.Println(v) }
 `
 	mSrc := `package m
 
@@ -146,7 +79,7 @@ import "mod/dep"
 
 func Use() {
 	dep.Discard(nil)
-	go dep.Forever()
+	dep.Emit(nil)
 }
 `
 	depFile, depFset, depInfo, depPkg := loadPkg(t, "mod/dep", depSrc, nil)
@@ -167,7 +100,7 @@ func Use() {
 	sum := cfgutil.ComputeSummaries(mPass)
 
 	// Facts flow: the consumer resolves dep's functions by call site.
-	var discardFF, foreverFF *cfgutil.FuncFact
+	var discardFF, emitFF *cfgutil.FuncFact
 	ast.Inspect(mFile, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -177,8 +110,8 @@ func Use() {
 			switch fn.Name() {
 			case "Discard":
 				discardFF = ff
-			case "Forever":
-				foreverFF = ff
+			case "Emit":
+				emitFF = ff
 			}
 		}
 		return true
@@ -186,21 +119,7 @@ func Use() {
 	if discardFF == nil || discardFF.IgnoredParams&1 == 0 {
 		t.Errorf("Discard fact = %+v, want IgnoredParams bit 0", discardFF)
 	}
-	if foreverFF == nil || !foreverFF.LoopsForever {
-		t.Errorf("Forever fact = %+v, want LoopsForever", foreverFF)
-	}
-
-	// The call-graph package fact names both cross-package callees.
-	var cg cfgutil.CallGraphFact
-	if !mPass.ImportPackageFact(mPkg, &cg) {
-		t.Fatalf("call-graph package fact missing for mod/m")
-	}
-	callees := cg.Edges["mod/m#Use"]
-	want := map[string]bool{"mod/dep#Discard": true, "mod/dep#Forever": true}
-	for _, c := range callees {
-		delete(want, c)
-	}
-	if len(want) != 0 {
-		t.Errorf("call graph edges for Use = %v, missing %v", callees, want)
+	if emitFF == nil || emitFF.EmitParams&1 == 0 {
+		t.Errorf("Emit fact = %+v, want EmitParams bit 0", emitFF)
 	}
 }

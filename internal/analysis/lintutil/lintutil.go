@@ -8,7 +8,7 @@
 //
 // One marker may name several checks, comma-separated:
 //
-//	ch <- out // lint:allow lockbalance,errdrop — bounded buffer, see doc
+//	out = append(out, k) // lint:allow mapdeterminism,errdrop — sorted below
 //
 // Check names are lower-case identifiers that may contain digits after
 // the first letter (e.g. a future "sa1000"-style name).
@@ -26,12 +26,12 @@ var allowRe = regexp.MustCompile(`lint:allow\s+([a-z][a-z0-9]*(?:[ \t]*,[ \t]*[a
 // Allower answers suppression queries for one file.
 type Allower struct {
 	fset *token.FileSet
-	// lines[check] holds the line numbers carrying a lint:allow marker
-	// for that check.
+	// lines[check] holds the line numbers carrying a suppression
+	// marker for that check.
 	lines map[string]map[int]bool
 }
 
-// NewAllower scans the file's comments for lint:allow markers. The file
+// NewAllower scans the file's comments for suppression markers. The file
 // must have been parsed with parser.ParseComments. A marker anywhere in
 // a comment group covers the group's last line, so a multi-line
 // justification above the offending statement still suppresses it.
@@ -45,16 +45,25 @@ func NewAllower(fset *token.FileSet, file *ast.File) *Allower {
 	}
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
-			for _, m := range allowRe.FindAllStringSubmatch(c.Text, -1) {
-				for _, check := range strings.Split(m[1], ",") {
-					check = strings.TrimSpace(check)
-					mark(check, fset.Position(c.Pos()).Line)
-					mark(check, fset.Position(cg.End()).Line)
-				}
+			for _, check := range AllowedChecks(c.Text) {
+				mark(check, fset.Position(c.Pos()).Line)
+				mark(check, fset.Position(cg.End()).Line)
 			}
 		}
 	}
 	return a
+}
+
+// AllowedChecks returns the check names that the suppression markers
+// in one comment's text name, in order of appearance.
+func AllowedChecks(comment string) []string {
+	var checks []string
+	for _, m := range allowRe.FindAllStringSubmatch(comment, -1) {
+		for _, check := range strings.Split(m[1], ",") {
+			checks = append(checks, strings.TrimSpace(check))
+		}
+	}
+	return checks
 }
 
 // Allows reports whether a finding of the given check at pos is

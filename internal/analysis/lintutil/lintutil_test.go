@@ -82,26 +82,26 @@ func TestAllowerMultiCheck(t *testing.T) {
 	src := `package p
 
 func f() {
-	g() // lint:allow lockbalance, errdrop — bounded buffer
-	h() // lint:allow wgcheck,hotloopalloc
+	g() // lint:allow mapdeterminism, errdrop — bounded buffer
+	h() // lint:allow obshot,hotloopalloc
 }
 
 func g() {}
 func h() {}
 `
 	a, line := newAllower(t, src)
-	for _, check := range []string{"lockbalance", "errdrop"} {
+	for _, check := range []string{"mapdeterminism", "errdrop"} {
 		if !a.Allows(line(4), check) {
 			t.Errorf("comma list with spaces should suppress %s on line 4", check)
 		}
 	}
-	for _, check := range []string{"wgcheck", "hotloopalloc"} {
+	for _, check := range []string{"obshot", "hotloopalloc"} {
 		if !a.Allows(line(5), check) {
 			t.Errorf("comma list without spaces should suppress %s on line 5", check)
 		}
 	}
-	if a.Allows(line(4), "wgcheck") {
-		t.Errorf("line 4 marker does not name wgcheck")
+	if a.Allows(line(4), "obshot") {
+		t.Errorf("line 4 marker does not name obshot")
 	}
 }
 
@@ -109,7 +109,7 @@ func TestAllowerDigitsInCheckName(t *testing.T) {
 	src := `package p
 
 func f() {
-	g() // lint:allow sa1019, lockbalance — staticcheck-style name
+	g() // lint:allow sa1019, mapdeterminism — staticcheck-style name
 }
 
 func g() {}
@@ -118,7 +118,7 @@ func g() {}
 	if !a.Allows(line(4), "sa1019") {
 		t.Errorf("check names with digits should parse")
 	}
-	if !a.Allows(line(4), "lockbalance") {
+	if !a.Allows(line(4), "mapdeterminism") {
 		t.Errorf("list after a digit-bearing name should still parse")
 	}
 }
@@ -151,7 +151,7 @@ func TestExemptPath(t *testing.T) {
 		{"ocd/cmd/datagen", true},
 		{"ocd/examples/quickstart", true},
 		{"ocd/internal/datagen", true},
-		{"ocd/internal/analysis/lockbalance/testdata/src/a", true},
+		{"ocd/internal/analysis/mapdeterminism/testdata/src/a", true},
 		{"golang.org/x/tools/go/cfg", false}, // not vendored under a third_party segment
 		{"example.com/third_party/pkg", true},
 	}

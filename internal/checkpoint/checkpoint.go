@@ -415,12 +415,12 @@ func Write(path string, s *Snapshot) error {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	if err := s.Encode(f); err != nil {
-		f.Close() // lint:allow errdrop — the encode error is the one to report
+		f.Close() // the encode error is the one to report
 		os.Remove(tmp)
 		return fmt.Errorf("checkpoint: write %s: %w", tmp, err)
 	}
 	if err := f.Sync(); err != nil {
-		f.Close() // lint:allow errdrop — the sync error is the one to report
+		f.Close() // the sync error is the one to report
 		os.Remove(tmp)
 		return fmt.Errorf("checkpoint: sync %s: %w", tmp, err)
 	}
@@ -436,7 +436,7 @@ func Write(path string, s *Snapshot) error {
 	// Make the rename itself durable. Directory fsync is best-effort: some
 	// filesystems refuse it, and the rename is already atomic.
 	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		d.Sync() // lint:allow errdrop — best-effort directory durability
+		d.Sync() // best-effort directory durability
 		d.Close()
 	}
 	return nil

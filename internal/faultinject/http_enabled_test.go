@@ -20,7 +20,7 @@ func okHandler(point string) http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		io.WriteString(w, `{"ok":true}`) // lint:allow errdrop — test handler
+		io.WriteString(w, `{"ok":true}`)
 	})
 }
 

@@ -234,7 +234,7 @@ func (m *Manager) SimplifyOrderBy(ctx context.Context, id string, columns []stri
 		return SimplifyDoc{}, err
 	}
 	tbl, err := ocd.LoadCSV(f, name, loadOptions(ctx, opts)...)
-	f.Close() // lint:allow errdrop — read-only file, the load error dominates
+	f.Close() // read-only file, the load error dominates
 	if err != nil {
 		return SimplifyDoc{}, err
 	}

@@ -414,7 +414,7 @@ func TestMetricsPrometheusMatchesJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, warm.Body) // lint:allow errdrop — warm-up fetch
+	io.Copy(io.Discard, warm.Body) // warm-up fetch
 	warm.Body.Close()
 
 	var snap struct {

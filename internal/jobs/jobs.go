@@ -179,12 +179,12 @@ func writeBytesAtomic(path string, data []byte) error {
 		return fmt.Errorf("jobs: %w", err)
 	}
 	if _, err := f.Write(data); err != nil {
-		f.Close() // lint:allow errdrop — the write error is the one to report
+		f.Close() // the write error is the one to report
 		os.Remove(tmp)
 		return fmt.Errorf("jobs: write %s: %w", tmp, err)
 	}
 	if err := f.Sync(); err != nil {
-		f.Close() // lint:allow errdrop — the sync error is the one to report
+		f.Close() // the sync error is the one to report
 		os.Remove(tmp)
 		return fmt.Errorf("jobs: sync %s: %w", tmp, err)
 	}
@@ -196,13 +196,18 @@ func writeBytesAtomic(path string, data []byte) error {
 		os.Remove(tmp)
 		return fmt.Errorf("jobs: %w", err)
 	}
-	// Directory fsync is best-effort: some filesystems refuse it, and the
-	// rename is already atomic.
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		d.Sync() // lint:allow errdrop — best-effort directory durability
+	syncDir(filepath.Dir(path))
+	return nil
+}
+
+// syncDir fsyncs dir so the entries just created or renamed in it
+// survive a power cut. It is best-effort: some filesystems refuse a
+// directory fsync, and a rename is already atomic without it.
+func syncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		d.Sync() // best-effort directory durability
 		d.Close()
 	}
-	return nil
 }
 
 // readManifest loads and decodes a job manifest.

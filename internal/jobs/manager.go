@@ -479,6 +479,9 @@ func (m *Manager) Submit(ctx context.Context, name string, src io.Reader, opts J
 		release()
 		return nil, fmt.Errorf("jobs: %w", err)
 	}
+	// The job directory's entry must survive a power cut before the
+	// manifest inside it can.
+	syncDir(m.cfg.Dir)
 	n, err := copyInput(inputPath(dir), src, m.cfg.MaxUploadBytes)
 	if err != nil {
 		release()
@@ -536,7 +539,10 @@ func (m *Manager) Submit(ctx context.Context, name string, src io.Reader, opts J
 	return j, nil
 }
 
-// copyInput streams src to path, rejecting inputs beyond max bytes.
+// copyInput streams src to path, rejecting inputs beyond max bytes. An
+// accepted input is fsynced: the write-ahead manifest that names it is
+// written next, and must never outlive it. The manifest write fsyncs the
+// job directory, which makes the input's directory entry durable too.
 func copyInput(path string, src io.Reader, max int64) (int64, error) {
 	f, err := os.Create(path)
 	if err != nil {
@@ -544,14 +550,19 @@ func copyInput(path string, src io.Reader, max int64) (int64, error) {
 	}
 	n, err := io.Copy(f, io.LimitReader(src, max+1))
 	if err != nil {
-		f.Close() // lint:allow errdrop — the copy error is the one to report
+		f.Close() // the copy error is the one to report
 		return n, fmt.Errorf("jobs: reading dataset: %w", err)
+	}
+	if n > max {
+		f.Close() // the input is rejected and removed
+		return n, fmt.Errorf("%w (cap %d bytes)", ErrTooLarge, max)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close() // the sync error is the one to report
+		return n, fmt.Errorf("jobs: sync %s: %w", path, err)
 	}
 	if err := f.Close(); err != nil {
 		return n, fmt.Errorf("jobs: %w", err)
-	}
-	if n > max {
-		return n, fmt.Errorf("%w (cap %d bytes)", ErrTooLarge, max)
 	}
 	return n, nil
 }
@@ -680,7 +691,7 @@ func (m *Manager) runAttempt(ctx context.Context, j *Job, name string) (out atte
 	// whole CSV as raw strings.
 	lo := append(loadOptions(ctx, opts), ocd.WithTrace(tr.Root()))
 	tbl, err := ocd.LoadCSV(f, name, lo...)
-	f.Close() // lint:allow errdrop — read-only file, the load error dominates
+	f.Close() // read-only file, the load error dominates
 	if err != nil {
 		out.err = err
 		return out

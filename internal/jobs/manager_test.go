@@ -273,7 +273,7 @@ func TestDeleteRunningJob(t *testing.T) {
 func TestPanicRetryThenPoison(t *testing.T) {
 	setHook(t, func(ctx context.Context, name string) {
 		if name == "poison" {
-			panic("injected poison " + name) // lint:allow panic — deliberate fault
+			panic("injected poison " + name) // deliberate fault
 		}
 	})
 	m := newTestManager(t, Config{MaxActive: 1, MaxAttempts: 2, BackoffBase: time.Millisecond})

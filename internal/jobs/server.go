@@ -101,7 +101,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
 		// The header is out; nothing left to do but note it server-side.
-		_ = err // lint:allow errdrop — response already committed
+		_ = err // response already committed
 	}
 }
 
@@ -260,7 +260,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if _, err := w.Write(data); err != nil {
-		_ = err // lint:allow errdrop — client went away mid-response
+		_ = err // client went away mid-response
 	}
 }
 
@@ -353,7 +353,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if _, err := w.Write(data); err != nil {
-		_ = err // lint:allow errdrop — client went away mid-response
+		_ = err // client went away mid-response
 	}
 }
 

@@ -63,9 +63,9 @@ func ServeDebug(addr string, reg *Registry) (string, func(), error) {
 		return "", nil, err
 	}
 	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	go srv.Serve(ln) // lint:allow errdrop — returns ErrServerClosed on shutdown
+	go srv.Serve(ln) // returns ErrServerClosed on shutdown
 	stop := func() {
-		srv.Close() // lint:allow errdrop — best-effort teardown
+		srv.Close() // best-effort teardown
 		// Unbind the expvar publication if it still points at this
 		// server's registry, so /debug/vars on a later ServeDebug (or
 		// a leftover expvar handler) never serves the stopped server's

@@ -125,7 +125,7 @@ func TestHTTPMetricsPassesThroughFlusher(t *testing.T) {
 			t.Errorf("middleware hid http.Flusher from the handler")
 			return
 		}
-		w.Write([]byte("data: x\n\n")) // lint:allow errdrop — test writer
+		w.Write([]byte("data: x\n\n"))
 		f.Flush()
 		close(flushed)
 	})

@@ -174,7 +174,7 @@ func writePrometheusSnapshot(w io.Writer, s Snapshot, constLabels []Label) error
 				_, err := fmt.Fprintf(w, "%s%s %d\n", sanitizeMetricName(name), labels, v)
 				return err
 			},
-		}) // lint:allow mapdeterminism — fams is sorted by name below
+		}) // fams is sorted by name below
 	}
 	for name, v := range s.Gauges {
 		v := v
@@ -185,7 +185,7 @@ func writePrometheusSnapshot(w io.Writer, s Snapshot, constLabels []Label) error
 				_, err := fmt.Fprintf(w, "%s%s %d\n", sanitizeMetricName(name), labels, v)
 				return err
 			},
-		}) // lint:allow mapdeterminism — fams is sorted by name below
+		}) // fams is sorted by name below
 	}
 	for name, hs := range s.Histograms {
 		hs := hs
@@ -195,7 +195,7 @@ func writePrometheusSnapshot(w io.Writer, s Snapshot, constLabels []Label) error
 			emit: func(w io.Writer, _ string, labelSet []Label) error {
 				return emitHistogram(w, sanitizeMetricName(name), hs, labelSet)
 			},
-		}) // lint:allow mapdeterminism — fams is sorted by name below
+		}) // fams is sorted by name below
 	}
 	sort.Slice(fams, func(a, b int) bool { return fams[a].name < fams[b].name })
 

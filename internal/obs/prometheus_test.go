@@ -106,8 +106,8 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 		reg.Counter(n).Inc()
 	}
 	var b1, b2 strings.Builder
-	reg.WritePrometheus(&b1) // lint:allow errdrop — strings.Builder never fails
-	reg.WritePrometheus(&b2) // lint:allow errdrop — strings.Builder never fails
+	reg.WritePrometheus(&b1) // strings.Builder never fails
+	reg.WritePrometheus(&b2) // strings.Builder never fails
 	if b1.String() != b2.String() {
 		t.Errorf("output not deterministic:\n%s\nvs\n%s", b1.String(), b2.String())
 	}

@@ -99,7 +99,7 @@ func TestServeDebug(t *testing.T) {
 			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
 		}
 		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body) // lint:allow errdrop — test helper
+		buf.ReadFrom(resp.Body)
 		return buf.Bytes()
 	}
 
@@ -131,7 +131,7 @@ func TestServeDebug(t *testing.T) {
 		t.Fatalf("GET second /debug/vars: %v", err)
 	}
 	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body) // lint:allow errdrop — test helper
+	buf.ReadFrom(resp.Body)
 	resp.Body.Close()
 	if !bytes.Contains(buf.Bytes(), []byte(`"discover.checks":99`)) {
 		t.Fatalf("expvar not rebound to new registry: %s", buf.String())

@@ -7,12 +7,10 @@
 #   3. gofmt -l                  every Go file outside testdata/
 #                                directories is gofmt-formatted
 #   4. ocdlint                   the repo's own go/analysis suite
-#                                (nopanic, atomicfield, listalias,
-#                                hotloopalloc, obshot, lockbalance,
-#                                wgcheck, errdrop, sharedwrite,
-#                                mapdeterminism, goroutineleak,
-#                                ctxflow; see docs/LINTING.md); every
-#                                finding fails the gate
+#                                (nopanic, hotloopalloc, obshot,
+#                                errdrop, mapdeterminism, ctxflow;
+#                                see docs/LINTING.md); every finding
+#                                fails the gate
 #   5. go test -race ./...       unit + integration tests under the
 #                                race detector (the parallel traversal
 #                                must stay race-clean)

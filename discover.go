@@ -266,17 +266,47 @@ func (t *Table) DiscoverContext(ctx context.Context, opts Options) (*Result, err
 func (t *Table) wrapResult(inner *core.Result) *Result {
 	names := t.rel.NameOf
 	res := &Result{inner: inner, names: names}
+	// Every name list is a capacity-limited window of one backing slice,
+	// so the lists cost one allocation and an append to one copies it
+	// rather than overwriting the next.
+	n := len(inner.Constants)
 	for _, d := range inner.OCDs {
-		res.OCDs = append(res.OCDs, OCD{Left: nameList(d.X, names), Right: nameList(d.Y, names)})
+		n += len(d.X) + len(d.Y)
 	}
 	for _, d := range inner.ODs {
-		res.ODs = append(res.ODs, OD{Left: nameList(d.X, names), Right: nameList(d.Y, names)})
-	}
-	for _, c := range inner.Constants {
-		res.ConstantColumns = append(res.ConstantColumns, names(c))
+		n += len(d.X) + len(d.Y)
 	}
 	for _, class := range inner.EquivClasses {
-		res.EquivalentGroups = append(res.EquivalentGroups, nameList(attrListOf(class), names))
+		n += len(class)
+	}
+	all := make([]string, 0, n)
+	list := func(ids []attr.ID) []string {
+		from := len(all)
+		for _, a := range ids {
+			all = append(all, names(a))
+		}
+		return all[from:len(all):len(all)]
+	}
+	if len(inner.OCDs) > 0 {
+		res.OCDs = make([]OCD, len(inner.OCDs))
+		for i, d := range inner.OCDs {
+			res.OCDs[i] = OCD{Left: list(d.X), Right: list(d.Y)}
+		}
+	}
+	if len(inner.ODs) > 0 {
+		res.ODs = make([]OD, len(inner.ODs))
+		for i, d := range inner.ODs {
+			res.ODs[i] = OD{Left: list(d.X), Right: list(d.Y)}
+		}
+	}
+	if len(inner.Constants) > 0 {
+		res.ConstantColumns = list(inner.Constants)
+	}
+	if len(inner.EquivClasses) > 0 {
+		res.EquivalentGroups = make([][]string, len(inner.EquivClasses))
+		for i, class := range inner.EquivClasses {
+			res.EquivalentGroups[i] = list(class)
+		}
 	}
 	res.Stats = Stats{
 		Checks:          inner.Stats.Checks,

@@ -92,11 +92,11 @@ func Use() {
 
 	store := analysis.NewFactStore()
 	depPass := makePass(depFile, depFset, depInfo, depPkg)
-	store.WirePass(depPass, "mod/dep")
+	store.WirePass(depPass)
 	cfgutil.ComputeSummaries(depPass)
 
 	mPass := makePass(mFile, mFset, mInfo, mPkg)
-	store.WirePass(mPass, "mod/m")
+	store.WirePass(mPass)
 	sum := cfgutil.ComputeSummaries(mPass)
 
 	// Facts flow: the consumer resolves dep's functions by call site.

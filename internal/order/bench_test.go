@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ocd/internal/attr"
+	"ocd/internal/relation"
 )
 
 func newBenchRel(rows int) *benchEnv {
@@ -67,5 +68,35 @@ func BenchmarkCheckOCDExtension(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.w = witnesses{}
 		h.CheckOCD(x, y)
+	}
+}
+
+// BenchmarkCheckOCDLong checks OCDs on 200,000 rows, long enough for the
+// prefix probe, with the witness ring emptied before each check so that
+// each one scans. X is a two-column list whose side is composite keys; the
+// failing candidate's Y is independent of X, the valid one's orders X.
+func BenchmarkCheckOCDLong(b *testing.B) {
+	rng := rand.New(rand.NewSource(331))
+	data := make([][]int, 200_000)
+	for i := range data {
+		a, c := rng.Intn(1000), rng.Intn(100)
+		data[i] = []int{a, c, a*100 + c, rng.Intn(50_000)}
+	}
+	h := NewChecker(relation.FromInts("long", []string{"a", "b", "ab", "r"}, data), 0).NewHandle(64)
+	x := attr.NewList(0, 1)
+	for _, bc := range []struct {
+		name  string
+		y     attr.List
+		valid bool
+	}{{"failing", attr.NewList(3), false}, {"valid", attr.NewList(2), true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				h.w = witnesses{}
+				if h.CheckOCD(x, bc.y) != bc.valid {
+					b.Fatalf("CheckOCD(%v, %v) != %v", x, bc.y, bc.valid)
+				}
+			}
+		})
 	}
 }

@@ -46,8 +46,16 @@
 // scanning. Otherwise the scan runs, and when it finds a swap at
 // group g, one more pass over the two sides' rank vectors finds a row of g
 // at g's minimum Y-rank and a row of an earlier group at the running
-// maximum: that pair's sign row replaces the ring's oldest. A valid OCD,
-// and every OD check, always pays the full scan.
+// maximum: that pair's sign row replaces the ring's oldest.
+//
+// On at least 4·probeRows rows, an OCD or OD scan first makes its row pass
+// over the first probeRows rows and one group pass over what they filled:
+// a swap there is a swap of the whole relation, so it ends the check (an
+// OCD remembers it from the prefix's rows), and otherwise the row pass
+// goes on from the prefix's end with the groups it has. So a check that
+// fails within the prefix reads a fraction of the rows, and one that does
+// not pays one more group pass. A valid OCD or OD, and every CheckODFull,
+// pays the full scan.
 package order
 
 import (

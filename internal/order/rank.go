@@ -256,13 +256,22 @@ const (
 	scanFull                 // both kinds, each with a witness pair
 )
 
+// probeRows is the row prefix that an OCD or OD scan of at least
+// 4·probeRows rows checks first. A failing check's swap often lies among
+// the first rows, so the rest of the rows are read only when the prefix
+// has none; a valid check pays one more group pass.
+const probeRows = 4096
+
 // scan checks X against Y (see the package comment): one pass over the
 // rows collects each X-group's minimum and maximum Y-rank, then one pass
 // walks the groups in rank order, skipping ranks no row has. Only scanFull
 // also tracks the rows holding them, for witnesses. In scanOD mode the row
 // pass ends at the first split, a row whose Y-rank differs from the first
-// of its X-group; the group pass then only looks for swaps. ok is false
-// when the stop flag aborted it.
+// of its X-group; the group pass then only looks for swaps. On at least
+// 4·probeRows rows, an OCD or OD scan first makes both passes over the
+// first probeRows rows: a swap among them is a swap of the whole relation
+// and ends the check, and otherwise the row pass goes on from there with
+// the groups it has. ok is false when the stop flag aborted it.
 // lint:hot
 func (h *Handle) scan(x, y attr.List, mode scanMode) (res ODResult, ok bool) {
 	c, s := h.c, &h.s
@@ -281,15 +290,45 @@ func (h *Handle) scan(x, y attr.List, mode scanMode) (res ODResult, ok bool) {
 		}
 		lo[g], hi[g] = math.MaxInt32, -1
 	}
+	if mode == scanFull {
+		grow(&s.loRow, xv.dom)
+		grow(&s.hiRow, xv.dom)
+	}
 	xr, yr := xv.ranks, yv.ranks[:len(xv.ranks)]
-	var loRow, hiRow []int32
+	from := 0
+	if mode != scanFull && len(xr) >= 4*probeRows {
+		if res, ok = h.rowPass(xr[:probeRows], yr, 0, mode); !ok || res.HasSplit {
+			return res, ok
+		}
+		if res, ok = h.groupPass(xr[:probeRows], yr, mode); !ok || res.HasSwap {
+			return res, ok
+		}
+		from = probeRows
+	}
+	if res, ok = h.rowPass(xr, yr, from, mode); !ok || res.HasSplit {
+		return res, ok
+	}
+	return h.groupPass(xr, yr, mode)
+}
+
+// rowPass folds rows from through len(xr)−1 into the scratch's per-group
+// minimum and maximum Y-rank (and, in scanFull mode, the rows holding
+// them). In scanOD mode it returns at the first split.
+// lint:hot
+func (h *Handle) rowPass(xr, yr []int32, from int, mode scanMode) (res ODResult, ok bool) {
+	c, s := h.c, &h.s
+	lo, hi := s.lo, s.hi
+	// One length for both, so the loops index them unchecked.
+	xs := xr[from:]
+	ys := yr[from:len(xr)]
+	ys = ys[:len(xs)]
 	switch mode {
 	case scanOD:
-		for i, g := range xr {
-			if uint32(i)&stopCheckMask == 0 && c.stopped() {
+		for k, g := range xs {
+			if uint32(k)&stopCheckMask == 0 && c.stopped() {
 				return res, false
 			}
-			if v := yr[i]; hi[g] < 0 {
+			if v := ys[k]; hi[g] < 0 {
 				lo[g], hi[g] = v, v
 			} else if v != lo[g] {
 				res.HasSplit = true
@@ -297,31 +336,43 @@ func (h *Handle) scan(x, y attr.List, mode scanMode) (res ODResult, ok bool) {
 			}
 		}
 	case scanOCD:
-		for i, g := range xr {
-			if uint32(i)&stopCheckMask == 0 && c.stopped() {
+		for k, g := range xs {
+			if uint32(k)&stopCheckMask == 0 && c.stopped() {
 				return res, false
 			}
-			if v := yr[i]; v < lo[g] {
+			if v := ys[k]; v < lo[g] {
 				lo[g] = v
 			}
-			if v := yr[i]; v > hi[g] {
+			if v := ys[k]; v > hi[g] {
 				hi[g] = v
 			}
 		}
 	default:
-		loRow, hiRow = grow(&s.loRow, xv.dom), grow(&s.hiRow, xv.dom)
-		for i, g := range xr {
-			if uint32(i)&stopCheckMask == 0 && c.stopped() {
+		loRow, hiRow := s.loRow, s.hiRow
+		for k, g := range xs {
+			if uint32(k)&stopCheckMask == 0 && c.stopped() {
 				return res, false
 			}
-			if v := yr[i]; v < lo[g] {
-				lo[g], loRow[g] = v, int32(i)
+			if v := ys[k]; v < lo[g] {
+				lo[g], loRow[g] = v, int32(from+k)
 			}
-			if v := yr[i]; v > hi[g] {
-				hi[g], hiRow[g] = v, int32(i)
+			if v := ys[k]; v > hi[g] {
+				hi[g], hiRow[g] = v, int32(from+k)
 			}
 		}
 	}
+	return res, true
+}
+
+// groupPass walks the groups the row pass collected in rank order. An
+// OCD or OD check ends at its first violation; an OCD swap is remembered
+// from the rows of xr, which are the rows the row pass read. scanFull
+// finds both kinds, each with its witness pair.
+// lint:hot
+func (h *Handle) groupPass(xr, yr []int32, mode scanMode) (res ODResult, ok bool) {
+	c, s := h.c, &h.s
+	hi, loRow, hiRow := s.hi, s.loRow, s.hiRow
+	lo := s.lo[:len(hi)]
 	run, runRow := int32(-1), int32(0)
 	for g, top := range hi {
 		if uint32(g)&stopCheckMask == 0 && c.stopped() {

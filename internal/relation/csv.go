@@ -2,10 +2,12 @@ package relation
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,20 +31,24 @@ type CSVOptions struct {
 // for each non-integer column, one arena of its distinct values' bytes,
 // never the whole file as strings nor one string per value. Input without
 // quotes or carriage returns and with a one-byte Comma is split at the
-// byte level, and its lines reach the encoder as bytes; from the first
-// line that has either, or from the start for a multi-byte Comma,
-// encoding/csv reads the rest. A column whose cells are all integers
+// byte level, and its lines reach the encoder as bytes: past the first
+// batch, whole lines of the header's cell count are split eight bytes at
+// a time and copied into the encoders' batch at once; from the first line
+// that has a quote or carriage return, or from the start for a multi-byte
+// Comma, encoding/csv reads the rest. The encoder goroutines own columns
+// by their cost on the first batch. A column whose cells are all integers
 // spelled as strconv.FormatInt prints them, in int32 range, is stored as
 // its values and ranked without a dictionary; any other cell moves its
 // column to a dictionary of distinct values, whose kind is inferred at the
 // end. The columns are then ranked on as many goroutines as encoded them,
 // each claiming the column with the most distinct values left, so the
-// costliest column never waits behind a static share. When src reports its size (a Len method, or a regular *os.File),
-// the code slices are sized once from the first records' bytes per
-// record. When opts.Stop is set it is polled every few hundred records, so
-// a cancelled caller (a deleted discovery job, a closed connection) aborts
-// ingestion promptly instead of parsing input it will never use; the
-// error then wraps ErrStopped.
+// costliest column never waits behind a static share. When src reports
+// its size (a Len method, or a regular *os.File), the code slices are
+// sized once from the first records' bytes per record. When opts.Stop is
+// set it is polled every few hundred records, so a cancelled caller (a
+// deleted discovery job, a closed connection) aborts ingestion promptly
+// instead of parsing input it will never use; the error then wraps
+// ErrStopped.
 func ReadCSV(src io.Reader, name string, opts CSVOptions) (*Relation, error) {
 	span := opts.Trace.StartChild("parse")
 	header, enc, err := parseCSV(src, name, opts)
@@ -65,12 +71,23 @@ func ReadCSV(src io.Reader, name string, opts CSVOptions) (*Relation, error) {
 // error the encoder, if any, is returned still open.
 func parseCSV(src io.Reader, name string, opts CSVOptions) ([]string, *encoder, error) {
 	size := inputSize(src)
-	sp := newSplitter(src, opts.Comma)
+	sp := newSplitter(src, opts.Comma, size)
 	var header []string
 	var enc *encoder
 	for records := 0; ; records++ {
 		if opts.Stop != nil && records%stopEvery == 0 && opts.Stop() {
 			return nil, enc, fmt.Errorf("read csv %s: after %d records: %w", name, records, ErrStopped)
+		}
+		if enc != nil && enc.feeds != nil {
+			// Plain lines go straight into the encoders' batch, up to the
+			// batch's end or the next Stop poll, whichever comes first.
+			b := enc.batch()
+			room := batchRows - len(b.ends)/len(header)
+			if n := sp.scan(b, len(header), min(room, stopEvery-records%stopEvery)); n > 0 {
+				enc.took(n)
+				records += n - 1
+				continue
+			}
 		}
 		rec, line, err := sp.read()
 		if err == io.EOF {
@@ -143,14 +160,22 @@ func estimateRows(rows, cols int, used, size int64) int {
 	return int(min(est, int64(rows)+(size-used)/int64(max(cols, 1))+1))
 }
 
-// readBuf is the splitter's initial buffer, the size of encoding/csv's
-// bufio.Reader; it doubles whenever a line does not fit.
-const readBuf = 4 << 10
+// readBuf is the splitter's initial buffer for an input of unknown size or
+// of at least readBuf bytes; it doubles whenever a line does not fit. A line
+// that crosses its end is left to read, so it holds hundreds of typical
+// lines for each one that scan does not take. A shorter input starts with
+// at most smallBuf, the size of encoding/csv's bufio.Reader.
+const (
+	readBuf  = 64 << 10
+	smallBuf = 4 << 10
+)
 
 // splitter reads CSV records. Lines without '"' or '\r' are split on a
-// one-byte comma in place; the first line with either, a multi-byte comma
-// or a read error hands the rest of the stream to encoding/csv, so quoting,
-// line endings and errors are encoding/csv's own.
+// one-byte comma in place: by scan, a word at a time, once the encoders
+// run, and one record at a time by read for the lines scan leaves; the
+// first line with either, a multi-byte comma or a read error hands the
+// rest of the stream to encoding/csv, so quoting, line endings and errors
+// are encoding/csv's own.
 type splitter struct {
 	src   io.Reader
 	comma byte
@@ -167,14 +192,20 @@ type splitter struct {
 	cells []byte      // the line rec refers to after the handoff
 }
 
-func newSplitter(src io.Reader, comma rune) *splitter {
+// newSplitter returns a splitter of src, whose size is that many bytes,
+// or unknown when negative.
+func newSplitter(src io.Reader, comma rune, size int64) *splitter {
 	if comma == 0 {
 		comma = ','
 	}
 	s := &splitter{src: src}
 	if comma < utf8.RuneSelf && comma != '"' && comma != '\r' && comma != '\n' {
 		s.comma = byte(comma)
-		s.buf = make([]byte, readBuf)
+		n := readBuf
+		if size >= 0 && size < readBuf {
+			n = int(min(size+1, smallBuf)) // room to see the end of the input
+		}
+		s.buf = make([]byte, n)
 	} else {
 		s.handoff(comma)
 	}
@@ -239,6 +270,77 @@ func (s *splitter) read() ([][]byte, []byte, error) {
 	}
 	s.cells, s.rec = layOut(s.cells, s.rec, rec)
 	return s.rec, s.cells, err
+}
+
+// Words of eight bytes find separators without a call per cell: a byte of
+// w^(lowBits·c) is zero exactly where w's byte is c.
+const (
+	lowBits = 0x0101010101010101
+	low7    = 0x7f7f7f7f7f7f7f7f
+)
+
+// zeroBytes sets the high bit of each zero byte of x and clears every other
+// bit. No carry crosses a byte, so unlike (x−lowBits)&^x it marks exactly
+// the zero bytes, not also the ones above the first.
+func zeroBytes(x uint64) uint64 {
+	return ^((x&low7 + low7) | x | low7)
+}
+
+// scan takes up to limit whole lines of ncols cells from the plain bytes
+// buf[r:plain] into b and returns how many it took. It finds every comma
+// and newline eight bytes at a time, writes each cell's end into b.ends,
+// and copies the lines it took into b.buf with one append: a line's cells
+// are already back to back, each followed by one separator byte. It stops
+// before the first line it cannot take: one not whole in buf[r:plain]
+// (more input is due, or it holds a '"' or '\r'), or one of another cell
+// count, as an empty line is. read takes that line, so encoding/csv's
+// records and errors stay the contract. A one-column file is left to
+// read, which skips empty lines that scan would take as empty cells.
+func (s *splitter) scan(b *batch, ncols, limit int) int {
+	if s.cr != nil || ncols < 2 {
+		return 0
+	}
+	buf := s.buf[s.r:s.plain]
+	ends := b.ends
+	base := len(b.buf) // where buf[0] lands in b.buf
+	commas, newlines := lowBits*uint64(s.comma), lowBits*uint64('\n')
+	rows, taken, mark := 0, 0, len(ends) // buf[:taken] holds the lines taken, ends[:mark] their cells
+words:
+	for i := 0; i < len(buf); i += 8 {
+		var w uint64
+		if i+8 <= len(buf) {
+			w = binary.LittleEndian.Uint64(buf[i:])
+		} else {
+			// Zero padding matches neither separator: the comma is never 0.
+			var tail [8]byte
+			copy(tail[:], buf[i:])
+			w = binary.LittleEndian.Uint64(tail[:])
+		}
+		nl := zeroBytes(w ^ newlines)
+		for m := zeroBytes(w^commas) | nl; m != 0; m &= m - 1 {
+			j := i + bits.TrailingZeros64(m)>>3
+			ends = append(ends, base+j)
+			cells := len(ends) - mark
+			if nl&m&-m == 0 { // a comma
+				if cells < ncols {
+					continue
+				}
+				break words // a cell too many
+			}
+			if cells != ncols {
+				break words
+			}
+			rows, taken, mark = rows+1, j+1, len(ends)
+			if rows == limit {
+				break words
+			}
+		}
+	}
+	b.buf = append(b.buf, buf[:taken]...)
+	b.ends = ends[:mark]
+	s.r += taken
+	s.lines += rows
+	return rows
 }
 
 // offset returns how many bytes of the input the records read so far take.

@@ -537,8 +537,8 @@ var fuzzCommas = []rune{0, ',', ';', '\t', '¦', '"', '\n'}
 // reference on arbitrary CSV bytes and options: they must agree on
 // acceptance, and on acceptance produce identical relations. nulls, when
 // not empty, is a '|'-separated list of NULL tokens. An accepted input's
-// data lines are then tiled past batchRows+1 records, so the striped
-// encoders and their whole-line batches run too, and read once through a
+// data lines are then tiled past batchRows+1 records, so the encoder
+// goroutines, the word scan and their whole-line batches run too, and read once through a
 // strings.Reader, whose Len sizes the code slices, and once through a
 // reader that tells no size.
 func FuzzReadCSVMatchesReference(f *testing.F) {
@@ -598,47 +598,122 @@ func (c chunkReader) Read(p []byte) (int, error) { return c.r.Read(p[:min(len(p)
 // FuzzSplitMatchesEncodingCSV requires the splitter, with its handoff to
 // encoding/csv, to read the same records as encoding/csv from arbitrary
 // bytes arriving in chunks of any size, and to fail where it fails with
-// the same error. The line it returns must hold the cells back to back,
-// each followed by one byte.
+// the same error. The line read returns must hold the cells back to back,
+// each followed by one byte. The bytes are read twice: as they are, and
+// behind batchRows+2 copies of their first line, so that the lines after
+// those reach the word scan as parseCSV drives it.
 func FuzzSplitMatchesEncodingCSV(f *testing.F) {
 	f.Add([]byte("a,b\n1,2\n\n3,4"), uint8(0), uint8(3))
 	f.Add([]byte("a,b\n1,\"2\n3\",4\r\n5,6\n"), uint8(1), uint8(255))
 	f.Add([]byte("a\tb\n1\t2\nx\"y\t3\n"), uint8(3), uint8(1))
 	f.Add([]byte("a¦b\n1¦2\n"), uint8(4), uint8(7))
 	f.Add([]byte("a,b\n1,2\n"), uint8(5), uint8(7))
+	// For the word scan: a cell too many, a cell too few, an empty line, a
+	// '"' and a '\r' mid-stream, a last line without a newline, and a
+	// one-column file.
+	f.Add([]byte("a,b,c\n1,2,3\n4,5,6,7\n8,9,10\n"), uint8(0), uint8(255))
+	f.Add([]byte("a,b,c\n1,2,3\n4,5\n"), uint8(0), uint8(100))
+	f.Add([]byte("a;b\n1;2\n\n3;4\n"), uint8(2), uint8(255))
+	f.Add([]byte("a,b\n1,2\n\"x\",4\n5,6\n"), uint8(1), uint8(255))
+	f.Add([]byte("a,b\n1,2\r\n3,4\n"), uint8(1), uint8(60))
+	f.Add([]byte("a,bb\n1,22\n3,44"), uint8(0), uint8(255))
+	f.Add([]byte("a\n1\n\n2\n"), uint8(0), uint8(255))
 	f.Fuzz(func(t *testing.T, data []byte, comma, chunk uint8) {
 		c := fuzzCommas[int(comma)%len(fuzzCommas)]
-		cr := csv.NewReader(bytes.NewReader(data))
-		if c != 0 {
-			cr.Comma = c
+		splitMatchesEncodingCSV(t, data, c, int(chunk)+1)
+		first, _, _ := bytes.Cut(data, []byte("\n"))
+		if len(data) > 1<<12 || len(first) > 64 {
+			return
 		}
-		cr.FieldsPerRecord = -1
-		sp := newSplitter(chunkReader{bytes.NewReader(data), int(chunk) + 1}, c)
-		for n := 1; ; n++ {
-			want, werr := cr.Read()
-			got, line, gerr := sp.read()
-			if fmt.Sprint(werr) != fmt.Sprint(gerr) {
-				t.Fatalf("record %d: encoding/csv err %v, splitter err %v", n, werr, gerr)
+		first = append(first, '\n')
+		tiled := append(bytes.Repeat(first, batchRows+2), bytes.Repeat(data, 4)...)
+		splitMatchesEncodingCSV(t, tiled, c, 1+(int(chunk)*37)%4096)
+	})
+}
+
+// splitMatchesEncodingCSV reads data, in chunks of chunk bytes, through the
+// splitter as parseCSV does: by read up to batchRows+1 records, then into
+// a batch by scan wherever it takes lines, and by read where it does not.
+// Each record and error must be encoding/csv's.
+func splitMatchesEncodingCSV(t *testing.T, data []byte, c rune, chunk int) {
+	t.Helper()
+	cr := csv.NewReader(bytes.NewReader(data))
+	if c != 0 {
+		cr.Comma = c
+	}
+	cr.FieldsPerRecord = -1
+	sp := newSplitter(chunkReader{bytes.NewReader(data), chunk}, c, -1)
+	var b *batch
+	ncols := 0
+	for n := 1; ; n++ {
+		if b != nil {
+			if len(b.ends) == batchRows*ncols {
+				b.buf, b.ends = b.buf[:0], b.ends[:0]
 			}
-			if werr != nil {
-				return
+			before := len(b.ends)
+			// Vary the limit as parseCSV's Stop polls and batch ends do.
+			limit := min(batchRows-before/ncols, 1+n%61)
+			k := sp.scan(b, ncols, limit)
+			if k > limit {
+				t.Fatalf("record %d: scan took %d records, limit %d", n, k, limit)
 			}
-			if len(got) != len(want) {
+			for e := before; e < before+k*ncols; e += ncols {
+				want, werr := cr.Read()
+				if werr != nil || len(want) != ncols {
+					t.Fatalf("record %d: scan took %q, encoding/csv reads %q, %v", n, batchRecord(b, e, ncols), want, werr)
+				}
+				if got := batchRecord(b, e, ncols); !slices.Equal(got, want) {
+					t.Fatalf("record %d: encoding/csv %q, scan %q", n, want, got)
+				}
+				n++
+			}
+			if k > 0 {
+				n--
+				continue
+			}
+		}
+		want, werr := cr.Read()
+		got, line, gerr := sp.read()
+		if fmt.Sprint(werr) != fmt.Sprint(gerr) {
+			t.Fatalf("record %d: encoding/csv err %v, splitter err %v", n, werr, gerr)
+		}
+		if werr != nil {
+			return
+		}
+		if len(got) != len(want) {
+			t.Fatalf("record %d: encoding/csv %q, splitter %q", n, want, got)
+		}
+		start := 0
+		for i := range want {
+			if string(got[i]) != want[i] {
 				t.Fatalf("record %d: encoding/csv %q, splitter %q", n, want, got)
 			}
-			start := 0
-			for i := range want {
-				if string(got[i]) != want[i] {
-					t.Fatalf("record %d: encoding/csv %q, splitter %q", n, want, got)
-				}
-				if end := start + len(want[i]); end >= len(line) || string(line[start:end]) != want[i] {
-					t.Fatalf("record %d: cell %d is not at %d in line %q", n, i, start, line)
-				}
-				start += len(want[i]) + 1
+			if end := start + len(want[i]); end >= len(line) || string(line[start:end]) != want[i] {
+				t.Fatalf("record %d: cell %d is not at %d in line %q", n, i, start, line)
 			}
-			if start != len(line) {
-				t.Fatalf("record %d: line %q is not its cells, each followed by one byte", n, line)
-			}
+			start += len(want[i]) + 1
 		}
-	})
+		if start != len(line) {
+			t.Fatalf("record %d: line %q is not its cells, each followed by one byte", n, line)
+		}
+		if n == 1 {
+			ncols = len(got)
+		}
+		if n == batchRows+1 && len(got) == ncols {
+			b = &batch{ends: make([]int, 0, batchRows*ncols)}
+		}
+	}
+}
+
+// batchRecord returns the record whose first cell is cell e of b.
+func batchRecord(b *batch, e, ncols int) []string {
+	rec := make([]string, ncols)
+	for i := range rec {
+		from := 0
+		if e+i > 0 {
+			from = b.ends[e+i-1] + 1
+		}
+		rec[i] = string(b.buf[from:b.ends[e+i]])
+	}
+	return rec
 }

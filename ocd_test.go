@@ -106,6 +106,40 @@ func TestDiscoverTax(t *testing.T) {
 	}
 }
 
+// TestResultListsDoNotAlias: the result's name lists share one backing
+// slice, each capacity-limited, so appending to one list leaves every
+// other list as it was.
+func TestResultListsDoNotAlias(t *testing.T) {
+	res, err := loadTax(t).Discover(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.OCDs) < 2 {
+		t.Fatalf("want at least two OCDs, got %v", res.OCDs)
+	}
+	var want []string
+	for _, d := range res.OCDs {
+		want = append(want, d.String())
+	}
+	for _, g := range res.EquivalentGroups {
+		want = append(want, strings.Join(g, ","))
+	}
+	for i := range res.OCDs {
+		res.OCDs[i].Left = append(res.OCDs[i].Left, "appended")
+		res.OCDs[i].Right = append(res.OCDs[i].Right, "appended")
+		if i+1 < len(res.OCDs) {
+			if got := res.OCDs[i+1].String(); got != want[i+1] {
+				t.Fatalf("after appending to OCD %d, OCD %d reads %s, want %s", i, i+1, got, want[i+1])
+			}
+		}
+	}
+	for k, g := range res.EquivalentGroups {
+		if got := strings.Join(g, ","); got != want[len(res.OCDs)+k] {
+			t.Fatalf("group %d reads %s after appends to the OCDs, want %s", k, got, want[len(res.OCDs)+k])
+		}
+	}
+}
+
 func TestDiscoverColumnsSubset(t *testing.T) {
 	tbl := loadTax(t)
 	res, err := tbl.Discover(Options{Workers: 1, Columns: []string{"income", "savings"}})

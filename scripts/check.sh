@@ -30,8 +30,9 @@
 #                                phase, taxinfo and check-primitive root
 #                                benchmarks, OCDDISCOVER on HEPATITIS and
 #                                the LINEITEM CSV ingestion, string
-#                                ranking and parallel OCD check
-#                                benchmarks once each (-benchtime=1x),
+#                                ranking, parallel OCD check and
+#                                200,000-row OCD check benchmarks once
+#                                each (-benchtime=1x),
 #                                so they keep compiling and running;
 #                                end-to-end numbers come from
 #                                bash bench/run.sh
@@ -89,7 +90,7 @@ step "bench smoke: root, ingestion and check benchmarks, one iteration each"
 go test . -run '^$' -bench 'BenchmarkObsOverhead|BenchmarkPhase_|BenchmarkProgressFormat|BenchmarkDatasetTaxinfo|BenchmarkAblation_CheckPrimitives' -benchmem -benchtime=1x -count=1
 go test . -run '^$' -bench '^BenchmarkTable6$/^ocddiscover$/^HEPATITIS$' -benchmem -benchtime=1x -count=1
 go test ./internal/relation -run '^$' -bench '^(BenchmarkReadCSVLineItem|BenchmarkRankStrings)$' -benchmem -benchtime=1x -count=1
-go test ./internal/order -run '^$' -bench '^BenchmarkCheckOCDParallel$' -benchmem -benchtime=1x -count=1
+go test ./internal/order -run '^$' -bench '^(BenchmarkCheckOCDParallel|BenchmarkCheckOCDLong)$' -benchmem -benchtime=1x -count=1
 
 step "bench module: go -C bench vet ./... && go -C bench test ./..."
 go -C bench vet ./...
